@@ -5,7 +5,6 @@ from .engine import (
     BlockScores,
     DecodeConfig,
     DecodeResult,
-    Sequence,
     blockwise_decode,
     blockwise_decode_combined,
     greedy_decode,
@@ -26,7 +25,6 @@ __all__ = [
     "BlockScores",
     "DecodeConfig",
     "DecodeResult",
-    "Sequence",
     "blockwise_decode",
     "blockwise_decode_combined",
     "greedy_decode",

@@ -1,6 +1,6 @@
 """Blockwise parallel decoding engine.
 
-The engine drives a k-head scoring model through the predict / verify /
+The engine drives a k-head scoring model through one predict / verify /
 accept loop:
 
   predict  propose k future tokens, one per head, all conditioned on the
@@ -8,13 +8,16 @@ accept loop:
   verify   score every proposal position in a single model call and find
            the longest prefix of proposals the base head agrees with
   accept   extend the output by that prefix (at least one token per
-           iteration) and repeat
+           iteration, or the criterion's min_block floor) and repeat
 
-With the exact acceptance criterion the output is identical to greedy
-decoding token for token; the payoff is fewer model invocations. The
-combined scheme merges the next iteration's predict into the current
-verify call, reading next proposals from the scored grid row that matches
-the tokens just accepted.
+Three schemes run through the same loop and differ only in where each
+iteration's proposals come from. Greedy proposes one token with the base
+head and accepts it unverified. Standard blockwise decoding makes a
+separate predict call before each verify call. Combined blockwise decoding
+reads the next proposals from the verify grid row that matches the tokens
+just accepted, so only its first iteration makes a predict call. With the
+exact acceptance criterion the blockwise output is identical to greedy
+decoding token for token; the payoff is fewer model invocations.
 
 All decode functions return a :class:`DecodeResult` whose accounting
 fields satisfy sum(accepted_sizes) == len(output) and
@@ -24,8 +27,8 @@ iterations == len(accepted_sizes).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence as TypingSequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -36,39 +39,19 @@ NORMALIZATION_TOL = 1e-5
 
 
 @dataclass(frozen=True)
-class Sequence:
-    """A token sequence tagged with its role in a task pair."""
-
-    tokens: tuple
-    role: str = "output"  # "input" or "output"
-
-    def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if self.role not in ("input", "output"):
-            raise ConfigurationError(f"unknown sequence role {self.role!r}")
-        if any(t < 0 for t in self.tokens):
-            raise ConfigurationError("token ids must be non-negative")
-
-    def __len__(self):
-        return len(self.tokens)
-
-
-@dataclass(frozen=True)
 class DecodeConfig:
     """Settings for one decode run.
 
     block_size: number of proposal heads used per iteration (k)
     max_len:    output token budget, counting a produced end token
-    criterion:  per-position acceptance predicate
-    min_block:  floor on tokens accepted per iteration, in [1, block_size];
-                combined with criterion.min_block by taking the larger
+    criterion:  per-position acceptance predicate; its min_block is the
+                floor on tokens accepted per iteration, at most block_size
     eos_token:  token id that terminates decoding, or None
     """
 
     block_size: int
     max_len: int
     criterion: AcceptanceCriterion = EXACT
-    min_block: int = 1
     eos_token: Optional[int] = None
 
     def __post_init__(self):
@@ -76,10 +59,6 @@ class DecodeConfig:
             raise ConfigurationError("block_size must be >= 1")
         if self.max_len < 1:
             raise ConfigurationError("max_len must be >= 1")
-        if not 1 <= self.min_block <= self.block_size:
-            raise ConfigurationError(
-                f"min_block must be in [1, block_size], got {self.min_block}"
-            )
         if self.criterion.min_block > self.block_size:
             raise ConfigurationError(
                 "criterion.min_block exceeds block_size "
@@ -87,10 +66,6 @@ class DecodeConfig:
             )
         if self.eos_token is not None and self.eos_token < 0:
             raise ConfigurationError("eos_token must be a non-negative id or None")
-
-    @property
-    def effective_min_block(self) -> int:
-        return max(self.min_block, self.criterion.min_block)
 
 
 @dataclass(frozen=True)
@@ -227,7 +202,7 @@ def verify_block(base_scores: BlockScores, proposals, criterion: AcceptanceCrite
     Proposal j is checked against the base distribution conditioned on the
     prefix plus proposals[:j], which is grid row j. Returns a count in
     [0, len(proposals)]; zero is possible for externally supplied proposals,
-    while the decode loops always receive at least one acceptance because
+    while the decode loop always receives at least one acceptance because
     the first proposal is the base head's own argmax.
     """
     proposals = tuple(proposals)
@@ -245,16 +220,53 @@ def verify_block(base_scores: BlockScores, proposals, criterion: AcceptanceCrite
     return k_hat
 
 
-def _accept(proposals, k_hat: int, config: DecodeConfig, remaining: int):
-    """Apply the min-block floor and end-token truncation to a verified
-    prefix length. Returns (accepted tokens, done flag)."""
-    k_eff = apply_min_block(k_hat, config.effective_min_block, config.block_size, remaining)
-    k_eff = min(k_eff, remaining)
-    accepted = list(proposals[:k_eff])
-    if config.eos_token is not None and config.eos_token in accepted:
-        accepted = accepted[: accepted.index(config.eos_token) + 1]
-        return accepted, True
-    return accepted, False
+def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
+    """The predict / verify / accept loop shared by the three schemes
+    ("greedy", "standard", "combined"; see the module docstring)."""
+    _check_model(model, config)
+    input_tokens = tuple(input_tokens)
+    k = 1 if scheme == "greedy" else config.block_size
+    output = []
+    accepted_sizes = []
+    invocations = 0
+    proposals = None
+    start = time.perf_counter_ns()
+    while len(output) < config.max_len:
+        remaining = config.max_len - len(output)
+        if proposals is None:
+            proposals, _ = predict_block(model, input_tokens, output, k)
+            invocations += 1
+        proposals = proposals[:remaining]
+        k_hat = 1
+        if scheme != "greedy":
+            ver = model.score_grid(input_tokens, tuple(output), proposals, k)
+            invocations += 1
+            k_hat = verify_block(ver, proposals, config.criterion)
+            if k_hat < 1:
+                raise ModelContractError(
+                    "model rejected its own base proposal; scoring is not deterministic"
+                )
+        # the min-block floor may accept past the verified prefix; an end
+        # token cuts the block short and ends the decode
+        k_eff = apply_min_block(k_hat, config.criterion.min_block, config.block_size, remaining)
+        accepted = proposals[:k_eff]
+        done = config.eos_token in accepted
+        if done:
+            accepted = accepted[: accepted.index(config.eos_token) + 1]
+        output.extend(accepted)
+        accepted_sizes.append(len(accepted))
+        if done:
+            break
+        proposals = _grid_proposals(ver, len(accepted), k) if scheme == "combined" else None
+    elapsed = time.perf_counter_ns() - start
+    return DecodeResult(
+        output=tuple(output),
+        accepted_sizes=tuple(accepted_sizes),
+        iterations=len(accepted_sizes),
+        model_invocations=invocations,
+        wall_clock_ns=elapsed,
+        matched_greedy=True if scheme == "greedy" else None,
+    )
 
 
 def greedy_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
@@ -263,27 +275,7 @@ def greedy_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
     One model invocation per output token. Serves as the correctness and
     timing baseline for the blockwise schemes.
     """
-    _check_model(model, config)
-    input_tokens = tuple(input_tokens)
-    output = []
-    invocations = 0
-    start = time.perf_counter_ns()
-    while len(output) < config.max_len:
-        scores = model.score_grid(input_tokens, tuple(output), (), 1)
-        invocations += 1
-        token = _grid_proposals(scores, 0, 1)[0]
-        output.append(token)
-        if config.eos_token is not None and token == config.eos_token:
-            break
-    elapsed = time.perf_counter_ns() - start
-    return DecodeResult(
-        output=tuple(output),
-        accepted_sizes=(1,) * len(output),
-        iterations=len(output),
-        model_invocations=invocations,
-        wall_clock_ns=elapsed,
-        matched_greedy=True,
-    )
+    return _decode(model, input_tokens, config, "greedy")
 
 
 def blockwise_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
@@ -292,37 +284,7 @@ def blockwise_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
     Each iteration costs two model invocations, so producing m tokens in
     blocks of k takes about 2m/k calls instead of greedy's m.
     """
-    _check_model(model, config)
-    input_tokens = tuple(input_tokens)
-    output = []
-    accepted_sizes = []
-    invocations = 0
-    start = time.perf_counter_ns()
-    while len(output) < config.max_len:
-        remaining = config.max_len - len(output)
-        proposals, _ = predict_block(model, input_tokens, output, config.block_size)
-        invocations += 1
-        proposals = proposals[:remaining]
-        ver = model.score_grid(input_tokens, tuple(output), proposals, config.block_size)
-        invocations += 1
-        k_hat = verify_block(ver, proposals, config.criterion)
-        if k_hat < 1:
-            raise ModelContractError(
-                "model rejected its own base proposal; scoring is not deterministic"
-            )
-        accepted, done = _accept(proposals, k_hat, config, remaining)
-        output.extend(accepted)
-        accepted_sizes.append(len(accepted))
-        if done:
-            break
-    elapsed = time.perf_counter_ns() - start
-    return DecodeResult(
-        output=tuple(output),
-        accepted_sizes=tuple(accepted_sizes),
-        iterations=len(accepted_sizes),
-        model_invocations=invocations,
-        wall_clock_ns=elapsed,
-    )
+    return _decode(model, input_tokens, config, "standard")
 
 
 def blockwise_decode_combined(model, input_tokens, config: DecodeConfig) -> DecodeResult:
@@ -334,34 +296,4 @@ def blockwise_decode_combined(model, input_tokens, config: DecodeConfig) -> Deco
     producing m tokens in blocks of k costs about m/k + 1 invocations: one
     initial proposal call plus one call per iteration.
     """
-    _check_model(model, config)
-    input_tokens = tuple(input_tokens)
-    output = []
-    accepted_sizes = []
-    start = time.perf_counter_ns()
-    next_proposals, _ = predict_block(model, input_tokens, (), config.block_size)
-    invocations = 1
-    while len(output) < config.max_len:
-        remaining = config.max_len - len(output)
-        proposals = next_proposals[:remaining]
-        ver = model.score_grid(input_tokens, tuple(output), proposals, config.block_size)
-        invocations += 1
-        k_hat = verify_block(ver, proposals, config.criterion)
-        if k_hat < 1:
-            raise ModelContractError(
-                "model rejected its own base proposal; scoring is not deterministic"
-            )
-        accepted, done = _accept(proposals, k_hat, config, remaining)
-        output.extend(accepted)
-        accepted_sizes.append(len(accepted))
-        if done or len(output) >= config.max_len:
-            break
-        next_proposals = _grid_proposals(ver, len(accepted), config.block_size)
-    elapsed = time.perf_counter_ns() - start
-    return DecodeResult(
-        output=tuple(output),
-        accepted_sizes=tuple(accepted_sizes),
-        iterations=len(accepted_sizes),
-        model_invocations=invocations,
-        wall_clock_ns=elapsed,
-    )
+    return _decode(model, input_tokens, config, "combined")

@@ -39,7 +39,3 @@ class ParseError(CorpusError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class VocabError(CorpusError):
-    """A token id falls outside the declared vocabulary."""

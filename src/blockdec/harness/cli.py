@@ -9,7 +9,8 @@ Subcommands:
 
 Criteria are written as comma-separated key=value lists, for example
 `kind=exact`, `kind=top_k,k=2` or `kind=distance,eps=2,min_block=1`; a bare
-kind name is accepted as shorthand. The global --seed falls back to the
+kind name is accepted as shorthand. The criterion's `min_block` is the only
+floor on tokens accepted per iteration. The global --seed falls back to the
 BLOCKDEC_SEED environment variable, then to 0.
 """
 
@@ -23,7 +24,6 @@ from .. import __version__
 from ..criteria import AcceptanceCriterion
 from ..engine import (
     DecodeConfig,
-    Sequence,
     blockwise_decode,
     blockwise_decode_combined,
     greedy_decode,
@@ -159,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--tokens", help="input token ids, comma separated")
     dec.add_argument("--block-size", type=int, default=4)
     dec.add_argument("--criterion", default="kind=exact")
-    dec.add_argument("--min-block", type=int, default=1)
     dec.add_argument("--max-len", type=int, default=32)
     dec.add_argument("--scheme", choices=SCHEMES + ("greedy",), default="combined")
     dec.add_argument("--vocab-size", type=int, default=16, help="synthetic model vocabulary")
@@ -280,14 +279,15 @@ def _cmd_decode(args, seed: int) -> int:
         )
         eos = None
     if args.tokens:
-        source = Sequence(_parse_int_list(args.tokens, "--tokens"), role="input")
+        source = _parse_int_list(args.tokens, "--tokens")
+        if any(t < 0 for t in source):
+            raise ParseError(f"--tokens ids must be non-negative, got {args.tokens!r}")
     else:
-        source = Sequence(tuple(args.input.encode("utf-8")), role="input")
+        source = tuple(args.input.encode("utf-8"))
     config = DecodeConfig(
         block_size=args.block_size,
         max_len=args.max_len,
         criterion=parse_criterion(args.criterion),
-        min_block=args.min_block,
         eos_token=eos,
     )
     decoders = {
@@ -295,7 +295,7 @@ def _cmd_decode(args, seed: int) -> int:
         "standard": blockwise_decode,
         "greedy": greedy_decode,
     }
-    result = decoders[args.scheme](model, source.tokens, config)
+    result = decoders[args.scheme](model, source, config)
     render, is_text = _token_renderer(model)
     if not args.no_trace:
         pos = 0
@@ -313,7 +313,7 @@ def _cmd_decode(args, seed: int) -> int:
         f"{result.wall_clock_ns / 1e6:.2f} ms"
     )
     if args.check_greedy:
-        greedy = greedy_decode(model, source.tokens, config)
+        greedy = greedy_decode(model, source, config)
         match = greedy.output == result.output
         print(f"matches greedy: {match} "
               f"({greedy.model_invocations} greedy invocations)")

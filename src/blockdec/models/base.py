@@ -16,6 +16,13 @@ from ..engine import BlockScores
 from ..errors import ConfigurationError, LengthError
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis, computed in float64."""
+    x = np.asarray(logits, dtype=np.float64)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 class ScoringModel:
     """Interface for models the decode engine can drive.
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..engine import BlockScores
 from ..errors import ConfigurationError, LengthError, NumericError
-from .base import ScoringModel
+from .base import ScoringModel, log_softmax
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e9
@@ -99,12 +99,6 @@ def partition_of(name: str) -> str:
     if name.startswith("proj."):
         return "vocab_projection"
     return "base"
-
-
-def _log_softmax64(logits: np.ndarray) -> np.ndarray:
-    x = np.asarray(logits, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -256,20 +250,26 @@ class TinyBlockModel(ScoringModel):
             cache["hf"] = hf
         return hf, cache
 
-    def extension_forward(self, hf: np.ndarray, head: int, want_cache: bool = False):
-        """Logits of one head (1-indexed) at every position: (B, C, V)."""
-        if not 1 <= head <= self.num_heads:
-            raise ConfigurationError(f"head must be in [1, {self.num_heads}]")
+    def extension_forward(self, hf: np.ndarray, heads: slice, want_cache: bool = False):
+        """Logits of the heads in `heads` (a slice of 0-indexed heads) at
+        every position: hf (..., C, D) gives (..., C, len(heads), V).
+
+        score_grid passes every head and training passes one. The vocabulary
+        projection is one (C * len(heads), D) @ (D, V) product per leading
+        index of hf; that fixed shape keeps the result bitwise reproducible.
+        """
+        first, stop, step = heads.indices(self.num_heads)
+        if step != 1 or stop <= first:
+            raise ConfigurationError(f"heads must be a non-empty slice of [0, {self.num_heads})")
         p = self.params
         d = self.config.d_model
-        upre = hf @ p["ext.w1"] + p["ext.b1"]
-        u = np.maximum(upre, 0)
-        lo = (head - 1) * d
-        o = u @ p["ext.w2"][:, lo : lo + d] + p["ext.b2"][lo : lo + d]
-        y = o + hf
-        logits = y @ p["proj.w"]
+        lo, hi = first * d, stop * d
+        u = np.maximum(hf @ p["ext.w1"] + p["ext.b1"], 0)
+        o = u @ p["ext.w2"][:, lo:hi] + p["ext.b2"][lo:hi]
+        y = o.reshape(*hf.shape[:-1], stop - first, d) + hf[..., None, :]
+        logits = y.reshape(*hf.shape[:-2], -1, d) @ p["proj.w"]
         cache = {"u": u, "y": y, "lo": lo} if want_cache else None
-        return logits, cache
+        return logits.reshape(*y.shape[:-1], -1), cache
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         """One padded forward pass scoring k heads at every candidate offset.
@@ -280,19 +280,11 @@ class TinyBlockModel(ScoringModel):
         """
         self._check_heads(k)
         ids = self._compose(input_tokens, prefix, candidates)
-        batch = self._pad(ids)[None, :]
-        hf, _ = self.trunk_forward(batch)
-        p = self.params
-        cfg = self.config
-        c, kk, d = cfg.max_context, cfg.num_heads, cfg.d_model
-        flat = hf[0]  # (C, D)
-        u = np.maximum(flat @ p["ext.w1"] + p["ext.b1"], 0)
-        o = (u @ p["ext.w2"] + p["ext.b2"]).reshape(c, kk, d)
-        y = o + flat[:, None, :]
-        logits = (y.reshape(c * kk, d) @ p["proj.w"]).reshape(c, kk, -1)
+        hf, _ = self.trunk_forward(self._pad(ids)[None, :])
+        logits, _ = self.extension_forward(hf[0], slice(None))
         base = len(tuple(input_tokens)) + len(tuple(prefix))
         rows = len(tuple(candidates)) + 1
-        grid = _log_softmax64(logits[base : base + rows, :k, :])
+        grid = log_softmax(logits[base : base + rows, :k, :])
         return BlockScores(grid=grid, base_len=len(tuple(prefix)))
 
 
@@ -385,8 +377,11 @@ def _loss_positions(batch: TrainBatch, head: int, max_context: int):
 
 
 def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int, want_cache: bool):
+    if not 1 <= head <= model.num_heads:
+        raise ConfigurationError(f"head must be in [1, {model.num_heads}]")
     hf, trunk_cache = model.trunk_forward(batch.ids, want_cache=want_cache)
-    logits, ext_cache = model.extension_forward(hf, head, want_cache=want_cache)
+    logits, ext_cache = model.extension_forward(hf, slice(head - 1, head), want_cache=want_cache)
+    logits = logits[..., 0, :]
     mask = _loss_positions(batch, head, model.config.max_context)
     count = int(mask.sum())
     if count == 0:
@@ -395,7 +390,7 @@ def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int, want_cache: 
         )
     rows, cols = np.nonzero(mask)
     targets = batch.ids[rows, cols + head]
-    logprobs = _log_softmax64(logits[rows, cols])
+    logprobs = log_softmax(logits[rows, cols])
     loss = float(-logprobs[np.arange(count), targets].mean())
     aux = (hf, trunk_cache, logits, ext_cache, rows, cols, targets, count)
     return loss, aux

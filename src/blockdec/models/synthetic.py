@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import TableBackedModel
+from .base import TableBackedModel, log_softmax
 
 SYNTHETIC_KINDS = ("random_table", "perfect_proposals", "adversarial")
 
@@ -29,12 +29,6 @@ SYNTHETIC_KINDS = ("random_table", "perfect_proposals", "adversarial")
 _SALT_BASE = 101
 _SALT_HEADS = 202
 _SALT_SPLIT = 9999
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class SyntheticTableModel(TableBackedModel):
@@ -103,7 +97,7 @@ class SyntheticTableModel(TableBackedModel):
                     row = extra[h - 1].copy()
                     row[target] = row.max() + 1.0
                     logits[h] = row
-        table = _log_softmax(logits)
+        table = log_softmax(logits)
         self._row_cache[key] = table
         return table
 

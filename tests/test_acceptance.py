@@ -125,13 +125,14 @@ def test_criterion_3_criterion_equivalences(capsys):
 
 def test_criterion_4_fixed_block_mode(capsys):
     failures = []
+    fixed = exact(min_block=4)
     for kind in ("perfect_proposals", "adversarial"):
         model = make_synthetic_model(kind, seed=2, vocab_size=16, num_heads=4)
         for fn in (blockwise_decode, blockwise_decode_combined):
-            full = fn(model, (1,), DecodeConfig(block_size=4, max_len=12, min_block=4))
+            full = fn(model, (1,), DecodeConfig(block_size=4, max_len=12, criterion=fixed))
             if full.accepted_sizes != (4, 4, 4):
                 failures.append((kind, "full", full.accepted_sizes))
-            ragged = fn(model, (1,), DecodeConfig(block_size=4, max_len=10, min_block=4))
+            ragged = fn(model, (1,), DecodeConfig(block_size=4, max_len=10, criterion=fixed))
             if ragged.accepted_sizes != (4, 4, 2):
                 failures.append((kind, "ragged", ragged.accepted_sizes))
     ok = not failures

@@ -204,6 +204,17 @@ class TestErrors:
         assert code == 2
         capsys.readouterr()
 
+    def test_negative_tokens(self, capsys):
+        code = cli(["decode", "--synthetic", "random_table", "--tokens", "1,-2"])
+        assert code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_min_block_is_set_through_the_criterion(self, capsys):
+        code = cli(["decode", "--synthetic", "adversarial", "--tokens", "1",
+                    "--criterion", "kind=exact,min_block=4", "--max-len", "8"])
+        assert code == 0
+        assert "8 tokens in 2 iterations" in capsys.readouterr().out
+
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("BLOCKDEC_SEED", "nope")
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "1"])

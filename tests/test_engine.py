@@ -8,7 +8,6 @@ from blockdec.engine import (
     BlockScores,
     DecodeConfig,
     DecodeResult,
-    Sequence,
     blockwise_decode,
     blockwise_decode_combined,
     greedy_decode,
@@ -74,25 +73,15 @@ def naive_k_hat(grid, proposals, criterion):
 
 
 class TestTypes:
-    def test_sequence_validation(self):
-        seq = Sequence((1, 2, 3), role="input")
-        assert len(seq) == 3
-        with pytest.raises(ConfigurationError):
-            Sequence((1,), role="both")
-        with pytest.raises(ConfigurationError):
-            Sequence((-1,))
-
     def test_decode_config_validation(self):
         with pytest.raises(ConfigurationError):
             DecodeConfig(block_size=0, max_len=4)
         with pytest.raises(ConfigurationError):
             DecodeConfig(block_size=4, max_len=0)
         with pytest.raises(ConfigurationError):
-            DecodeConfig(block_size=4, max_len=8, min_block=5)
+            DecodeConfig(block_size=4, max_len=8, criterion=exact(min_block=5))
         with pytest.raises(ConfigurationError):
             DecodeConfig(block_size=2, max_len=8, criterion=exact(min_block=3))
-        cfg = DecodeConfig(block_size=4, max_len=8, min_block=2, criterion=top_k(2, min_block=3))
-        assert cfg.effective_min_block == 3
 
     def test_block_scores_normalization_guard(self):
         good = np.log(np.full((2, 2, 4), 0.25))
@@ -224,7 +213,7 @@ class TestInvocationAccounting:
 class TestMinBlockFloor:
     def test_floor_forces_fixed_blocks_on_adversarial(self):
         model = make_synthetic_model("adversarial", seed=4, vocab_size=16, num_heads=4)
-        config = DecodeConfig(block_size=4, max_len=12, min_block=4)
+        config = DecodeConfig(block_size=4, max_len=12, criterion=exact(min_block=4))
         result = blockwise_decode_combined(model, (2,), config)
         assert result.accepted_sizes == (4, 4, 4)
 
@@ -237,21 +226,14 @@ class TestMinBlockFloor:
             (1, 2, 3): [onehotish(v, 0)] * 3,
         }
         model = ScriptedModel(tables, vocab_size=v, num_heads=3)
-        config = DecodeConfig(block_size=3, max_len=3, min_block=3)
+        config = DecodeConfig(block_size=3, max_len=3, criterion=exact(min_block=3))
         result = blockwise_decode(model, (), config)
         assert result.output == (1, 2, 3)
         assert result.accepted_sizes == (3,)
 
-    def test_criterion_min_block_combines_with_config(self):
-        model = make_synthetic_model("adversarial", seed=4, vocab_size=16, num_heads=4)
-        config = DecodeConfig(block_size=4, max_len=8, min_block=1,
-                              criterion=exact(min_block=2))
-        result = blockwise_decode_combined(model, (2,), config)
-        assert result.accepted_sizes == (2, 2, 2, 2)
-
     def test_floor_capped_by_remaining_budget(self):
         model = make_synthetic_model("adversarial", seed=6, vocab_size=16, num_heads=4)
-        config = DecodeConfig(block_size=4, max_len=6, min_block=4)
+        config = DecodeConfig(block_size=4, max_len=6, criterion=exact(min_block=4))
         result = blockwise_decode_combined(model, (2,), config)
         assert result.accepted_sizes == (4, 2)
 
@@ -291,7 +273,7 @@ class TestEosHandling:
 
     def test_eos_truncation_wins_over_min_block_floor(self):
         model = self.scripted_eos_model(eos_at=1)
-        config = DecodeConfig(block_size=4, max_len=8, min_block=4, eos_token=5)
+        config = DecodeConfig(block_size=4, max_len=8, criterion=exact(min_block=4), eos_token=5)
         result = blockwise_decode_combined(model, (), config)
         assert result.output == (1, 5)
         assert result.accepted_sizes == (2,)

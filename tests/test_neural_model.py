@@ -5,12 +5,15 @@ import pytest
 
 from blockdec.engine import DecodeConfig, blockwise_decode_combined, greedy_decode
 from blockdec.errors import ConfigurationError, LengthError
+from blockdec.models.base import log_softmax
 from blockdec.models.neural import (
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
     partition_of,
+    sub_loss,
 )
+from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 
 def small_config(**overrides):
@@ -18,6 +21,16 @@ def small_config(**overrides):
                 num_layers=2, max_context=16, sep_token=10, eos_token=11)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+SCORING_MODELS = ("tiny-float32", "tiny-float64") + SYNTHETIC_KINDS
+
+
+def scoring_model(name, seed):
+    """A 3-head model over the small_config vocabulary, neural or synthetic."""
+    if name.startswith("tiny-"):
+        return TinyBlockModel(small_config(), seed=seed, dtype=name[len("tiny-"):])
+    return make_synthetic_model(name, seed=seed, vocab_size=12, num_heads=3)
 
 
 class TestConfigAndParams:
@@ -78,9 +91,10 @@ class TestScoreGrid:
         assert grid.base_len == 1
         np.testing.assert_allclose(np.exp(grid.grid).sum(axis=-1), 1.0, atol=1e-9)
 
-    def test_row_i_equals_extended_prefix_row_zero(self):
+    @pytest.mark.parametrize("name", SCORING_MODELS)
+    def test_row_i_equals_extended_prefix_row_zero(self, name):
         """Grid row i must be bitwise the row-0 scores of prefix+candidates[:i]."""
-        model = TinyBlockModel(small_config(), seed=2)
+        model = scoring_model(name, seed=2)
         grid = model.score_grid((1, 2), (3,), (4, 5, 6), 3)
         for i, extra in enumerate([(), (4,), (4, 5), (4, 5, 6)]):
             single = model.score_grid((1, 2), (3,) + extra, (), 3)
@@ -94,8 +108,9 @@ class TestScoreGrid:
         np.testing.assert_array_equal(a.grid[1], b.grid[1])
         assert not np.array_equal(a.grid[2], b.grid[2])
 
-    def test_repeated_calls_bitwise_identical(self):
-        model = TinyBlockModel(small_config(), seed=4)
+    @pytest.mark.parametrize("name", SCORING_MODELS)
+    def test_repeated_calls_bitwise_identical(self, name):
+        model = scoring_model(name, seed=4)
         a = model.score_grid((1, 2, 3), (4,), (5, 6), 2)
         b = model.score_grid((1, 2, 3), (4,), (5, 6), 2)
         np.testing.assert_array_equal(a.grid, b.grid)
@@ -138,6 +153,25 @@ class TestDecodingWithNeuralModel:
             greedy = greedy_decode(model, inp, config)
             combined = blockwise_decode_combined(model, inp, config)
             assert combined.output == greedy.output
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_training_head_matches_score_grid_head(self, dtype):
+        """Training's one-head logits and loss read the head that decoding
+        reads at the same position."""
+        cfg = small_config()
+        model = TinyBlockModel(cfg, seed=7, dtype=dtype)
+        inp, tgt = (1, 2), (3, 4, 5, 11)
+        batch = TrainBatch.from_pairs([(inp, tgt), ((6,), (7, 8))], cfg)
+        one = TrainBatch.from_pairs([(inp, tgt)], cfg)
+        hf, _ = model.trunk_forward(batch.ids)
+        grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
+        tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
+        for head in (1, 2, 3):
+            logits, _ = model.extension_forward(hf, slice(head - 1, head))
+            rows = log_softmax(logits[0, len(inp) : len(inp) + len(grid), 0])
+            np.testing.assert_allclose(rows, grid[:, head - 1], rtol=tol, atol=tol)
+            picked = [grid[i, head - 1, tgt[i + head - 1]] for i in range(len(tgt) - head + 1)]
+            assert sub_loss(model, one, head) == pytest.approx(-np.mean(picked), rel=tol)
 
     def test_head_offsets_differ(self):
         """Heads must predict different offsets, not copies of head 1."""
