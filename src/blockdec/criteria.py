@@ -82,16 +82,33 @@ def top_tokens(dist: np.ndarray, k: int) -> np.ndarray:
     return order[:k]
 
 
+def accepted(criterion: AcceptanceCriterion, proposals, base_rows: np.ndarray) -> np.ndarray:
+    """Whether each proposal is acceptable against the base model's
+    log-probability distribution for its position: proposals[j] is judged
+    against base_rows[j]. Every row is decided in one numpy pass; returns a
+    boolean array of len(proposals). Pure function."""
+    base_rows = np.asarray(base_rows)
+    proposals = np.asarray(proposals, dtype=np.int64)
+    if criterion.kind == "exact":
+        return proposals == base_rows.argmax(axis=-1)
+    if criterion.kind == "distance":
+        # token ids are integer intensities
+        return np.abs(proposals - base_rows.argmax(axis=-1)) <= criterion.epsilon
+    # top_k: a proposal's rank counts the tokens ordered before it by
+    # (descending score, ascending token id), the order of top_tokens
+    vocab = base_rows.shape[-1]
+    known = (proposals >= 0) & (proposals < vocab)
+    score = base_rows[np.arange(len(proposals)), np.where(known, proposals, 0)][:, None]
+    ids = np.arange(vocab)
+    before = (base_rows > score) | ((base_rows == score) & (ids < proposals[:, None]))
+    return known & (before.sum(axis=-1) < criterion.top_k_k)
+
+
 def accepts(criterion: AcceptanceCriterion, proposal: int, base_dist: np.ndarray) -> bool:
     """Decide whether `proposal` is acceptable against the base model's
-    log-probability distribution for the same position. Pure function."""
-    base_dist = np.asarray(base_dist)
-    if criterion.kind == "exact":
-        return proposal == argmax_token(base_dist)
-    if criterion.kind == "top_k":
-        return proposal in top_tokens(base_dist, criterion.top_k_k)
-    # distance: token ids are integer intensities
-    return abs(int(proposal) - argmax_token(base_dist)) <= criterion.epsilon
+    log-probability distribution for the same position: the one-row case
+    of :func:`accepted`. Pure function."""
+    return bool(accepted(criterion, [proposal], np.asarray(base_dist)[None])[0])
 
 
 def apply_min_block(k_hat: int, floor: int, k: int, remaining: int) -> int:

@@ -19,6 +19,11 @@ just accepted, so only its first iteration makes a predict call. With the
 exact acceptance criterion the blockwise output is identical to greedy
 decoding token for token; the payoff is fewer model invocations.
 
+Each decode runs inside ``model.session(input_tokens)``, so a model may
+keep state across the calls of one decode (TinyBlockModel keeps each
+layer's keys and values there). Every call still goes through
+``model.score_grid`` on the object the decode function was given.
+
 All decode functions return a :class:`DecodeResult` whose accounting
 fields satisfy sum(accepted_sizes) == len(output) and
 iterations == len(accepted_sizes).
@@ -32,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import AcceptanceCriterion, EXACT, accepts, apply_min_block, argmax_token
+from .criteria import AcceptanceCriterion, EXACT, accepted, apply_min_block
 from .errors import ConfigurationError, ModelContractError
 
 NORMALIZATION_TOL = 1e-5
@@ -90,11 +95,12 @@ class BlockScores:
             raise ModelContractError(
                 f"score grid must be (rows, heads, vocab), got shape {grid.shape}"
             )
-        if np.isnan(grid).any():
-            raise ModelContractError("score grid contains NaN")
         mass = np.exp(grid).sum(axis=-1)
         worst = float(np.max(np.abs(mass - 1.0)))
-        if worst > NORMALIZATION_TOL:
+        # NaN fails this test too; only then is the grid scanned for it
+        if not worst <= NORMALIZATION_TOL:
+            if np.isnan(grid).any():
+                raise ModelContractError("score grid contains NaN")
             raise ModelContractError(
                 f"score grid rows are not normalized log-probs (off by {worst:.3e})"
             )
@@ -175,14 +181,15 @@ def _check_model(model, config: DecodeConfig):
 
 
 def _grid_proposals(scores: BlockScores, row: int, k: int) -> tuple:
-    """Argmax token of each of the first k heads at one grid row."""
+    """Argmax token of each of the first k heads at one grid row; ties go to
+    the lowest token id."""
     if row >= scores.rows:
         raise ModelContractError(
             f"grid has {scores.rows} rows, cannot read row {row}"
         )
     if k > scores.heads:
         raise ModelContractError(f"grid has {scores.heads} heads, need {k}")
-    return tuple(argmax_token(scores.grid[row, h]) for h in range(k))
+    return tuple(scores.grid[row, :k].argmax(axis=-1).tolist())
 
 
 def predict_block(model, input_tokens, prefix, k: int):
@@ -212,12 +219,10 @@ def verify_block(base_scores: BlockScores, proposals, criterion: AcceptanceCrite
         raise ModelContractError(
             f"grid has {base_scores.rows} rows, need {len(proposals)} to verify"
         )
-    k_hat = 0
-    for j, token in enumerate(proposals):
-        if not accepts(criterion, token, base_scores.grid[j, 0]):
-            break
-        k_hat += 1
-    return k_hat
+    rejected = np.flatnonzero(
+        ~accepted(criterion, proposals, base_scores.grid[: len(proposals), 0])
+    )
+    return int(rejected[0]) if rejected.size else len(proposals)
 
 
 def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
@@ -231,33 +236,36 @@ def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeRes
     invocations = 0
     proposals = None
     start = time.perf_counter_ns()
-    while len(output) < config.max_len:
-        remaining = config.max_len - len(output)
-        if proposals is None:
-            proposals, _ = predict_block(model, input_tokens, output, k)
-            invocations += 1
-        proposals = proposals[:remaining]
-        k_hat = 1
-        if scheme != "greedy":
-            ver = model.score_grid(input_tokens, tuple(output), proposals, k)
-            invocations += 1
-            k_hat = verify_block(ver, proposals, config.criterion)
-            if k_hat < 1:
-                raise ModelContractError(
-                    "model rejected its own base proposal; scoring is not deterministic"
-                )
-        # the min-block floor may accept past the verified prefix; an end
-        # token cuts the block short and ends the decode
-        k_eff = apply_min_block(k_hat, config.criterion.min_block, config.block_size, remaining)
-        accepted = proposals[:k_eff]
-        done = config.eos_token in accepted
-        if done:
-            accepted = accepted[: accepted.index(config.eos_token) + 1]
-        output.extend(accepted)
-        accepted_sizes.append(len(accepted))
-        if done:
-            break
-        proposals = _grid_proposals(ver, len(accepted), k) if scheme == "combined" else None
+    with model.session(input_tokens):
+        while len(output) < config.max_len:
+            remaining = config.max_len - len(output)
+            if proposals is None:
+                proposals, _ = predict_block(model, input_tokens, output, k)
+                invocations += 1
+            proposals = proposals[:remaining]
+            k_hat = 1
+            if scheme != "greedy":
+                ver = model.score_grid(input_tokens, tuple(output), proposals, k)
+                invocations += 1
+                k_hat = verify_block(ver, proposals, config.criterion)
+                if k_hat < 1:
+                    raise ModelContractError(
+                        "model rejected its own base proposal; scoring is not deterministic"
+                    )
+            # the min-block floor may accept past the verified prefix; an end
+            # token cuts the block short and ends the decode
+            k_eff = apply_min_block(
+                k_hat, config.criterion.min_block, config.block_size, remaining
+            )
+            block = proposals[:k_eff]
+            done = config.eos_token in block
+            if done:
+                block = block[: block.index(config.eos_token) + 1]
+            output.extend(block)
+            accepted_sizes.append(len(block))
+            if done:
+                break
+            proposals = _grid_proposals(ver, len(block), k) if scheme == "combined" else None
     elapsed = time.perf_counter_ns() - start
     return DecodeResult(
         output=tuple(output),

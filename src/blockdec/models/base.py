@@ -5,10 +5,13 @@ engine needs: given an input sequence, an output prefix, and a list of
 candidate continuation tokens, return log-probabilities for every head at
 every candidate offset. Implementations decide how to amortize the work;
 the neural model computes the whole grid in one forward pass, which is
-where the blockwise speedup comes from.
+where the blockwise speedup comes from, and within a decode session it
+reuses the work of earlier calls on the same tokens.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -46,6 +49,17 @@ class ScoringModel:
         invocation regardless of grid size.
         """
         raise NotImplementedError
+
+    @contextmanager
+    def session(self, input_tokens):
+        """Scope the score_grid calls of one decode of `input_tokens`.
+
+        The engine enters it around its loop and keeps calling score_grid
+        on the model itself, so a model may cache work across those calls.
+        Results must not depend on whether a session is open. The base
+        class keeps nothing.
+        """
+        yield
 
     def _check_heads(self, k: int):
         if not 1 <= k <= self.num_heads:

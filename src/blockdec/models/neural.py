@@ -9,12 +9,19 @@ trunk output. Head h at position p predicts the token h steps ahead, so one
 forward pass yields proposal distributions for a whole block, and the base
 next-token distribution (head 1) is routed through the same extension layer.
 
-Scoring pads every forward pass to the model's fixed context length. With a
-causal mask the activations at position p then depend only on the tokens at
-positions <= p, and the fixed shapes keep floating point evaluation order
-identical across calls, so the same conditioning context always reproduces
-bit-identical distributions. The decode engine relies on this to re-read
-grid rows across invocations.
+Scoring works on aligned chunks of CHUNK positions: chunk j covers
+positions [j * CHUNK, (j + 1) * CHUNK), and a call runs the trunk only on
+the chunks holding a grid row or a position whose keys and values are not
+cached, and the head extension only on the chunks holding a grid row.
+Within a decode session (`TinyBlockModel.session`) each layer's keys and
+values are kept for positions whose tokens have not changed since the
+previous call; outside one every call starts from an empty cache. Every
+position is always computed at the same index of arrays of the same shape,
+and attention always spans the whole context rounded up to whole chunks
+under a causal mask, so the activations at position p depend only on the
+tokens at positions <= p and the same conditioning context reproduces
+bit-identical distributions whatever was cached. The decode engine relies
+on this to re-read grid rows across invocations.
 
 Training optimizes the cross-entropy of one head per step. Sampling that
 head uniformly at random makes the per-step loss an unbiased estimator of
@@ -28,6 +35,7 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +47,7 @@ from .base import ScoringModel, log_softmax
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e9
+CHUNK = 12  # positions per aligned chunk of the scoring path
 
 PARTITIONS = ("base", "head_extension", "vocab_projection")
 
@@ -52,7 +61,9 @@ class ModelConfig:
     d_hidden:        feedforward hidden width per head
     num_heads:       proposal heads k (head 1 is the base model)
     num_layers:      transformer layers in the trunk
-    max_context:     fixed context length every forward pass is padded to
+    max_context:     longest composed sequence (input, SEP, output); training
+                     pads every row to it, scoring computes aligned chunks
+                     of CHUNK positions and pads the context to whole chunks
     sep_token:       id inserted between input and output
     eos_token:       id that ends an output, or None for fixed-length tasks
     intensity_vocab: token ids are integer intensities (enables the
@@ -107,8 +118,20 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+class _KVCache:
+    """Each layer's keys and values over the context rounded up to whole
+    chunks, and the token each position was computed from (-1: none)."""
+
+    def __init__(self, model: "TinyBlockModel"):
+        span = model._mask.shape[0]
+        shape = (model.config.num_layers, span, model.config.d_model)
+        self.ids = np.full(span, -1, dtype=np.int64)
+        self.keys = np.zeros(shape, dtype=model.dtype)
+        self.values = np.zeros(shape, dtype=model.dtype)
+
+
 class TinyBlockModel(ScoringModel):
-    """Decoder-only trunk plus k-head extension, scored over padded context."""
+    """Decoder-only trunk plus k-head extension, scored over aligned chunks."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32, params=None):
         self.config = config
@@ -133,9 +156,11 @@ class TinyBlockModel(ScoringModel):
                 self.params[name] = arr
         else:
             self.params = self._init_params(seed)
-        # causal mask: position p may attend to positions <= p only
-        c = config.max_context
-        self._mask = np.triu(np.full((c, c), MASK_VALUE, dtype=self.dtype), k=1)
+        # causal mask over the context rounded up to whole chunks: position
+        # p may attend to positions <= p only
+        span = -(-config.max_context // CHUNK) * CHUNK
+        self._mask = np.triu(np.full((span, span), MASK_VALUE, dtype=self.dtype), k=1)
+        self._cache = None  # the open session's _KVCache
 
     def _param_shapes(self) -> dict:
         cfg = self.config
@@ -198,19 +223,47 @@ class TinyBlockModel(ScoringModel):
 
     # ---- forward passes ----
 
-    def _pad(self, ids) -> np.ndarray:
-        c = self.config.max_context
-        if len(ids) > c:
-            raise LengthError(f"sequence of {len(ids)} tokens exceeds context {c}")
-        arr = np.zeros(c, dtype=np.int64)
-        arr[: len(ids)] = ids
-        return arr
-
     def _compose(self, input_tokens, prefix, candidates) -> tuple:
         ids = tuple(input_tokens) + (self.config.sep_token,) + tuple(prefix) + tuple(candidates)
         if any(not 0 <= t < self.vocab_size for t in ids):
             raise ConfigurationError("token id outside vocabulary")
         return ids
+
+    def _layer(self, layer: int, x: np.ndarray, mask: np.ndarray, kv=None, want_cache=False):
+        """One transformer layer over x (..., T, D); returns the layer output
+        and, when requested, the intermediates the backward pass needs.
+
+        Attention reads the keys and values computed from x itself, or, with
+        kv = (keys, values, rows), the (span, D) arrays of a cache after this
+        call's keys and values are written at `rows`. `mask` holds the
+        causal mask rows of x's positions.
+        """
+        p = self.params
+        pre = f"l{layer}."
+        a, ln1c = _layernorm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+        q = a @ p[pre + "attn.wq"]
+        k = a @ p[pre + "attn.wk"]
+        v = a @ p[pre + "attn.wv"]
+        keys, values = k, v
+        if kv is not None:
+            keys, values, rows = kv
+            keys[rows] = k.reshape(-1, k.shape[-1])
+            values[rows] = v.reshape(-1, v.shape[-1])
+        scale = self.dtype.type(1.0 / np.sqrt(self.config.d_model))
+        scores = q @ keys.swapaxes(-1, -2) * scale + mask
+        attn = _softmax(scores)
+        ctx = attn @ values
+        x2 = x + ctx @ p[pre + "attn.wo"]
+        b, ln2c = _layernorm(x2, p[pre + "ln2.g"], p[pre + "ln2.b"])
+        upre = b @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"]
+        u = np.maximum(upre, 0)
+        x3 = x2 + u @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
+        if not want_cache:
+            return x3, None
+        return x3, {
+            "x": x, "a": a, "ln1": ln1c, "q": q, "k": k, "v": v,
+            "attn": attn, "ctx": ctx, "x2": x2, "b": b, "ln2": ln2c, "u": u,
+        }
 
     def trunk_forward(self, ids_batch: np.ndarray, want_cache: bool = False):
         """Transformer trunk over padded id batches of shape (B, max_context).
@@ -219,30 +272,13 @@ class TinyBlockModel(ScoringModel):
         requested, the intermediates needed for the backward pass.
         """
         p = self.params
-        cfg = self.config
+        c = self.config.max_context
         x = p["tok_emb"][ids_batch] + p["pos_emb"][None, :, :]
         cache = {"ids": ids_batch, "x0": x} if want_cache else None
-        scale = self.dtype.type(1.0 / np.sqrt(cfg.d_model))
-        for layer in range(cfg.num_layers):
-            pre = f"l{layer}."
-            a, ln1c = _layernorm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            q = a @ p[pre + "attn.wq"]
-            k = a @ p[pre + "attn.wk"]
-            v = a @ p[pre + "attn.wv"]
-            scores = q @ k.transpose(0, 2, 1) * scale + self._mask[None, :, :]
-            attn = _softmax(scores)
-            ctx = attn @ v
-            x2 = x + ctx @ p[pre + "attn.wo"]
-            b, ln2c = _layernorm(x2, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            upre = b @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"]
-            u = np.maximum(upre, 0)
-            x3 = x2 + u @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
+        for layer in range(self.config.num_layers):
+            x, layer_cache = self._layer(layer, x, self._mask[:c, :c], want_cache=want_cache)
             if want_cache:
-                cache[f"layer{layer}"] = {
-                    "x": x, "a": a, "ln1": ln1c, "q": q, "k": k, "v": v,
-                    "attn": attn, "ctx": ctx, "x2": x2, "b": b, "ln2": ln2c, "u": u,
-                }
-            x = x3
+                cache[f"layer{layer}"] = layer_cache
         hf, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"])
         if want_cache:
             cache["x_final"] = x
@@ -250,12 +286,43 @@ class TinyBlockModel(ScoringModel):
             cache["hf"] = hf
         return hf, cache
 
+    def _chunk_forward(self, tokens: np.ndarray, rows: slice, cache: _KVCache) -> np.ndarray:
+        """Trunk over the whole chunks at `rows`, whose tokens are `tokens`,
+        as one (n, CHUNK, D) batch; positions before rows.start must hold
+        valid keys and values in `cache`. Writes this call's keys and values
+        into `cache` and returns the final hidden states (n, CHUNK, D)."""
+        p = self.params
+        n = len(tokens) // CHUNK
+        # positions past the context only pad the last chunk; no row reads them
+        pos = np.minimum(np.arange(rows.start, rows.stop), self.config.max_context - 1)
+        x = (p["tok_emb"][tokens] + p["pos_emb"][pos]).reshape(n, CHUNK, -1)
+        mask = self._mask[rows].reshape(n, CHUNK, -1)
+        cache.ids[rows] = -1  # until every layer's rows are written
+        for layer in range(self.config.num_layers):
+            x, _ = self._layer(layer, x, mask, (cache.keys[layer], cache.values[layer], rows))
+        cache.ids[rows] = tokens
+        hf, _ = _layernorm(x, p["lnf.g"], p["lnf.b"])
+        return hf
+
+    @contextmanager
+    def session(self, input_tokens):
+        """Keep each layer's keys and values across the score_grid calls of
+        one decode. A call reuses them for positions whose tokens match the
+        previous calls' and recomputes the rest; results are bitwise those
+        of a call outside the session."""
+        outer, self._cache = self._cache, _KVCache(self)
+        try:
+            yield
+        finally:
+            self._cache = outer
+
     def extension_forward(self, hf: np.ndarray, heads: slice, want_cache: bool = False):
         """Logits of the heads in `heads` (a slice of 0-indexed heads) at
-        every position: hf (..., C, D) gives (..., C, len(heads), V).
+        every position: hf (..., T, D) gives (..., T, len(heads), V).
 
-        score_grid passes every head and training passes one. The vocabulary
-        projection is one (C * len(heads), D) @ (D, V) product per leading
+        score_grid passes every head on whole chunks (T = CHUNK) and
+        training one head on padded rows (T = max_context). The vocabulary
+        projection is one (T * len(heads), D) @ (D, V) product per leading
         index of hf; that fixed shape keeps the result bitwise reproducible.
         """
         first, stop, step = heads.indices(self.num_heads)
@@ -272,19 +339,34 @@ class TinyBlockModel(ScoringModel):
         return logits.reshape(*y.shape[:-1], -1), cache
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
-        """One padded forward pass scoring k heads at every candidate offset.
+        """Score k heads at every candidate offset, computing only the
+        aligned chunks the call needs (see the module docstring).
 
-        Every array in this path has a shape fixed by the model config, never
-        by the argument lengths, so identical conditioning contexts always
-        reproduce bit-identical rows no matter how the grid is sliced.
+        Every array in this path has a shape fixed by the model config and
+        CHUNK, never by the argument lengths, so identical conditioning
+        contexts always reproduce bit-identical rows no matter how the grid
+        is sliced or what the session has cached.
         """
         self._check_heads(k)
+        candidates = tuple(candidates)
         ids = self._compose(input_tokens, prefix, candidates)
-        hf, _ = self.trunk_forward(self._pad(ids)[None, :])
-        logits, _ = self.extension_forward(hf[0], slice(None))
-        base = len(tuple(input_tokens)) + len(tuple(prefix))
-        rows = len(tuple(candidates)) + 1
-        grid = log_softmax(logits[base : base + rows, :k, :])
+        if len(ids) > self.config.max_context:
+            raise LengthError(
+                f"sequence of {len(ids)} tokens exceeds context {self.config.max_context}"
+            )
+        cache = self._cache if self._cache is not None else _KVCache(self)
+        base = len(ids) - len(candidates) - 1  # position of grid row 0
+        tokens = np.zeros_like(cache.ids)
+        tokens[: len(ids)] = ids
+        changed = np.flatnonzero(cache.ids[:base] != tokens[:base])
+        first = (changed[0] if changed.size else base) // CHUNK
+        rows = slice(first * CHUNK, ((len(ids) - 1) // CHUNK + 1) * CHUNK)
+        hf = self._chunk_forward(tokens[rows], rows, cache)
+        top = base // CHUNK - first  # the first chunk holding a grid row
+        logits, _ = self.extension_forward(hf[top:], slice(None))
+        logits = logits.reshape(-1, *logits.shape[2:])
+        offset = base - (first + top) * CHUNK
+        grid = log_softmax(logits[offset : offset + len(candidates) + 1, :k, :])
         return BlockScores(grid=grid, base_len=len(tuple(prefix)))
 
 

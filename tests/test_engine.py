@@ -95,6 +95,21 @@ class TestTypes:
         with pytest.raises(ModelContractError):
             BlockScores(grid=bad, base_len=0)
 
+    @pytest.mark.parametrize("cell, message", [
+        (np.nan, r"contains NaN"),
+        (np.inf, r"not normalized log-probs \(off by inf\)"),
+        (None, r"not normalized log-probs \(off by 6\.487e-01\)"),
+    ])
+    def test_block_scores_errors_name_the_fault(self, cell, message):
+        grid = np.log(np.full((2, 2, 4), 0.25))
+        if cell is None:
+            grid += 0.5
+        else:
+            grid[1, 0, 2] = cell
+            grid[0, 1, 3] = np.inf  # NaN is named even beside an infinity
+        with pytest.raises(ModelContractError, match=message):
+            BlockScores(grid=grid, base_len=0)
+
     def test_decode_result_invariants(self):
         DecodeResult(output=(1, 2, 3), accepted_sizes=(2, 1), iterations=2,
                      model_invocations=3, wall_clock_ns=10)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from blockdec.criteria import (
     AcceptanceCriterion,
     EXACT,
+    accepted,
     accepts,
     apply_min_block,
     distance,
@@ -95,6 +96,25 @@ class TestCriterionProperties:
             assert accepts(top_k(k + 1), token, dist)
         if accepts(distance(eps), token, dist):
             assert accepts(distance(eps + 1), token, dist)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 10), st.booleans())
+    def test_accepted_is_accepts_row_by_row(self, seed, rows, vocab, tied):
+        """One numpy pass over all rows decides like the one-row predicate,
+        and top_k keeps the (descending score, ascending id) order on ties."""
+        rng = np.random.default_rng(seed)
+        if tied:  # a few distinct scores make ties common
+            base = rng.integers(0, 3, size=(rows, vocab)).astype(np.float64)
+        else:
+            base = rng.standard_normal((rows, vocab))
+        proposals = rng.integers(0, vocab, size=rows)
+        kk, eps = int(rng.integers(1, vocab + 1)), int(rng.integers(0, 4))
+        for criterion in (EXACT, top_k(kk), distance(eps)):
+            got = accepted(criterion, proposals, base).tolist()
+            assert got == [accepts(criterion, int(p), row) for p, row in zip(proposals, base)]
+        ranked = [sorted(range(vocab), key=lambda t: (-row[t], t)) for row in base]
+        want = [int(p) in order[:kk] for p, order in zip(proposals, ranked)]
+        assert accepted(top_k(kk), proposals, base).tolist() == want
 
     @settings(max_examples=100)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(1, 16))

@@ -1,0 +1,108 @@
+"""The scoring contract the decode engine relies on, checked inside a decode
+session, and the engine's use of the session through a proxy.
+
+Within `model.session(...)`, after any history of calls (rejected
+candidates, shorter prefixes), grid row i must be bitwise row 0 of a fresh
+stateless call on prefix + candidates[:i], so later candidates never change
+earlier rows, and a repeated call must return the same grid.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blockdec.engine import (
+    DecodeConfig,
+    blockwise_decode,
+    blockwise_decode_combined,
+    greedy_decode,
+)
+from blockdec.models.checkpoint import load_checkpoint
+from blockdec.models.neural import ModelConfig, TinyBlockModel
+from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
+
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
+
+# max_context 17 and 30 leave the last chunk of positions partial
+CONTRACT_MODELS = (
+    "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30", "checkpoint",
+) + SYNTHETIC_KINDS
+
+
+def contract_model(name):
+    """(model, longest composed sequence it scores)."""
+    if name == "checkpoint":
+        model = load_checkpoint(CHECKPOINT)
+        return model, model.config.max_context
+    if name.startswith("tiny-"):
+        _, dtype, context = name.split("-")
+        config = ModelConfig(vocab_size=12, d_model=8, d_hidden=8, num_heads=3, num_layers=2,
+                             max_context=int(context), sep_token=10, eos_token=11)
+        return TinyBlockModel(config, seed=3, dtype=dtype), config.max_context
+    return make_synthetic_model(name, seed=3, vocab_size=12, num_heads=3), 30
+
+
+def call_history(rng, model, room, calls):
+    """Decode-like (prefix, candidates) pairs: each call accepts a random
+    share of its candidates and rejects the rest, and now and then the next
+    prefix is cut short. `room` bounds len(prefix) + len(candidates)."""
+    prefix = []
+    for _ in range(calls):
+        if prefix and rng.random() < 0.2:
+            prefix = prefix[: int(rng.integers(0, len(prefix)))]
+        count = int(rng.integers(0, min(model.num_heads, room - len(prefix)) + 1))
+        candidates = tuple(int(t) for t in rng.integers(0, model.vocab_size, size=count))
+        yield tuple(prefix), candidates
+        prefix += candidates[: int(rng.integers(0, count + 1))]
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rows_in_a_session_are_stateless_row_zero(name, seed):
+    model, context = contract_model(name)
+    rng = np.random.default_rng(seed)
+    inp = tuple(int(t) for t in rng.integers(0, model.vocab_size, size=int(rng.integers(1, 5))))
+    room = context - len(inp) - 1
+    k = model.num_heads
+    seen = []
+    with model.session(inp):
+        for prefix, candidates in call_history(rng, model, room, calls=12):
+            grid = model.score_grid(inp, prefix, candidates, k).grid
+            again = model.score_grid(inp, prefix, candidates, k).grid
+            np.testing.assert_array_equal(grid, again)
+            seen.append((prefix, candidates, grid))
+    for prefix, candidates, grid in seen:
+        for i in range(len(candidates) + 1):
+            fresh = model.score_grid(inp, prefix + candidates[:i], (), k).grid
+            np.testing.assert_array_equal(grid[i], fresh[0])
+
+
+class CountingProxy:
+    """Forwards every attribute to the model and counts score_grid calls,
+    as a timing proxy around a model does."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def score_grid(self, input_tokens, prefix, candidates, k):
+        self.calls += 1
+        return self.model.score_grid(input_tokens, prefix, candidates, k)
+
+
+@pytest.mark.parametrize("decode", [greedy_decode, blockwise_decode, blockwise_decode_combined])
+@pytest.mark.parametrize("name", ["tiny-float32-30", "random_table"])
+def test_engine_calls_score_grid_through_a_proxy(name, decode):
+    model, _ = contract_model(name)
+    proxy = CountingProxy(model)
+    config = DecodeConfig(block_size=3, max_len=20)
+    result = decode(proxy, (1, 2, 3), config)
+    assert proxy.calls == result.model_invocations
+    assert result.output == decode(model, (1, 2, 3), config).output
