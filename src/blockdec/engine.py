@@ -225,6 +225,12 @@ def verify_block(base_scores: BlockScores, proposals, criterion: AcceptanceCrite
     return int(rejected[0]) if rejected.size else len(proposals)
 
 
+def _top2_margin(scores: BlockScores, row: int) -> float:
+    """Base-head log-prob gap between the best and second-best token."""
+    second, best = np.partition(scores.grid[row, 0], -2)[-2:]
+    return float(best - second)
+
+
 def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
     """The predict / verify / accept loop shared by the three schemes
     ("greedy", "standard", "combined"; see the module docstring)."""
@@ -240,7 +246,8 @@ def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeRes
         while len(output) < config.max_len:
             remaining = config.max_len - len(output)
             if proposals is None:
-                proposals, _ = predict_block(model, input_tokens, output, k)
+                proposals, scores = predict_block(model, input_tokens, output, k)
+                source = (scores, 0)  # the grid and row the proposals came from
                 invocations += 1
             proposals = proposals[:remaining]
             k_hat = 1
@@ -250,7 +257,11 @@ def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeRes
                 k_hat = verify_block(ver, proposals, config.criterion)
                 if k_hat < 1:
                     raise ModelContractError(
-                        "model rejected its own base proposal; scoring is not deterministic"
+                        "model rejected its own base proposal at iteration "
+                        f"{len(accepted_sizes)}, prefix length {len(output)}: base-head "
+                        f"top-2 margin {_top2_margin(*source):.3e} in the row the proposal "
+                        f"was read from, {_top2_margin(ver, 0):.3e} in the verify row; "
+                        "scoring is not deterministic"
                     )
             # the min-block floor may accept past the verified prefix; an end
             # token cuts the block short and ends the decode
@@ -265,7 +276,10 @@ def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeRes
             accepted_sizes.append(len(block))
             if done:
                 break
-            proposals = _grid_proposals(ver, len(block), k) if scheme == "combined" else None
+            proposals = None
+            if scheme == "combined":
+                source = (ver, len(block))
+                proposals = _grid_proposals(*source, k)
     elapsed = time.perf_counter_ns() - start
     return DecodeResult(
         output=tuple(output),

@@ -12,16 +12,21 @@ next-token distribution (head 1) is routed through the same extension layer.
 Scoring works on aligned chunks of CHUNK positions: chunk j covers
 positions [j * CHUNK, (j + 1) * CHUNK), and a call runs the trunk only on
 the chunks holding a grid row or a position whose keys and values are not
-cached, and the head extension only on the chunks holding a grid row.
-Within a decode session (`TinyBlockModel.session`) each layer's keys and
-values are kept for positions whose tokens have not changed since the
-previous call; outside one every call starts from an empty cache. Every
-position is always computed at the same index of arrays of the same shape,
-and attention always spans the whole context rounded up to whole chunks
-under a causal mask, so the activations at position p depend only on the
-tokens at positions <= p and the same conditioning context reproduces
-bit-identical distributions whatever was cached. The decode engine relies
-on this to re-read grid rows across invocations.
+cached. The head extension, vocabulary projection and log-softmax then run
+on a fixed window of num_heads + 1 rows starting at grid row 0, read from a
+buffer of final hidden states that extends num_heads rows past the last
+chunk, so a window near the end of the context never runs short; the rows
+of the window past the grid are never read. Within a decode session
+(`TinyBlockModel.session`) each layer's keys and values are kept for
+positions whose tokens have not changed since the previous call; outside
+one every call starts from an empty cache. Every position is always
+computed at the same index of arrays of the same shape, attention always
+spans the whole context rounded up to whole chunks under a causal mask,
+and the window's shape is fixed by the config, so the activations at
+position p depend only on the tokens at positions <= p and the same
+conditioning context reproduces bit-identical distributions whatever was
+cached. The decode engine relies on this to re-read grid rows across
+invocations.
 
 Training optimizes the cross-entropy of one head per step. Sampling that
 head uniformly at random makes the per-step loss an unbiased estimator of
@@ -113,21 +118,28 @@ def partition_of(name: str) -> str:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 class _KVCache:
-    """Each layer's keys and values over the context rounded up to whole
-    chunks, and the token each position was computed from (-1: none)."""
+    """A decode session's state: each layer's keys and values side by side,
+    (span, 2D), over the context rounded up to whole chunks; the final
+    hidden state of every position, num_heads rows longer so the head window
+    of the last position fits; the token each position was computed from
+    (-1: none); and what the session computes once: the fused q/k/v weights
+    and the positional rows of the padded span."""
 
     def __init__(self, model: "TinyBlockModel"):
+        cfg = model.config
         span = model._mask.shape[0]
-        shape = (model.config.num_layers, span, model.config.d_model)
         self.ids = np.full(span, -1, dtype=np.int64)
-        self.keys = np.zeros(shape, dtype=model.dtype)
-        self.values = np.zeros(shape, dtype=model.dtype)
+        self.kv = np.zeros((cfg.num_layers, span, 2 * cfg.d_model), dtype=model.dtype)
+        self.hidden = np.zeros((span + cfg.num_heads, cfg.d_model), dtype=model.dtype)
+        self.wqkv = model._qkv_weights()
+        # positions past the context only pad the last chunk; no row reads them
+        self.pos = model.params["pos_emb"][np.minimum(np.arange(span), cfg.max_context - 1)]
 
 
 class TinyBlockModel(ScoringModel):
@@ -225,31 +237,42 @@ class TinyBlockModel(ScoringModel):
 
     def _compose(self, input_tokens, prefix, candidates) -> tuple:
         ids = tuple(input_tokens) + (self.config.sep_token,) + tuple(prefix) + tuple(candidates)
-        if any(not 0 <= t < self.vocab_size for t in ids):
+        if min(ids) < 0 or max(ids) >= self.vocab_size:
             raise ConfigurationError("token id outside vocabulary")
         return ids
 
-    def _layer(self, layer: int, x: np.ndarray, mask: np.ndarray, kv=None, want_cache=False):
+    def _qkv_weights(self) -> list:
+        """Each layer's query, key and value weights side by side, (D, 3D)."""
+        p = self.params
+        return [
+            np.concatenate([p[f"l{layer}.attn.w{w}"] for w in "qkv"], axis=1)
+            for layer in range(self.config.num_layers)
+        ]
+
+    def _layer(self, layer: int, x: np.ndarray, mask: np.ndarray, wqkv: np.ndarray,
+               kv=None, want_cache=False):
         """One transformer layer over x (..., T, D); returns the layer output
         and, when requested, the intermediates the backward pass needs.
 
-        Attention reads the keys and values computed from x itself, or, with
-        kv = (keys, values, rows), the (span, D) arrays of a cache after this
-        call's keys and values are written at `rows`. `mask` holds the
-        causal mask rows of x's positions.
+        `wqkv` is the layer's fused (D, 3D) q/k/v weight. Attention reads the
+        keys and values computed from x itself, or, with kv = (store, rows),
+        the (span, 2D) key/value store of a cache after this call's keys and
+        values are written at `rows`. `mask` holds the causal mask rows of
+        x's positions.
         """
         p = self.params
         pre = f"l{layer}."
+        d = self.config.d_model
         a, ln1c = _layernorm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        q = a @ p[pre + "attn.wq"]
-        k = a @ p[pre + "attn.wk"]
-        v = a @ p[pre + "attn.wv"]
-        keys, values = k, v
-        if kv is not None:
-            keys, values, rows = kv
-            keys[rows] = k.reshape(-1, k.shape[-1])
-            values[rows] = v.reshape(-1, v.shape[-1])
-        scale = self.dtype.type(1.0 / np.sqrt(self.config.d_model))
+        qkv = a @ wqkv
+        q, kv_new = qkv[..., :d], qkv[..., d:]
+        if kv is None:
+            keys, values = kv_new[..., :d], kv_new[..., d:]
+        else:
+            store, rows = kv
+            store[rows] = kv_new.reshape(-1, 2 * d)
+            keys, values = store[:, :d], store[:, d:]
+        scale = self.dtype.type(1.0 / np.sqrt(d))
         scores = q @ keys.swapaxes(-1, -2) * scale + mask
         attn = _softmax(scores)
         ctx = attn @ values
@@ -261,7 +284,7 @@ class TinyBlockModel(ScoringModel):
         if not want_cache:
             return x3, None
         return x3, {
-            "x": x, "a": a, "ln1": ln1c, "q": q, "k": k, "v": v,
+            "x": x, "a": a, "ln1": ln1c, "q": q, "k": keys, "v": values,
             "attn": attn, "ctx": ctx, "x2": x2, "b": b, "ln2": ln2c, "u": u,
         }
 
@@ -275,8 +298,8 @@ class TinyBlockModel(ScoringModel):
         c = self.config.max_context
         x = p["tok_emb"][ids_batch] + p["pos_emb"][None, :, :]
         cache = {"ids": ids_batch, "x0": x} if want_cache else None
-        for layer in range(self.config.num_layers):
-            x, layer_cache = self._layer(layer, x, self._mask[:c, :c], want_cache=want_cache)
+        for layer, wqkv in enumerate(self._qkv_weights()):
+            x, layer_cache = self._layer(layer, x, self._mask[:c, :c], wqkv, want_cache=want_cache)
             if want_cache:
                 cache[f"layer{layer}"] = layer_cache
         hf, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"])
@@ -286,23 +309,20 @@ class TinyBlockModel(ScoringModel):
             cache["hf"] = hf
         return hf, cache
 
-    def _chunk_forward(self, tokens: np.ndarray, rows: slice, cache: _KVCache) -> np.ndarray:
+    def _chunk_forward(self, tokens: np.ndarray, rows: slice, cache: _KVCache):
         """Trunk over the whole chunks at `rows`, whose tokens are `tokens`,
         as one (n, CHUNK, D) batch; positions before rows.start must hold
-        valid keys and values in `cache`. Writes this call's keys and values
-        into `cache` and returns the final hidden states (n, CHUNK, D)."""
+        valid keys and values in `cache`. Writes this call's keys, values
+        and final hidden states into `cache`."""
         p = self.params
-        n = len(tokens) // CHUNK
-        # positions past the context only pad the last chunk; no row reads them
-        pos = np.minimum(np.arange(rows.start, rows.stop), self.config.max_context - 1)
-        x = (p["tok_emb"][tokens] + p["pos_emb"][pos]).reshape(n, CHUNK, -1)
-        mask = self._mask[rows].reshape(n, CHUNK, -1)
+        x = (p["tok_emb"][tokens] + cache.pos[rows]).reshape(-1, CHUNK, self.config.d_model)
+        mask = self._mask[rows].reshape(x.shape[0], CHUNK, -1)
         cache.ids[rows] = -1  # until every layer's rows are written
-        for layer in range(self.config.num_layers):
-            x, _ = self._layer(layer, x, mask, (cache.keys[layer], cache.values[layer], rows))
+        for layer, wqkv in enumerate(cache.wqkv):
+            x, _ = self._layer(layer, x, mask, wqkv, (cache.kv[layer], rows))
         cache.ids[rows] = tokens
         hf, _ = _layernorm(x, p["lnf.g"], p["lnf.b"])
-        return hf
+        cache.hidden[rows] = hf.reshape(-1, hf.shape[-1])
 
     @contextmanager
     def session(self, input_tokens):
@@ -320,7 +340,7 @@ class TinyBlockModel(ScoringModel):
         """Logits of the heads in `heads` (a slice of 0-indexed heads) at
         every position: hf (..., T, D) gives (..., T, len(heads), V).
 
-        score_grid passes every head on whole chunks (T = CHUNK) and
+        score_grid passes every head on its window of num_heads + 1 rows and
         training one head on padded rows (T = max_context). The vocabulary
         projection is one (T * len(heads), D) @ (D, V) product per leading
         index of hf; that fixed shape keeps the result bitwise reproducible.
@@ -339,8 +359,9 @@ class TinyBlockModel(ScoringModel):
         return logits.reshape(*y.shape[:-1], -1), cache
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
-        """Score k heads at every candidate offset, computing only the
-        aligned chunks the call needs (see the module docstring).
+        """Score k heads at every candidate offset: the trunk on the aligned
+        chunks the call needs, the heads on a window of num_heads + 1 rows
+        from grid row 0 (see the module docstring).
 
         Every array in this path has a shape fixed by the model config and
         CHUNK, never by the argument lengths, so identical conditioning
@@ -361,19 +382,19 @@ class TinyBlockModel(ScoringModel):
         changed = np.flatnonzero(cache.ids[:base] != tokens[:base])
         first = (changed[0] if changed.size else base) // CHUNK
         rows = slice(first * CHUNK, ((len(ids) - 1) // CHUNK + 1) * CHUNK)
-        hf = self._chunk_forward(tokens[rows], rows, cache)
-        top = base // CHUNK - first  # the first chunk holding a grid row
-        logits, _ = self.extension_forward(hf[top:], slice(None))
-        logits = logits.reshape(-1, *logits.shape[2:])
-        offset = base - (first + top) * CHUNK
-        grid = log_softmax(logits[offset : offset + len(candidates) + 1, :k, :])
+        self._chunk_forward(tokens[rows], rows, cache)
+        window = cache.hidden[base : base + self.num_heads + 1]
+        logits, _ = self.extension_forward(window, slice(None))
+        grid = log_softmax(logits)[: len(candidates) + 1, :k]
         return BlockScores(grid=grid, base_len=len(tuple(prefix)))
 
 
 def _layernorm(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # np.add.reduce sums as ndarray.mean does, without its Python wrapper;
+    # np.vecdot is faster but sums in another order, which changes training
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv)

@@ -15,7 +15,7 @@ from blockdec.engine import (
     verify_block,
 )
 from blockdec.errors import ConfigurationError, ModelContractError
-from blockdec.models.base import TableBackedModel
+from blockdec.models.base import ScoringModel, TableBackedModel
 from blockdec.models.synthetic import make_synthetic_model
 
 
@@ -327,3 +327,40 @@ class TestModelChecks:
                 assert all(1 <= s <= 4 for s in result.accepted_sizes)
                 assert len(result.output) <= config.max_len
                 assert result.model_invocations >= result.iterations
+
+
+class FlakyModel(ScoringModel):
+    """Scores every row and head alike, but the winning token and its top-2
+    margin follow a per-call script, so scoring is not deterministic."""
+
+    num_heads = 2
+    vocab_size = 4
+
+    def __init__(self, script):
+        self.script = list(script)  # (winner, margin) per call
+
+    def score_grid(self, input_tokens, prefix, candidates, k):
+        winner, margin = self.script.pop(0)
+        logits = np.zeros(self.vocab_size)
+        logits[winner] = margin
+        row = logits - np.log(np.exp(logits).sum())
+        grid = np.broadcast_to(row, (len(candidates) + 1, k, self.vocab_size))
+        return BlockScores(grid=grid.copy(), base_len=len(prefix))
+
+
+@pytest.mark.parametrize("decode, script, where, margins", [
+    # the predict call proposes 0, the verify call prefers 1
+    (blockwise_decode, [(0, 0.5), (1, 0.25)], "iteration 0, prefix length 0",
+     "5.000e-01 in the row the proposal was read from, 2.500e-01 in the verify row"),
+    # the first verify call accepts both proposals; the next one, fed from
+    # that call's row 2, rejects its own base proposal
+    (blockwise_decode_combined, [(0, 0.5), (0, 0.75), (1, 0.25)], "iteration 1, prefix length 2",
+     "7.500e-01 in the row the proposal was read from, 2.500e-01 in the verify row"),
+])
+def test_rejected_base_proposal_error_is_diagnosable(decode, script, where, margins):
+    with pytest.raises(ModelContractError) as info:
+        decode(FlakyModel(script), (1,), DecodeConfig(block_size=2, max_len=10))
+    message = str(info.value)
+    assert "rejected its own base proposal" in message
+    assert where in message
+    assert margins in message

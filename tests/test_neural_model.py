@@ -7,9 +7,13 @@ from blockdec.engine import DecodeConfig, blockwise_decode_combined, greedy_deco
 from blockdec.errors import ConfigurationError, LengthError
 from blockdec.models.base import log_softmax
 from blockdec.models.neural import (
+    LN_EPS,
+    MASK_VALUE,
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
+    _layernorm,
+    _softmax,
     partition_of,
     sub_loss,
 )
@@ -31,6 +35,54 @@ def scoring_model(name, seed):
     if name.startswith("tiny-"):
         return TinyBlockModel(small_config(), seed=seed, dtype=name[len("tiny-"):])
     return make_synthetic_model(name, seed=seed, vocab_size=12, num_heads=3)
+
+
+# elementwise tolerances of the kernels against float64 references, by dtype
+KERNEL_TOL = {
+    "float32": dict(rtol=1e-5, atol=1e-6),
+    "float64": dict(rtol=1e-12, atol=1e-14),
+}
+
+
+def reference_layernorm(x, g, b):
+    x, g, b = (np.asarray(a, dtype=np.float64) for a in (x, g, b))
+    mu = x.sum(axis=-1, keepdims=True) / x.shape[-1]
+    var = ((x - mu) ** 2).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return (x - mu) / np.sqrt(var + LN_EPS) * g + b
+
+
+def reference_softmax(x):
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_layernorm_matches_float64_reference(self, dtype):
+        tol = KERNEL_TOL[dtype]
+        rng = np.random.default_rng(0)
+        x = rng.normal(0.5, 2.0, size=(3, 12, 64)).astype(dtype)
+        g = rng.normal(1.0, 0.1, size=64).astype(dtype)
+        b = rng.normal(0.0, 0.1, size=64).astype(dtype)
+        y, (xhat, inv) = _layernorm(x, g, b)
+        assert y.dtype == xhat.dtype == inv.dtype == np.dtype(dtype)
+        assert y.shape == x.shape and inv.shape == (3, 12, 1)
+        np.testing.assert_allclose(y, reference_layernorm(x, g, b), **tol)
+        np.testing.assert_allclose(xhat, reference_layernorm(x, np.ones(64), np.zeros(64)), **tol)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_softmax_matches_float64_reference(self, dtype):
+        tol = KERNEL_TOL[dtype]
+        rng = np.random.default_rng(1)
+        # attention-shaped scores under a causal mask, as a layer builds them
+        mask = np.triu(np.full((12, 24), MASK_VALUE), k=13)
+        x = (rng.normal(0.0, 3.0, size=(2, 12, 24)) + mask).astype(dtype)
+        y = _softmax(x)
+        assert y.dtype == np.dtype(dtype) and y.shape == x.shape
+        np.testing.assert_allclose(y, reference_softmax(x), **tol)
+        np.testing.assert_allclose(y.sum(axis=-1), 1.0, **tol)
+        assert not y[:, mask < 0].any()
 
 
 class TestConfigAndParams:

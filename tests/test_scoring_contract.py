@@ -26,9 +26,11 @@ from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
 
-# max_context 17 and 30 leave the last chunk of positions partial
+# max_context 17 and 30 leave the last chunk of positions partial; at 12 and
+# 24 the context is whole chunks, so the head window reaches past the last one
 CONTRACT_MODELS = (
-    "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30", "checkpoint",
+    "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30",
+    "tiny-float32-12", "tiny-float64-12", "tiny-float32-24", "tiny-float64-24", "checkpoint",
 ) + SYNTHETIC_KINDS
 
 
