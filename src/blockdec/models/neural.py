@@ -9,24 +9,24 @@ trunk output. Head h at position p predicts the token h steps ahead, so one
 forward pass yields proposal distributions for a whole block, and the base
 next-token distribution (head 1) is routed through the same extension layer.
 
-Scoring works on aligned chunks of CHUNK positions: chunk j covers
-positions [j * CHUNK, (j + 1) * CHUNK), and a call runs the trunk only on
-the chunks holding a grid row or a position whose keys and values are not
-cached. The head extension, vocabulary projection and log-softmax then run
-on a fixed window of num_heads + 1 rows starting at grid row 0, read from a
-buffer of final hidden states that extends num_heads rows past the last
-chunk, so a window near the end of the context never runs short; the rows
-of the window past the grid are never read. Within a decode session
+Scoring runs the trunk only on the positions a call needs: from the first
+position whose token differs from what was cached to the end of the
+context, each position as row 0 of its own (1, D) slab, the slabs batched
+as (n, 1, D). When no position is new the trunk does not run at all. The
+head extension, vocabulary projection and log-softmax then run on a fixed
+window of num_heads + 1 rows starting at grid row 0, read from a buffer of
+final hidden states that extends num_heads rows past the context, so a
+window near the end of the context never runs short; the rows of the
+window past the grid are never read. Within a decode session
 (`TinyBlockModel.session`) each layer's keys and values are kept for
 positions whose tokens have not changed since the previous call; outside
 one every call starts from an empty cache. Every position is always
 computed at the same index of arrays of the same shape, attention always
-spans the whole context rounded up to whole chunks under a causal mask,
-and the window's shape is fixed by the config, so the activations at
-position p depend only on the tokens at positions <= p and the same
-conditioning context reproduces bit-identical distributions whatever was
-cached. The decode engine relies on this to re-read grid rows across
-invocations.
+spans the whole context under the causal mask training uses, and the
+window's shape is fixed by the config, so the activations at position p
+depend only on the tokens at positions <= p and the same conditioning
+context reproduces bit-identical distributions whatever was cached. The
+decode engine relies on this to re-read grid rows across invocations.
 
 Training optimizes the cross-entropy of one head per step. Sampling that
 head uniformly at random makes the per-step loss an unbiased estimator of
@@ -52,7 +52,6 @@ from .base import ScoringModel, log_softmax
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e9
-CHUNK = 12  # positions per aligned chunk of the scoring path
 
 PARTITIONS = ("base", "head_extension", "vocab_projection")
 
@@ -67,8 +66,7 @@ class ModelConfig:
     num_heads:       proposal heads k (head 1 is the base model)
     num_layers:      transformer layers in the trunk
     max_context:     longest composed sequence (input, SEP, output); training
-                     pads every row to it, scoring computes aligned chunks
-                     of CHUNK positions and pads the context to whole chunks
+                     pads every row to it, and attention spans it
     sep_token:       id inserted between input and output
     eos_token:       id that ends an output, or None for fixed-length tasks
     intensity_vocab: token ids are integer intensities (enables the
@@ -125,25 +123,23 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 class _KVCache:
     """A decode session's state: each layer's keys and values side by side,
-    (span, 2D), over the context rounded up to whole chunks; the final
-    hidden state of every position, num_heads rows longer so the head window
-    of the last position fits; the token each position was computed from
-    (-1: none); and what the session computes once: the fused q/k/v weights
-    and the positional rows of the padded span."""
+    (max_context, 2D); the final hidden state of every position, num_heads
+    rows longer so the head window of the last position fits; the token each
+    position was computed from (-1: not cached); and the fused q/k/v weights,
+    computed once per session. Cached positions always form a prefix of the
+    context."""
 
     def __init__(self, model: "TinyBlockModel"):
         cfg = model.config
-        span = model._mask.shape[0]
-        self.ids = np.full(span, -1, dtype=np.int64)
-        self.kv = np.zeros((cfg.num_layers, span, 2 * cfg.d_model), dtype=model.dtype)
-        self.hidden = np.zeros((span + cfg.num_heads, cfg.d_model), dtype=model.dtype)
+        c = cfg.max_context
+        self.ids = np.full(c, -1, dtype=np.int64)
+        self.kv = np.zeros((cfg.num_layers, c, 2 * cfg.d_model), dtype=model.dtype)
+        self.hidden = np.zeros((c + cfg.num_heads, cfg.d_model), dtype=model.dtype)
         self.wqkv = model._qkv_weights()
-        # positions past the context only pad the last chunk; no row reads them
-        self.pos = model.params["pos_emb"][np.minimum(np.arange(span), cfg.max_context - 1)]
 
 
 class TinyBlockModel(ScoringModel):
-    """Decoder-only trunk plus k-head extension, scored over aligned chunks."""
+    """Decoder-only trunk plus k-head extension, scored one new position at a time."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32, params=None):
         self.config = config
@@ -168,10 +164,9 @@ class TinyBlockModel(ScoringModel):
                 self.params[name] = arr
         else:
             self.params = self._init_params(seed)
-        # causal mask over the context rounded up to whole chunks: position
-        # p may attend to positions <= p only
-        span = -(-config.max_context // CHUNK) * CHUNK
-        self._mask = np.triu(np.full((span, span), MASK_VALUE, dtype=self.dtype), k=1)
+        # causal mask: position p may attend to positions <= p only
+        c = config.max_context
+        self._mask = np.triu(np.full((c, c), MASK_VALUE, dtype=self.dtype), k=1)
         self._cache = None  # the open session's _KVCache
 
     def _param_shapes(self) -> dict:
@@ -256,9 +251,9 @@ class TinyBlockModel(ScoringModel):
 
         `wqkv` is the layer's fused (D, 3D) q/k/v weight. Attention reads the
         keys and values computed from x itself, or, with kv = (store, rows),
-        the (span, 2D) key/value store of a cache after this call's keys and
-        values are written at `rows`. `mask` holds the causal mask rows of
-        x's positions.
+        the (max_context, 2D) key/value store of a cache after this call's
+        keys and values are written at `rows`. `mask` holds the causal mask
+        rows of x's positions.
         """
         p = self.params
         pre = f"l{layer}."
@@ -295,11 +290,10 @@ class TinyBlockModel(ScoringModel):
         requested, the intermediates needed for the backward pass.
         """
         p = self.params
-        c = self.config.max_context
         x = p["tok_emb"][ids_batch] + p["pos_emb"][None, :, :]
         cache = {"ids": ids_batch, "x0": x} if want_cache else None
         for layer, wqkv in enumerate(self._qkv_weights()):
-            x, layer_cache = self._layer(layer, x, self._mask[:c, :c], wqkv, want_cache=want_cache)
+            x, layer_cache = self._layer(layer, x, self._mask, wqkv, want_cache=want_cache)
             if want_cache:
                 cache[f"layer{layer}"] = layer_cache
         hf, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"])
@@ -309,20 +303,22 @@ class TinyBlockModel(ScoringModel):
             cache["hf"] = hf
         return hf, cache
 
-    def _chunk_forward(self, tokens: np.ndarray, rows: slice, cache: _KVCache):
-        """Trunk over the whole chunks at `rows`, whose tokens are `tokens`,
-        as one (n, CHUNK, D) batch; positions before rows.start must hold
-        valid keys and values in `cache`. Writes this call's keys, values
-        and final hidden states into `cache`."""
+    def _positions_forward(self, tokens: np.ndarray, first: int, cache: _KVCache):
+        """Trunk over the positions from `first` on, whose tokens are
+        `tokens`, each as row 0 of its own (1, D) slab, batched as (n, 1, D);
+        positions before `first` must hold valid keys and values in `cache`.
+        Writes this call's keys, values and final hidden states into `cache`
+        and marks every later position uncached, as it saw the old tokens."""
         p = self.params
-        x = (p["tok_emb"][tokens] + cache.pos[rows]).reshape(-1, CHUNK, self.config.d_model)
-        mask = self._mask[rows].reshape(x.shape[0], CHUNK, -1)
-        cache.ids[rows] = -1  # until every layer's rows are written
+        rows = slice(first, first + len(tokens))
+        x = (p["tok_emb"][tokens] + p["pos_emb"][rows])[:, None, :]
+        mask = self._mask[rows, None, :]
+        cache.ids[first:] = -1  # this call's rows until every layer is written
         for layer, wqkv in enumerate(cache.wqkv):
             x, _ = self._layer(layer, x, mask, wqkv, (cache.kv[layer], rows))
         cache.ids[rows] = tokens
         hf, _ = _layernorm(x, p["lnf.g"], p["lnf.b"])
-        cache.hidden[rows] = hf.reshape(-1, hf.shape[-1])
+        cache.hidden[rows] = hf[:, 0]
 
     @contextmanager
     def session(self, input_tokens):
@@ -359,14 +355,15 @@ class TinyBlockModel(ScoringModel):
         return logits.reshape(*y.shape[:-1], -1), cache
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
-        """Score k heads at every candidate offset: the trunk on the aligned
-        chunks the call needs, the heads on a window of num_heads + 1 rows
-        from grid row 0 (see the module docstring).
+        """Score k heads at every candidate offset: the trunk on the positions
+        not cached, one (1, D) slab each, and the heads on a window of
+        num_heads + 1 rows from grid row 0 (see the module docstring).
 
-        Every array in this path has a shape fixed by the model config and
-        CHUNK, never by the argument lengths, so identical conditioning
-        contexts always reproduce bit-identical rows no matter how the grid
-        is sliced or what the session has cached.
+        Each position is computed as a (1, D) slab attending over
+        max_context keys, and the window's shape is fixed by the config, so
+        no product a row depends on changes shape with the argument lengths:
+        identical conditioning contexts always reproduce bit-identical rows
+        no matter how the grid is sliced or what the session has cached.
         """
         self._check_heads(k)
         candidates = tuple(candidates)
@@ -376,13 +373,11 @@ class TinyBlockModel(ScoringModel):
                 f"sequence of {len(ids)} tokens exceeds context {self.config.max_context}"
             )
         cache = self._cache if self._cache is not None else _KVCache(self)
+        tokens = np.array(ids, dtype=np.int64)
+        changed = np.flatnonzero(cache.ids[: len(ids)] != tokens)
+        if changed.size:
+            self._positions_forward(tokens[changed[0] :], int(changed[0]), cache)
         base = len(ids) - len(candidates) - 1  # position of grid row 0
-        tokens = np.zeros_like(cache.ids)
-        tokens[: len(ids)] = ids
-        changed = np.flatnonzero(cache.ids[:base] != tokens[:base])
-        first = (changed[0] if changed.size else base) // CHUNK
-        rows = slice(first * CHUNK, ((len(ids) - 1) // CHUNK + 1) * CHUNK)
-        self._chunk_forward(tokens[rows], rows, cache)
         window = cache.hidden[base : base + self.num_heads + 1]
         logits, _ = self.extension_forward(window, slice(None))
         grid = log_softmax(logits)[: len(candidates) + 1, :k]

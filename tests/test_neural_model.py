@@ -197,6 +197,57 @@ class TestScoreGrid:
             assert not np.array_equal(before[:, head], after[:, head])
 
 
+class TestTrunkWork:
+    """Which positions a score_grid call runs the trunk on."""
+
+    @staticmethod
+    def spied(model):
+        """Record (first position, positions computed) of every trunk run."""
+        runs = []
+        forward = model._positions_forward
+
+        def spy(tokens, first, cache):
+            runs.append((first, len(tokens)))
+            return forward(tokens, first, cache)
+
+        model._positions_forward = spy
+        return runs
+
+    def test_runs_from_the_first_new_position_to_the_end(self):
+        model = TinyBlockModel(small_config(), seed=1)
+        runs = self.spied(model)
+        inp = (1, 2)
+        with model.session(inp):
+            model.score_grid(inp, (3, 4), (5, 6), 3)  # 1 2 SEP 3 4 5 6
+            model.score_grid(inp, (3, 4, 5), (7, 8), 3)  # new from position 6
+            model.score_grid(inp, (3,), (9,), 3)  # new from position 4
+            model.score_grid(inp, (3, 9, 5), (), 3)  # position 5 was dropped above
+        model.score_grid(inp, (3, 4), (5, 6), 3)  # outside a session: every position
+        assert runs == [(0, 7), (6, 2), (4, 1), (5, 1), (0, 7)]
+
+    def test_repeated_and_predict_calls_run_no_trunk(self):
+        model = TinyBlockModel(small_config(), seed=1)
+        runs = self.spied(model)
+        inp = (1, 2)
+        with model.session(inp):
+            model.score_grid(inp, (3,), (4, 5, 6), 3)
+            del runs[:]
+            model.score_grid(inp, (3,), (4, 5, 6), 3)
+            model.score_grid(inp, (3, 4, 5), (), 3)  # the next predict call of a standard decode
+        assert runs == []
+
+    def test_greedy_decode_runs_one_position_per_token(self):
+        model = TinyBlockModel(small_config(eos_token=None), seed=5)
+        runs = self.spied(model)
+        inp = (1, 2, 3)
+        result = greedy_decode(model, inp, DecodeConfig(block_size=3, max_len=10))
+        assert len(result.output) == 10
+        # the first call computes the input and SEP, every later one the token
+        # accepted last
+        assert [n for _, n in runs] == [len(inp) + 1] + [1] * 9
+        assert sum(n for _, n in runs) == len(inp) + len(result.output)
+
+
 class TestDecodingWithNeuralModel:
     def test_blockwise_equals_greedy_untrained(self):
         model = TinyBlockModel(small_config(), seed=5)

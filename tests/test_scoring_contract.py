@@ -26,8 +26,9 @@ from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
 
-# max_context 17 and 30 leave the last chunk of positions partial; at 12 and
-# 24 the context is whole chunks, so the head window reaches past the last one
+# the tiny models differ in dtype and context length; at every length a grid
+# row near the end of the context reads a head window that runs past the last
+# position, into the spare rows of the model's buffer of hidden states
 CONTRACT_MODELS = (
     "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30",
     "tiny-float32-12", "tiny-float64-12", "tiny-float32-24", "tiny-float64-24", "checkpoint",
@@ -81,6 +82,34 @@ def test_rows_in_a_session_are_stateless_row_zero(name, seed):
         for i in range(len(candidates) + 1):
             fresh = model.score_grid(inp, prefix + candidates[:i], (), k).grid
             np.testing.assert_array_equal(grid[i], fresh[0])
+
+
+# the third call's prefix, from the first call's (24 tokens from 1-9); the
+# second call's is (5, 5, 5). Past those three tokens, "tail" repeats the
+# first call's tokens and "zeros-then-tail" puts seven zeros before them
+REVISITS = {
+    "zeros-then-tail": lambda long: (5, 5, 5) + (0,) * 7 + long[10:],
+    "tail": lambda long: (5, 5, 5) + long[3:],
+}
+
+
+@pytest.mark.parametrize("revisit", sorted(REVISITS))
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_positions_past_a_shorter_context_are_not_reused(dtype, revisit):
+    """A call on a shorter, different context leaves the later positions of
+    an earlier call computed from tokens it replaced; a later call whose
+    tokens match those positions again must not reuse them."""
+    model, _ = contract_model(f"tiny-{dtype}-30")
+    rng = np.random.default_rng(0)
+    long = tuple(int(t) for t in rng.integers(1, 10, size=24))
+    assert long[:3] != (5, 5, 5)
+    inp = (1,)
+    revisit = REVISITS[revisit](long)
+    with model.session(inp):
+        model.score_grid(inp, long, (), 3)
+        model.score_grid(inp, (5, 5, 5), (), 3)
+        grid = model.score_grid(inp, revisit, (), 3).grid
+    np.testing.assert_array_equal(grid, model.score_grid(inp, revisit, (), 3).grid)
 
 
 class CountingProxy:
