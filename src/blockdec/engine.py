@@ -95,8 +95,14 @@ class BlockScores:
             raise ModelContractError(
                 f"score grid must be (rows, heads, vocab), got shape {grid.shape}"
             )
-        mass = np.exp(grid).sum(axis=-1)
-        worst = float(np.max(np.abs(mass - 1.0)))
+        if not grid.shape[0] or not grid.shape[1]:
+            raise ModelContractError(
+                f"score grid needs at least one row and one head, got shape {grid.shape}"
+            )
+        # the ufunc reductions are what ndarray.sum and np.max call, minus
+        # their Python wrappers
+        mass = np.add.reduce(np.exp(grid), axis=-1)
+        worst = float(np.maximum.reduce(np.abs(mass - 1.0), axis=None))
         # NaN fails this test too; only then is the grid scanned for it
         if not worst <= NORMALIZATION_TOL:
             if np.isnan(grid).any():
@@ -219,10 +225,9 @@ def verify_block(base_scores: BlockScores, proposals, criterion: AcceptanceCrite
         raise ModelContractError(
             f"grid has {base_scores.rows} rows, need {len(proposals)} to verify"
         )
-    rejected = np.flatnonzero(
-        ~accepted(criterion, proposals, base_scores.grid[: len(proposals), 0])
-    )
-    return int(rejected[0]) if rejected.size else len(proposals)
+    ok = accepted(criterion, proposals, base_scores.grid[: len(proposals), 0])
+    first = int(ok.argmin())  # the first rejection, or 0 when none is rejected
+    return len(proposals) if ok[first] else first
 
 
 def _top2_margin(scores: BlockScores, row: int) -> float:

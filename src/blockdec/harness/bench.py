@@ -6,14 +6,20 @@ The (k=1, exact) configuration is reported as the greedy baseline itself:
 its speedup is 1.0 by definition and every other row's speedup is the ratio
 of median greedy wall clock to that row's median wall clock. Wall-clock
 fields are the only nondeterministic part of a report; everything else is
-reproducible bit for bit from the model and corpus.
+reproducible bit for bit from the model and corpus. One untimed greedy pass
+runs before the baseline, so a first-call stall (BLAS start-up, cold
+caches) is not timed, and `meta` records the numpy build, BLAS, thread
+settings and CPU count the wall clock was measured under.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from ..criteria import AcceptanceCriterion, EXACT
 from ..engine import DecodeConfig, blockwise_decode, blockwise_decode_combined, greedy_decode
@@ -21,6 +27,7 @@ from ..errors import BlockdecError, ConfigurationError
 from .corpus import Corpus, exact_match, mean_absolute_error, strip_eos, token_accuracy
 
 SCHEMES = ("combined", "standard")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,20 @@ def _median_time(decode_fn, model, inputs, config, repeats):
     return results, int(statistics.median(times))
 
 
+def _environment() -> dict:
+    """What the wall-clock fields depend on besides the code."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy older than 1.25 prints instead
+        blas = "unknown"
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _quality(outputs, golds, eos_token, metric):
     scores = []
     exact = 0
@@ -108,6 +129,7 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
     decode_fn = blockwise_decode_combined if bench.scheme == "combined" else blockwise_decode
 
     greedy_cfg = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
+    _decode_pass(greedy_decode, model, inputs, greedy_cfg)  # warm-up, untimed
     greedy_results, greedy_ns = _median_time(greedy_decode, model, inputs, greedy_cfg, bench.repeats)
     greedy_outputs = [r.output for r in greedy_results]
 
@@ -149,6 +171,7 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
         "max_len": max_len,
         "scheme": bench.scheme,
         "vocab_size": corpus.vocab.size,
+        **_environment(),
     }
     return BenchReport(
         task=corpus.kind, quality_metric=corpus.quality_metric, rows=tuple(rows), meta=meta

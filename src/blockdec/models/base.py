@@ -84,17 +84,19 @@ class TableBackedModel(ScoringModel):
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         self._check_heads(k)
-        input_tokens = tuple(int(t) for t in input_tokens)
-        prefix = tuple(int(t) for t in prefix)
-        candidates = tuple(int(t) for t in candidates)
+        input_tokens = tuple(map(int, input_tokens))
+        context = tuple(map(int, prefix))
+        candidates = tuple(map(int, candidates))
+        base_len = len(context)
         if self.max_context is not None:
-            needed = len(prefix) + len(candidates)
+            needed = base_len + len(candidates)
             if needed > self.max_context:
                 raise LengthError(
                     f"context of {needed} tokens exceeds limit {self.max_context}"
                 )
-        rows = []
-        for i in range(len(candidates) + 1):
-            table = self.head_logprobs(input_tokens, prefix + candidates[:i])
-            rows.append(table[:k])
-        return BlockScores(grid=np.stack(rows).astype(np.float64), base_len=len(prefix))
+        rows = [self.head_logprobs(input_tokens, context)[:k]]
+        for token in candidates:
+            context += (token,)
+            rows.append(self.head_logprobs(input_tokens, context)[:k])
+        # one float64 copy: the grid never aliases a table the model keeps
+        return BlockScores(grid=np.array(rows, dtype=np.float64), base_len=base_len)

@@ -13,11 +13,11 @@ Scoring runs the trunk only on the positions a call needs: from the first
 position whose token differs from what was cached to the end of the
 context, each position as row 0 of its own (1, D) slab, the slabs batched
 as (n, 1, D). When no position is new the trunk does not run at all. The
-head extension, vocabulary projection and log-softmax then run on a fixed
-window of num_heads + 1 rows starting at grid row 0, read from a buffer of
-final hidden states that extends num_heads rows past the context, so a
-window near the end of the context never runs short; the rows of the
-window past the grid are never read. Within a decode session
+head extension and vocabulary projection then run on a fixed window of
+num_heads + 1 rows starting at grid row 0, read from a buffer of final
+hidden states that extends num_heads rows past the context, so a window
+near the end of the context never runs short; log-softmax normalizes only
+the rows and heads the grid returns. Within a decode session
 (`TinyBlockModel.session`) each layer's keys and values are kept for
 positions whose tokens have not changed since the previous call; outside
 one every call starts from an empty cache. Every position is always
@@ -380,7 +380,9 @@ class TinyBlockModel(ScoringModel):
         base = len(ids) - len(candidates) - 1  # position of grid row 0
         window = cache.hidden[base : base + self.num_heads + 1]
         logits, _ = self.extension_forward(window, slice(None))
-        grid = log_softmax(logits)[: len(candidates) + 1, :k]
+        # log_softmax is row-wise, so normalizing only the rows and heads
+        # the grid returns gives them bitwise as the whole window would
+        grid = log_softmax(logits[: len(candidates) + 1, :k])
         return BlockScores(grid=grid, base_len=len(tuple(prefix)))
 
 

@@ -18,6 +18,8 @@ the only variable.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -29,6 +31,19 @@ SYNTHETIC_KINDS = ("random_table", "perfect_proposals", "adversarial")
 _SALT_BASE = 101
 _SALT_HEADS = 202
 _SALT_SPLIT = 9999
+
+# entries each of a model's caches keeps before it evicts its oldest; the
+# perfbench synthetic-engine workload needs at most 4,454 table rows a model
+CACHE_ENTRIES = 1 << 15
+
+
+def _remember(cache: dict, order: deque, key, value) -> None:
+    """Insert into a bounded cache, first evicting its oldest entry when it
+    is full. A lookup stays a plain dict lookup."""
+    if len(cache) >= CACHE_ENTRIES:
+        del cache[order.popleft()]
+    cache[key] = value
+    order.append(key)
 
 
 class SyntheticTableModel(TableBackedModel):
@@ -49,7 +64,9 @@ class SyntheticTableModel(TableBackedModel):
         self.vocab_size = int(vocab_size)
         self.num_heads = int(num_heads)
         self._row_cache: dict = {}
+        self._row_order: deque = deque()
         self._greedy_cache: dict = {}
+        self._greedy_order: deque = deque()
 
     def _raw_logits(self, salt: int, input_tokens, context, shape) -> np.ndarray:
         entropy = [self.seed, salt, len(input_tokens), *input_tokens, _SALT_SPLIT, *context]
@@ -59,18 +76,24 @@ class SyntheticTableModel(TableBackedModel):
     def _base_logits(self, input_tokens, context) -> np.ndarray:
         return self._raw_logits(_SALT_BASE, input_tokens, context, self.vocab_size)
 
-    def _greedy_next(self, input_tokens, context) -> int:
-        """Token greedy decoding would produce after `context`."""
+    def _greedy_step(self, input_tokens, context) -> tuple:
+        """(token greedy decoding would produce after `context`, the base
+        logits it is read from). The rollouts of perfect_proposals and
+        adversarial tables take their base logits from here too, so each
+        context's are drawn once."""
         key = (input_tokens, context)
-        if key not in self._greedy_cache:
-            self._greedy_cache[key] = int(np.argmax(self._base_logits(*key)))
-        return self._greedy_cache[key]
+        step = self._greedy_cache.get(key)
+        if step is None:
+            logits = self._base_logits(input_tokens, context)
+            step = (int(np.argmax(logits)), logits)
+            _remember(self._greedy_cache, self._greedy_order, key, step)
+        return step
 
     def _greedy_rollout(self, input_tokens, context, steps: int) -> list:
         tokens = []
         ctx = context
         for _ in range(steps):
-            t = self._greedy_next(input_tokens, ctx)
+            t = self._greedy_step(input_tokens, ctx)[0]
             tokens.append(t)
             ctx = ctx + (t,)
         return tokens
@@ -81,7 +104,10 @@ class SyntheticTableModel(TableBackedModel):
         if cached is not None:
             return cached
         logits = np.empty((self.num_heads, self.vocab_size))
-        logits[0] = self._base_logits(input_tokens, context)
+        if self.kind == "random_table":
+            logits[0] = self._base_logits(input_tokens, context)
+        else:
+            logits[0] = self._greedy_step(input_tokens, context)[1]
         if self.num_heads > 1:
             extra = self._raw_logits(
                 _SALT_HEADS, input_tokens, context, (self.num_heads - 1, self.vocab_size)
@@ -98,7 +124,7 @@ class SyntheticTableModel(TableBackedModel):
                     row[target] = row.max() + 1.0
                     logits[h] = row
         table = log_softmax(logits)
-        self._row_cache[key] = table
+        _remember(self._row_cache, self._row_order, key, table)
         return table
 
 

@@ -222,6 +222,7 @@ def _mean_block(model, criterion, inputs, eos, max_len):
     return tokens / iterations
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_trends(capsys):
     gold = make_pattern_corpus("repeat", alphabet=32, n_pairs=4096, min_len=6,
                                max_len=6, copies=3, noise=0.1, seed=42)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from blockdec.criteria import EXACT, top_k
+from blockdec.engine import DecodeConfig, blockwise_decode_combined, greedy_decode
 from blockdec.errors import ConfigurationError
 from blockdec.harness.bench import BenchConfig, BenchReport, run_bench
 from blockdec.harness.corpus import Corpus, Vocab, make_pattern_corpus
@@ -82,6 +83,30 @@ class TestReportShape:
         report = run_bench(model, pattern_corpus(6), BenchConfig(
             block_sizes=(1,), repeats=1, max_pairs=2))
         assert report.meta["pairs"] == 2
+
+
+class TestWarmUpAndEnvironment:
+    def test_meta_records_the_environment(self):
+        model = make_synthetic_model("random_table", seed=0, vocab_size=12, num_heads=2)
+        meta = run_bench(model, pattern_corpus(2), BenchConfig(
+            block_sizes=(1,), repeats=1)).meta
+        assert isinstance(meta["numpy"], str) and isinstance(meta["blas"], str)
+        assert set(meta["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert meta["cpu_count"] is None or meta["cpu_count"] >= 1
+
+    def test_warm_up_leaves_row_totals_unchanged(self):
+        model = make_synthetic_model("random_table", seed=4, vocab_size=12, num_heads=4)
+        corpus = pattern_corpus(4)
+        report = run_bench(model, corpus, BenchConfig(block_sizes=(1, 4), repeats=2))
+        max_len = report.meta["max_len"]
+        eos = corpus.vocab.eos_token
+        for row, decode, k in ((report.rows[0], greedy_decode, 1),
+                               (report.rows[1], blockwise_decode_combined, 4)):
+            config = DecodeConfig(block_size=k, max_len=max_len, eos_token=eos)
+            results = [decode(model, inp, config) for inp, _ in corpus.pairs]
+            assert row["iterations_total"] == sum(r.iterations for r in results)
+            assert row["invocations_total"] == sum(r.model_invocations for r in results)
 
 
 class TestExactSemantics:

@@ -95,17 +95,23 @@ class TestTypes:
         with pytest.raises(ModelContractError):
             BlockScores(grid=bad, base_len=0)
 
-    @pytest.mark.parametrize("cell, message", [
+    @pytest.mark.parametrize("fault, message", [
         (np.nan, r"contains NaN"),
         (np.inf, r"not normalized log-probs \(off by inf\)"),
         (None, r"not normalized log-probs \(off by 6\.487e-01\)"),
+        pytest.param((0, 1, 4), r"at least one row and one head, got shape \(0, 1, 4\)",
+                     id="no-rows"),
+        pytest.param((2, 0, 4), r"at least one row and one head, got shape \(2, 0, 4\)",
+                     id="no-heads"),
     ])
-    def test_block_scores_errors_name_the_fault(self, cell, message):
+    def test_block_scores_errors_name_the_fault(self, fault, message):
         grid = np.log(np.full((2, 2, 4), 0.25))
-        if cell is None:
+        if isinstance(fault, tuple):  # an empty grid of this shape
+            grid = np.zeros(fault)
+        elif fault is None:
             grid += 0.5
         else:
-            grid[1, 0, 2] = cell
+            grid[1, 0, 2] = fault
             grid[0, 1, 3] = np.inf  # NaN is named even beside an infinity
         with pytest.raises(ModelContractError, match=message):
             BlockScores(grid=grid, base_len=0)
@@ -141,6 +147,17 @@ class TestVerifyAndPredict:
             for crit in (EXACT, top_k(2), top_k(4), distance(1), distance(3)):
                 assert verify_block(grid, proposals, crit) == naive_k_hat(grid, proposals, crit)
 
+    @pytest.mark.parametrize("criterion", [EXACT, top_k(2), distance(1)],
+                             ids=lambda c: c.describe())
+    def test_verify_all_and_none_accepted_match_naive_scan(self, criterion):
+        # token 0 is the base head's best and token 7 its worst in every row
+        rows = np.broadcast_to(-np.arange(8.0), (5, 1, 8))
+        grid = BlockScores(grid=rows - np.log(np.exp(rows).sum(axis=-1, keepdims=True)),
+                           base_len=0)
+        for proposals, want in (((0, 0, 0, 0), 4), ((7, 7, 7, 7), 0)):
+            assert verify_block(grid, proposals, criterion) == want
+            assert naive_k_hat(grid, proposals, criterion) == want
+
     def test_verify_can_reject_everything_standalone(self):
         model = make_synthetic_model("random_table", seed=0, vocab_size=8, num_heads=4)
         grid = model.score_grid((0,), (), (0, 0, 0), 4)
@@ -162,6 +179,38 @@ class TestVerifyAndPredict:
         table = model.head_logprobs((1, 2), (3,))
         assert proposals == tuple(int(np.argmax(table[h])) for h in range(4))
         assert scores.rows == 1 and scores.heads == 4
+
+
+class Float32Tables(ScriptedModel):
+    """ScriptedModel whose tables come back as float32."""
+
+    def head_logprobs(self, input_tokens, context):
+        return super().head_logprobs(input_tokens, context).astype(np.float32)
+
+
+class TestTableBackedGrid:
+    def test_numpy_integer_ids_score_as_python_ints(self):
+        model = make_synthetic_model("random_table", seed=2, vocab_size=8, num_heads=4)
+        want = model.score_grid((1, 2), (3,), (4, 5), 3)
+        got = model.score_grid(np.array([1, 2]), (np.int32(3),),
+                               np.array([4, 5], dtype=np.int16), 3)
+        assert got.base_len == want.base_len == 1
+        np.testing.assert_array_equal(got.grid, want.grid)
+
+    def test_float32_tables_give_a_float64_grid(self):
+        model = Float32Tables({}, vocab_size=6, num_heads=3)
+        scores = model.score_grid((0,), (1,), (2, 3), 2)
+        assert scores.grid.dtype == np.float64
+        for i, context in enumerate(((1,), (1, 2), (1, 2, 3))):
+            np.testing.assert_array_equal(
+                scores.grid[i], model.head_logprobs((0,), context)[:2].astype(np.float64))
+
+    def test_grid_does_not_alias_the_row_cache(self):
+        model = make_synthetic_model("perfect_proposals", seed=4, vocab_size=8, num_heads=4)
+        first = model.score_grid((1,), (2,), (3, 4), 4)
+        want = first.grid.copy()
+        first.grid[:] = 0.0
+        np.testing.assert_array_equal(model.score_grid((1,), (2,), (3, 4), 4).grid, want)
 
 
 class TestGreedyEquivalence:

@@ -1,11 +1,16 @@
 """Seeded table models: determinism and proposal-quality contracts."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from blockdec.engine import DecodeConfig, greedy_decode, predict_block, verify_block
+from blockdec.engine import (
+    DecodeConfig, blockwise_decode_combined, greedy_decode, predict_block, verify_block,
+)
 from blockdec.criteria import EXACT
 from blockdec.errors import ConfigurationError
+from blockdec.models import synthetic
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 
@@ -41,6 +46,49 @@ class TestDeterminism:
             m = make_synthetic_model(kind, seed=5, vocab_size=12, num_heads=4)
             table = m.head_logprobs((9,), (0, 1))
             np.testing.assert_allclose(np.exp(table).sum(axis=-1), 1.0, atol=1e-9)
+
+
+def count_base_draws(model) -> Counter:
+    """Spy on the model's base-logit draws; returns draws per context."""
+    draws = Counter()
+    raw = model._raw_logits
+
+    def spy(salt, input_tokens, context, shape):
+        if salt == synthetic._SALT_BASE:
+            draws[input_tokens, context] += 1
+        return raw(salt, input_tokens, context, shape)
+
+    model._raw_logits = spy
+    return draws
+
+
+class TestCaches:
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    def test_base_logits_drawn_once_per_context(self, kind):
+        model = make_synthetic_model(kind, seed=1, vocab_size=16, num_heads=8)
+        draws = count_base_draws(model)
+        blockwise_decode_combined(model, (3, 4, 5), DecodeConfig(block_size=8, max_len=32))
+        assert draws and max(draws.values()) == 1
+
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    def test_caches_stay_bounded_and_evicted_rows_return_identical(self, kind, monkeypatch):
+        fresh = make_synthetic_model(kind, seed=6, vocab_size=8, num_heads=4)
+        first = fresh.head_logprobs((2,), ()).copy()
+        monkeypatch.setattr(synthetic, "CACHE_ENTRIES", 16)
+        model = make_synthetic_model(kind, seed=6, vocab_size=8, num_heads=4)
+        config = DecodeConfig(block_size=4, max_len=200)
+        result = blockwise_decode_combined(model, (2,), config)
+        assert len(model._row_cache) == len(model._row_order) <= 16
+        assert len(model._greedy_cache) == len(model._greedy_order) <= 16
+        assert ((2,), ()) not in model._row_cache  # evicted long ago
+        assert model.head_logprobs((2,), ()).tobytes() == first.tobytes()
+        unbounded = blockwise_decode_combined(fresh, (2,), config)
+        assert result.output == unbounded.output
+        assert result.accepted_sizes == unbounded.accepted_sizes
+
+    def test_bound_is_well_above_the_benchmark_working_set(self):
+        # perfbench's synthetic-engine workload keeps up to 4,454 rows a model
+        assert synthetic.CACHE_ENTRIES >= 4 * 4454
 
 
 class TestProposalQuality:
