@@ -11,9 +11,9 @@ bigger blocks, even when the teacher itself is mediocre.
 
 from blockdec.criteria import exact
 from blockdec.engine import DecodeConfig, blockwise_decode_combined
-from blockdec.harness.corpus import Corpus, make_pattern_corpus, strip_eos
+from blockdec.harness.bench import distill_corpus
+from blockdec.harness.corpus import make_pattern_corpus
 from blockdec.harness.training import TrainingConfig, default_model_config, train_model
-from blockdec.models.distill import distill_corpus
 
 SMALL = dict(num_heads=4, d_model=32, d_hidden=32, num_layers=2)
 TRAINING = TrainingConfig(steps=2000, batch_size=16, learning_rate=0.3, seed=0)
@@ -35,14 +35,12 @@ def mean_block(model, inputs, eos, max_len):
 gold = make_pattern_corpus("repeat", alphabet=8, n_pairs=1024, min_len=3,
                            max_len=3, copies=2, noise=0.15, seed=1)
 eos = gold.vocab.eos_token
-max_len = gold.max_target_len() + 1
+max_len = gold.decode_budget()
 
 teacher, _ = train_model(gold, default_model_config(gold, **SMALL), TRAINING)
 
 # replace every target with the teacher's greedy decode of the same input
-raw = distill_corpus(teacher, [inp for inp, _ in gold.pairs], max_len, eos_token=eos)
-pairs = tuple((inp, strip_eos(out, eos)) for inp, out in raw if strip_eos(out, eos))
-distilled = Corpus(kind=gold.kind, vocab=gold.vocab, pairs=pairs, meta={})
+distilled = distill_corpus(teacher, gold)
 changed = sum(a != b for (_, a), (_, b) in zip(gold.pairs, distilled.pairs))
 print(f"teacher rewrote {changed}/{len(gold)} targets")
 

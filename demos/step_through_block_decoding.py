@@ -33,7 +33,6 @@ class ScriptedModel(TableBackedModel):
 
     vocab_size = VOCAB
     num_heads = 4
-    max_context = None
 
     def head_logprobs(self, input_tokens, context):
         n = len(context)

@@ -70,18 +70,6 @@ def distance(epsilon: int, min_block: int = 1) -> AcceptanceCriterion:
     return AcceptanceCriterion(kind="distance", epsilon=epsilon, min_block=min_block)
 
 
-def argmax_token(dist: np.ndarray) -> int:
-    """Highest-scoring token id; ties resolved to the lowest token id."""
-    return int(np.argmax(dist))
-
-
-def top_tokens(dist: np.ndarray, k: int) -> np.ndarray:
-    """The k highest-scoring token ids, ordered by (descending score,
-    ascending token id). Stable sort makes boundary ties deterministic."""
-    order = np.argsort(-np.asarray(dist), kind="stable")
-    return order[:k]
-
-
 def accepted(criterion: AcceptanceCriterion, proposals, base_rows: np.ndarray) -> np.ndarray:
     """Whether each proposal is acceptable against the base model's
     log-probability distribution for its position: proposals[j] is judged
@@ -95,7 +83,7 @@ def accepted(criterion: AcceptanceCriterion, proposals, base_rows: np.ndarray) -
         # token ids are integer intensities
         return np.abs(proposals - base_rows.argmax(axis=-1)) <= criterion.epsilon
     # top_k: a proposal's rank counts the tokens ordered before it by
-    # (descending score, ascending token id), the order of top_tokens
+    # (descending score, ascending token id), so ties go to the lower id
     vocab = base_rows.shape[-1]
     known = (proposals >= 0) & (proposals < vocab)
     score = base_rows[np.arange(len(proposals)), np.where(known, proposals, 0)][:, None]

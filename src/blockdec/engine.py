@@ -136,7 +136,6 @@ class DecodeResult:
     iterations:        number of predict/verify/accept rounds
     model_invocations: scoring calls made (each call scores a full grid)
     wall_clock_ns:     elapsed time of the decode loop
-    matched_greedy:    whether output equals the greedy output, when known
     """
 
     output: tuple
@@ -144,7 +143,6 @@ class DecodeResult:
     iterations: int
     model_invocations: int
     wall_clock_ns: int
-    matched_greedy: Optional[bool] = None
 
     def __post_init__(self):
         object.__setattr__(self, "output", tuple(int(t) for t in self.output))
@@ -292,7 +290,6 @@ def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeRes
         iterations=len(accepted_sizes),
         model_invocations=invocations,
         wall_clock_ns=elapsed,
-        matched_greedy=True if scheme == "greedy" else None,
     )
 
 

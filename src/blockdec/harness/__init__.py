@@ -1,4 +1,5 @@
-"""Task corpora, training loop, benchmark runner, reports, and the CLI."""
+"""Task corpora, training loop, corpus decoding (benchmark runner and
+teacher distillation), reports, and the CLI."""
 
 from .corpus import (
     Corpus,
@@ -12,7 +13,7 @@ from .corpus import (
     token_accuracy,
 )
 from .training import TrainingConfig, default_model_config, train_model
-from .bench import BenchConfig, run_bench
+from .bench import BenchConfig, distill_corpus, run_bench
 from .report import emit_report
 
 __all__ = [
@@ -30,5 +31,6 @@ __all__ = [
     "train_model",
     "BenchConfig",
     "run_bench",
+    "distill_corpus",
     "emit_report",
 ]

@@ -1,6 +1,10 @@
-"""Benchmark runner: decode a corpus under several configurations and
-compare iteration counts, invocation counts, wall clock, greedy agreement,
-and task quality against the greedy baseline.
+"""Corpus decoding: the benchmark runner and teacher distillation.
+
+`run_bench` decodes a corpus under several configurations and compares
+iteration counts, invocation counts, wall clock, greedy agreement, and
+task quality against the greedy baseline. `distill_corpus` replaces a
+corpus's targets with a teacher's greedy decodes. Both decode pair by pair
+through one loop, under the budget of `Corpus.decode_budget`.
 
 The (k=1, exact) configuration is reported as the greedy baseline itself:
 its speedup is 1.0 by definition and every other row's speedup is the ratio
@@ -21,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..criteria import AcceptanceCriterion, EXACT
+from ..criteria import EXACT
 from ..engine import DecodeConfig, blockwise_decode, blockwise_decode_combined, greedy_decode
-from ..errors import BlockdecError, ConfigurationError
+from ..errors import BlockdecError, ConfigurationError, CorpusError
 from .corpus import Corpus, exact_match, mean_absolute_error, strip_eos, token_accuracy
 
 SCHEMES = ("combined", "standard")
@@ -120,12 +124,7 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
     inputs = [inp for inp, _ in pairs]
     golds = [tgt for _, tgt in pairs]
     eos = corpus.vocab.eos_token
-    if bench.max_len is not None:
-        max_len = bench.max_len
-    elif corpus.fixed_target_len is not None:
-        max_len = corpus.fixed_target_len
-    else:
-        max_len = corpus.max_target_len() + (1 if eos is not None else 0)
+    max_len = bench.max_len if bench.max_len is not None else corpus.decode_budget()
     decode_fn = blockwise_decode_combined if bench.scheme == "combined" else blockwise_decode
 
     greedy_cfg = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
@@ -175,4 +174,38 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
     }
     return BenchReport(
         task=corpus.kind, quality_metric=corpus.quality_metric, rows=tuple(rows), meta=meta
+    )
+
+
+def distill_corpus(teacher, corpus: Corpus, max_len: Optional[int] = None) -> Corpus:
+    """Replace every target with `teacher`'s greedy decode of its input.
+
+    Training data whose targets a model can reproduce makes proposal heads
+    agree with the base model more often, so decoding accepts longer blocks
+    (sequence-level distillation). Decodes run under `max_len`, by default
+    the corpus's decode budget. The end token is stripped and pairs whose
+    decode is empty are dropped; the vocabulary, fixed target length and
+    meta carry over, so the result saves like the original.
+    """
+    eos = corpus.vocab.eos_token
+    if max_len is None:
+        max_len = corpus.decode_budget()
+    inputs = [inp for inp, _ in corpus.pairs]
+    config = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
+    results, _ = _decode_pass(greedy_decode, teacher, inputs, config)
+    pairs = []
+    for inp, result in zip(inputs, results):
+        target = strip_eos(result.output, eos)
+        if target:
+            pairs.append((inp, target))
+    if not pairs:
+        raise CorpusError(
+            f"teacher produced no usable targets: all {len(inputs)} decodes were empty"
+        )
+    return Corpus(
+        kind=corpus.kind,
+        vocab=corpus.vocab,
+        pairs=tuple(pairs),
+        fixed_target_len=corpus.fixed_target_len,
+        meta=dict(corpus.meta),
     )

@@ -30,11 +30,10 @@ from ..engine import (
 )
 from ..errors import BlockdecError, ParseError
 from ..models.checkpoint import load_checkpoint, save_checkpoint
-from ..models.distill import distill_corpus
 from ..models.neural import FreezeMask, PARTITIONS
 from ..models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
-from .bench import SCHEMES, BenchConfig, run_bench
-from .corpus import Corpus, decode_text, load_corpus, save_corpus, strip_eos
+from .bench import SCHEMES, BenchConfig, distill_corpus, run_bench
+from .corpus import decode_text, load_corpus, save_corpus, strip_eos
 from .report import FORMATS, emit_report
 from .training import TrainingConfig, default_model_config, train_model
 
@@ -221,35 +220,13 @@ def _cmd_distill(args, seed: int) -> int:
     del seed  # greedy distillation is deterministic
     teacher = load_checkpoint(args.teacher)
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
-    eos = corpus.vocab.eos_token
-    if args.max_len is not None:
-        max_len = args.max_len
-    elif corpus.fixed_target_len is not None:
-        max_len = corpus.fixed_target_len
-    else:
-        max_len = corpus.max_target_len() + 1
-    raw = distill_corpus(teacher, [inp for inp, _ in corpus.pairs], max_len, eos_token=eos)
-    pairs, skipped = [], 0
-    for inp, out in raw:
-        target = strip_eos(out, eos)
-        if not target:
-            skipped += 1
-            continue
-        pairs.append((inp, target))
+    distilled = distill_corpus(teacher, corpus, args.max_len)
+    skipped = len(corpus) - len(distilled)
     if skipped:
         print(f"warning: skipped {skipped} pairs with empty teacher output", file=sys.stderr)
-    if not pairs:
-        raise BlockdecError("teacher produced no usable targets")
-    distilled = Corpus(
-        kind=corpus.kind,
-        vocab=corpus.vocab,
-        pairs=tuple(pairs),
-        fixed_target_len=corpus.fixed_target_len,
-        meta=dict(corpus.meta),
-    )
     out_path = args.out or "distilled_corpus"
     save_corpus(distilled, out_path)
-    print(f"distilled {len(pairs)} pairs written to {out_path}")
+    print(f"distilled {len(distilled)} pairs written to {out_path}")
     return 0
 
 

@@ -107,6 +107,14 @@ class Corpus:
     def max_target_len(self) -> int:
         return max(len(t) for _, t in self.pairs)
 
+    def decode_budget(self) -> int:
+        """Tokens a decode of this corpus's inputs may produce: the fixed
+        target length, else the longest target plus room for the end token
+        when the vocabulary has one."""
+        if self.fixed_target_len is not None:
+            return self.fixed_target_len
+        return self.max_target_len() + (1 if self.vocab.eos_token is not None else 0)
+
     def max_composed_len(self) -> int:
         """Longest input + SEP + target (+ end token) in the corpus."""
         extra = 2 if self.vocab.eos_token is not None else 1

@@ -1,5 +1,5 @@
 """Scoring models: synthetic table models for engine tests, a trainable
-numpy k-head model, checkpoint IO, and teacher-to-student distillation."""
+numpy k-head model, and checkpoint IO."""
 
 from .base import ScoringModel, TableBackedModel
 from .synthetic import SYNTHETIC_KINDS, make_synthetic_model
@@ -13,7 +13,6 @@ from .neural import (
     train_step,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .distill import distill_corpus
 
 __all__ = [
     "ScoringModel",
@@ -29,5 +28,4 @@ __all__ = [
     "train_step",
     "load_checkpoint",
     "save_checkpoint",
-    "distill_corpus",
 ]

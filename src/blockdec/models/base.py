@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..engine import BlockScores
-from ..errors import ConfigurationError, LengthError
+from ..errors import ConfigurationError
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -77,8 +77,6 @@ class TableBackedModel(ScoringModel):
     lookup; these models exercise the engine's arithmetic, not its speed.
     """
 
-    max_context: int | None = None
-
     def head_logprobs(self, input_tokens, context) -> np.ndarray:
         raise NotImplementedError
 
@@ -88,12 +86,6 @@ class TableBackedModel(ScoringModel):
         context = tuple(map(int, prefix))
         candidates = tuple(map(int, candidates))
         base_len = len(context)
-        if self.max_context is not None:
-            needed = base_len + len(candidates)
-            if needed > self.max_context:
-                raise LengthError(
-                    f"context of {needed} tokens exceeds limit {self.max_context}"
-                )
         rows = [self.head_logprobs(input_tokens, context)[:k]]
         for token in candidates:
             context += (token,)

@@ -48,7 +48,6 @@ def _remember(cache: dict, order: deque, key, value) -> None:
 
 class SyntheticTableModel(TableBackedModel):
     intensity_vocab = True
-    max_context = None
 
     def __init__(self, kind: str, seed: int, vocab_size: int, num_heads: int):
         if kind not in SYNTHETIC_KINDS:

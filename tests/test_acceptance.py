@@ -20,11 +20,10 @@ from blockdec.engine import (
     greedy_decode,
     verify_block,
 )
-from blockdec.harness.bench import BenchConfig, run_bench
+from blockdec.harness.bench import BenchConfig, distill_corpus, run_bench
 from blockdec.harness.cli import cli
-from blockdec.harness.corpus import Corpus, make_pattern_corpus, strip_eos
+from blockdec.harness.corpus import make_pattern_corpus
 from blockdec.harness.training import TrainingConfig, default_model_config, train_model
-from blockdec.models.distill import distill_corpus
 from blockdec.models.neural import (
     FreezeMask,
     ModelConfig,
@@ -227,15 +226,13 @@ def test_criterion_7_desk_scale_trends(capsys):
     gold = make_pattern_corpus("repeat", alphabet=32, n_pairs=4096, min_len=6,
                                max_len=6, copies=3, noise=0.1, seed=42)
     eos = gold.vocab.eos_token
-    max_len = gold.max_target_len() + 1
+    max_len = gold.decode_budget()
     training = TrainingConfig(steps=8000, batch_size=16, learning_rate=0.3, seed=0)
 
     started = time.time()
     teacher, _ = train_model(gold, default_model_config(gold), training)
     teacher_s = time.time() - started
-    raw = distill_corpus(teacher, [inp for inp, _ in gold.pairs], max_len, eos_token=eos)
-    pairs = tuple((inp, strip_eos(out, eos)) for inp, out in raw if strip_eos(out, eos))
-    distilled = Corpus(kind=gold.kind, vocab=gold.vocab, pairs=pairs, meta={})
+    distilled = distill_corpus(teacher, gold)
     started = time.time()
     student, _ = train_model(distilled, default_model_config(distilled), training)
     student_s = time.time() - started

@@ -188,6 +188,26 @@ class TestCorpusValidation:
                    pairs=(((1,), ()),))
 
 
+class TestDecodeBudget:
+    PAIRS = (((1,), (2, 3)), ((4,), (5, 6, 7)))
+
+    def test_fixed_length_is_the_budget(self):
+        corpus = Corpus(kind="intensity_grid",
+                        vocab=Vocab(size=257, sep_token=256, eos_token=None, intensity=True),
+                        pairs=(((1,), (2, 3, 4, 5)),), fixed_target_len=4)
+        assert corpus.decode_budget() == 4
+
+    def test_end_token_adds_one(self):
+        corpus = Corpus(kind="synthetic_pattern",
+                        vocab=Vocab(size=10, sep_token=8, eos_token=9), pairs=self.PAIRS)
+        assert corpus.decode_budget() == 4
+
+    def test_no_end_token_is_the_longest_target(self):
+        corpus = Corpus(kind="synthetic_pattern",
+                        vocab=Vocab(size=10, sep_token=8, eos_token=None), pairs=self.PAIRS)
+        assert corpus.decode_budget() == 3
+
+
 class TestMetrics:
     def test_token_accuracy_oracle(self):
         assert token_accuracy((1, 2, 3), (1, 2, 3)) == 1.0

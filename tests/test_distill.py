@@ -1,52 +1,130 @@
 """Corpus distillation equals per-input greedy decoding."""
 
 import numpy as np
+import pytest
 
 from blockdec.engine import DecodeConfig, greedy_decode
+from blockdec.errors import CorpusError, LengthError
+from blockdec.harness.bench import distill_corpus
+from blockdec.harness.corpus import (
+    Corpus,
+    Vocab,
+    load_corpus,
+    make_pattern_corpus,
+    save_corpus,
+    strip_eos,
+)
 from blockdec.models.base import TableBackedModel
-from blockdec.models.distill import distill_corpus
+from blockdec.models.neural import ModelConfig, TinyBlockModel
 from blockdec.models.synthetic import make_synthetic_model
+
+VOCAB = Vocab(size=8, sep_token=6, eos_token=7)
+
+
+def one_hot_logprobs(token, vocab_size):
+    logits = np.full((1, vocab_size), -20.0)
+    logits[0, token] = 0.0
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class ConstantModel(TableBackedModel):
-    """Base head always picks the same token, with an end token after four."""
+    """Base head always picks the same token, with an end token after four;
+    input (5,) gets the end token at once."""
 
     vocab_size = 8
     num_heads = 1
-    max_context = None
 
     def head_logprobs(self, input_tokens, context):
-        target = 7 if len(context) >= 4 else 3
-        logits = np.full((1, self.vocab_size), -20.0)
-        logits[0, target] = 0.0
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        ends = len(context) >= 4 or tuple(input_tokens) == (5,)
+        return one_hot_logprobs(7 if ends else 3, self.vocab_size)
+
+
+def corpus_of(inputs, vocab=VOCAB, target=(1,)):
+    return Corpus(kind="synthetic_pattern", vocab=vocab,
+                  pairs=tuple((inp, target) for inp in inputs))
 
 
 class TestDistillCorpus:
     def test_constant_teacher_gives_constant_targets(self):
-        pairs = distill_corpus(ConstantModel(), [(0,), (1, 2)], max_len=10, eos_token=7)
-        assert [t for _, t in pairs] == [(3, 3, 3, 3, 7), (3, 3, 3, 3, 7)]
-        assert pairs[0][0] == (0,)
+        distilled = distill_corpus(ConstantModel(), corpus_of([(0,), (1, 2)]), max_len=10)
+        assert [t for _, t in distilled.pairs] == [(3, 3, 3, 3), (3, 3, 3, 3)]
+        assert distilled.pairs[0][0] == (0,)
 
     def test_targets_match_greedy_decode(self):
         teacher = make_synthetic_model("random_table", seed=4, vocab_size=10, num_heads=2)
-        inputs = [(i,) for i in range(8)]
-        pairs = distill_corpus(teacher, inputs, max_len=6, eos_token=9)
+        vocab = Vocab(size=10, sep_token=8, eos_token=9)
+        corpus = corpus_of([(i,) for i in range(8)], vocab)
+        distilled = distill_corpus(teacher, corpus, max_len=6)
         config = DecodeConfig(block_size=1, max_len=6, eos_token=9)
-        for inp, target in pairs:
-            assert target == greedy_decode(teacher, inp, config).output
+        want = []
+        for inp, _ in corpus.pairs:
+            target = strip_eos(greedy_decode(teacher, inp, config).output, 9)
+            if target:
+                want.append((inp, target))
+        assert list(distilled.pairs) == want
 
     def test_deterministic(self):
         teacher = make_synthetic_model("random_table", seed=4, vocab_size=10, num_heads=2)
-        inputs = [(1,), (2, 3)]
-        assert distill_corpus(teacher, inputs, 5, eos_token=9) == \
-            distill_corpus(teacher, inputs, 5, eos_token=9)
+        corpus = corpus_of([(1,), (2, 3)], Vocab(size=10, sep_token=8, eos_token=9))
+        assert distill_corpus(teacher, corpus, 5) == distill_corpus(teacher, corpus, 5)
 
     def test_truncated_targets_have_no_end_token(self):
-        pairs = distill_corpus(ConstantModel(), [(0,)], max_len=3, eos_token=7)
-        assert pairs == [((0,), (3, 3, 3))]
+        distilled = distill_corpus(ConstantModel(), corpus_of([(0,)]), max_len=3)
+        assert distilled.pairs == (((0,), (3, 3, 3)),)
 
     def test_no_end_token_decodes_fixed_length(self):
-        pairs = distill_corpus(ConstantModel(), [(0,)], max_len=6, eos_token=None)
-        assert pairs[0][1] == (3, 3, 3, 3, 7, 7)
+        vocab = Vocab(size=8, sep_token=6, eos_token=None)
+        distilled = distill_corpus(ConstantModel(), corpus_of([(0,)], vocab), max_len=6)
+        assert distilled.pairs[0][1] == (3, 3, 3, 3, 7, 7)
+
+    def test_default_budget_is_the_corpus_decode_budget(self):
+        corpus = corpus_of([(0,)], target=(1, 1))
+        assert corpus.decode_budget() == 3
+        assert distill_corpus(ConstantModel(), corpus).pairs == (((0,), (3, 3, 3)),)
+
+    def test_empty_targets_are_dropped(self):
+        distilled = distill_corpus(ConstantModel(), corpus_of([(0,), (5,), (1, 2)]))
+        assert [inp for inp, _ in distilled.pairs] == [(0,), (1, 2)]
+
+    def test_no_usable_target_raises(self):
+        with pytest.raises(CorpusError, match="no usable targets"):
+            distill_corpus(ConstantModel(), corpus_of([(5,)]))
+
+    def test_failures_carry_the_pair_index(self):
+        model = TinyBlockModel(ModelConfig(
+            vocab_size=6, d_model=4, d_hidden=4, num_heads=2, num_layers=1,
+            max_context=8, sep_token=4, eos_token=5))
+        corpus = Corpus(kind="synthetic_pattern", vocab=Vocab(size=6, sep_token=4,
+                                                              eos_token=5),
+                        pairs=(((0,), (1,)), ((0,) * 7, (1,))))
+        with pytest.raises(LengthError, match="pair 1"):
+            distill_corpus(model, corpus)
+
+
+class TestDistilledCorpusSaves:
+    def test_pattern_corpus_round_trips(self, tmp_path):
+        gold = make_pattern_corpus("repeat", alphabet=6, n_pairs=12, min_len=2,
+                                   max_len=4, copies=2, seed=3)
+        teacher = make_synthetic_model("perfect_proposals", seed=1,
+                                       vocab_size=gold.vocab.size, num_heads=2)
+        distilled = distill_corpus(teacher, gold)
+        assert distilled.meta == gold.meta
+        path = tmp_path / "distilled.json"
+        save_corpus(distilled, path)
+        loaded = load_corpus(path)
+        assert loaded.pairs == distilled.pairs
+        assert loaded.vocab == distilled.vocab
+
+    def test_grid_corpus_keeps_fixed_length(self, tmp_path):
+        gold = Corpus(kind="intensity_grid",
+                      vocab=Vocab(size=257, sep_token=256, eos_token=None, intensity=True),
+                      pairs=(((10, 20), (1, 2, 3, 4)), ((30,), (250, 0, 128, 5))),
+                      fixed_target_len=4, meta={"width": 2, "height": 2})
+        teacher = make_synthetic_model("random_table", seed=2, vocab_size=257, num_heads=1)
+        distilled = distill_corpus(teacher, gold)
+        assert distilled.fixed_target_len == 4
+        assert all(len(t) == 4 for _, t in distilled.pairs)
+        path = tmp_path / "distilled.json"
+        save_corpus(distilled, path)
+        assert load_corpus(path).pairs == distilled.pairs
