@@ -185,11 +185,17 @@ def distill_corpus(teacher, corpus: Corpus, max_len: Optional[int] = None) -> Co
     (sequence-level distillation). Decodes run under `max_len`, by default
     the corpus's decode budget. The end token is stripped and pairs whose
     decode is empty are dropped; the vocabulary, fixed target length and
-    meta carry over, so the result saves like the original.
+    meta carry over, so the result saves like the original. A fixed-length
+    corpus keeps its length, so there `max_len` may only be that length.
     """
     eos = corpus.vocab.eos_token
+    fixed = corpus.fixed_target_len
     if max_len is None:
         max_len = corpus.decode_budget()
+    elif fixed is not None and max_len != fixed:
+        raise ConfigurationError(
+            f"max_len {max_len} differs from the corpus's fixed target length {fixed}"
+        )
     inputs = [inp for inp, _ in corpus.pairs]
     config = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
     results, _ = _decode_pass(greedy_decode, teacher, inputs, config)

@@ -220,6 +220,11 @@ def _cmd_distill(args, seed: int) -> int:
     del seed  # greedy distillation is deterministic
     teacher = load_checkpoint(args.teacher)
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
+    fixed = corpus.fixed_target_len
+    if args.max_len is not None and fixed is not None and args.max_len != fixed:
+        raise ParseError(
+            f"--max-len {args.max_len} must equal the corpus's fixed target length {fixed}"
+        )
     distilled = distill_corpus(teacher, corpus, args.max_len)
     skipped = len(corpus) - len(distilled)
     if skipped:

@@ -2,7 +2,13 @@
 
 These models draw per-context logits from a counter-based RNG keyed on the
 full conditioning sequence, so scoring is deterministic, order-independent,
-and cheap. Three kinds cover the interesting regimes:
+and cheap. A table row is one or two seeded draws: the base head's logits
+and, with more than one head, the other heads' logits. Each draw's entropy
+is handed to ``SeedSequence`` as one uint32 array holding the 32-bit words
+that ``SeedSequence`` itself derives from the list ``[seed, salt,
+len(input), *input, split, *context]``, so every table matches the one
+drawn from that list by earlier versions. Token ids must lie in
+[0, 2**32). Three kinds cover the interesting regimes:
 
   random_table       every head is an independent random distribution, so
                      accepted block sizes land strictly between the extremes
@@ -32,6 +38,9 @@ _SALT_BASE = 101
 _SALT_HEADS = 202
 _SALT_SPLIT = 9999
 
+# largest uint32: a seed splits into words of this mask, and a token id is one word
+_UINT32_MAX = (1 << 32) - 1
+
 # entries each of a model's caches keeps before it evicts its oldest; the
 # perfbench synthetic-engine workload needs at most 4,454 table rows a model
 CACHE_ENTRIES = 1 << 15
@@ -44,6 +53,27 @@ def _remember(cache: dict, order: deque, key, value) -> None:
         del cache[order.popleft()]
     cache[key] = value
     order.append(key)
+
+
+def _uint32_words(n: int) -> list:
+    """The little-endian 32-bit words SeedSequence splits a non-negative
+    int into: [0] for 0, and one word per started 32 bits otherwise."""
+    words = [n & _UINT32_MAX]
+    n >>= 32
+    while n:
+        words.append(n & _UINT32_MAX)
+        n >>= 32
+    return words
+
+
+def _check_ids(input_tokens, context) -> None:
+    """Reject ids that are not one uint32 word before anything is drawn."""
+    for where, ids in (("input", input_tokens), ("context", context)):
+        if ids and (min(ids) < 0 or max(ids) > _UINT32_MAX):
+            bad = next(t for t in ids if not 0 <= t <= _UINT32_MAX)
+            raise ConfigurationError(
+                f"token id {bad} in the {where} is outside [0, 2**32)"
+            )
 
 
 class SyntheticTableModel(TableBackedModel):
@@ -60,6 +90,7 @@ class SyntheticTableModel(TableBackedModel):
             raise ConfigurationError("seed must be non-negative")
         self.kind = kind
         self.seed = int(seed)
+        self._seed_words = _uint32_words(self.seed)
         self.vocab_size = int(vocab_size)
         self.num_heads = int(num_heads)
         self._row_cache: dict = {}
@@ -68,7 +99,10 @@ class SyntheticTableModel(TableBackedModel):
         self._greedy_order: deque = deque()
 
     def _raw_logits(self, salt: int, input_tokens, context, shape) -> np.ndarray:
-        entropy = [self.seed, salt, len(input_tokens), *input_tokens, _SALT_SPLIT, *context]
+        entropy = np.array(
+            [*self._seed_words, salt, len(input_tokens), *input_tokens, _SALT_SPLIT, *context],
+            dtype=np.uint32,
+        )
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         return rng.normal(size=shape)
 
@@ -102,6 +136,7 @@ class SyntheticTableModel(TableBackedModel):
         cached = self._row_cache.get(key)
         if cached is not None:
             return cached
+        _check_ids(input_tokens, context)
         logits = np.empty((self.num_heads, self.vocab_size))
         if self.kind == "random_table":
             logits[0] = self._base_logits(input_tokens, context)
@@ -114,14 +149,16 @@ class SyntheticTableModel(TableBackedModel):
             if self.kind == "random_table":
                 logits[1:] = extra
             else:
+                # head h's rollout target (or the token after it) beats
+                # every other logit of its row by 1.0
                 rollout = self._greedy_rollout(input_tokens, context, self.num_heads)
-                for h in range(1, self.num_heads):
-                    target = rollout[h]
-                    if self.kind == "adversarial":
-                        target = (target + 1) % self.vocab_size
-                    row = extra[h - 1].copy()
-                    row[target] = row.max() + 1.0
-                    logits[h] = row
+                targets = np.array(rollout[1:])
+                if self.kind == "adversarial":
+                    targets = (targets + 1) % self.vocab_size
+                logits[1:] = extra
+                logits[np.arange(1, self.num_heads), targets] = (
+                    np.maximum.reduce(extra, axis=1) + 1.0
+                )
         table = log_softmax(logits)
         _remember(self._row_cache, self._row_order, key, table)
         return table

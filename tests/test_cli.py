@@ -8,9 +8,11 @@ import pytest
 
 from blockdec.criteria import AcceptanceCriterion
 from blockdec.errors import ParseError
+from blockdec.harness import cli as cli_module
 from blockdec.harness.cli import cli, parse_criterion
 from blockdec.harness.corpus import load_corpus
 from blockdec.models.checkpoint import load_checkpoint
+from blockdec.models.synthetic import make_synthetic_model
 
 
 class TestParseCriterion:
@@ -156,6 +158,27 @@ class TestDistill:
         inputs = {inp for inp, _ in original.pairs}
         assert all(inp in inputs for inp, _ in distilled.pairs)
         capsys.readouterr()
+
+    def test_max_len_off_a_fixed_length_corpus_fails_before_decoding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        corpus = tmp_path / "grid.json"
+        corpus.write_text(json.dumps({
+            "kind": "intensity_grid", "width": 2, "height": 2,
+            "pairs": [[[10, 20], [1, 2, 3, 4]], [[30], [250, 0, 128, 5]]],
+        }))
+        teacher = make_synthetic_model("random_table", seed=2, vocab_size=257, num_heads=1)
+        calls = []
+        score_grid = teacher.score_grid
+        teacher.score_grid = lambda *args: calls.append(args) or score_grid(*args)
+        monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: teacher)
+        out = tmp_path / "distilled.json"
+        code = cli(["distill", "--teacher", "teacher.ckpt", "--corpus", str(corpus),
+                    "--max-len", "3", "--out", str(out)])
+        assert code == 2
+        assert "--max-len 3" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestBench:

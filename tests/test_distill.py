@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blockdec.engine import DecodeConfig, greedy_decode
-from blockdec.errors import CorpusError, LengthError
+from blockdec.errors import ConfigurationError, CorpusError, LengthError
 from blockdec.harness.bench import distill_corpus
 from blockdec.harness.corpus import (
     Corpus,
@@ -102,6 +102,43 @@ class TestDistillCorpus:
             distill_corpus(model, corpus)
 
 
+def grid_corpus():
+    """A 2x2 intensity_grid corpus: every target has exactly 4 tokens."""
+    return Corpus(kind="intensity_grid",
+                  vocab=Vocab(size=257, sep_token=256, eos_token=None, intensity=True),
+                  pairs=(((10, 20), (1, 2, 3, 4)), ((30,), (250, 0, 128, 5))),
+                  fixed_target_len=4, meta={"width": 2, "height": 2})
+
+
+def counting_teacher(vocab_size):
+    """A table model that counts its score_grid calls in `.calls`."""
+    teacher = make_synthetic_model("random_table", seed=2, vocab_size=vocab_size,
+                                   num_heads=1)
+    teacher.calls = 0
+    score_grid = teacher.score_grid
+
+    def spy(*args):
+        teacher.calls += 1
+        return score_grid(*args)
+
+    teacher.score_grid = spy
+    return teacher
+
+
+class TestFixedLengthBudget:
+    def test_other_max_len_is_rejected_before_any_decode(self):
+        teacher = counting_teacher(257)
+        with pytest.raises(ConfigurationError, match="max_len 3 .* fixed target length 4"):
+            distill_corpus(teacher, grid_corpus(), max_len=3)
+        assert teacher.calls == 0
+
+    def test_the_fixed_length_itself_is_accepted(self):
+        teacher = counting_teacher(257)
+        distilled = distill_corpus(teacher, grid_corpus(), max_len=4)
+        assert distilled == distill_corpus(teacher, grid_corpus())
+        assert teacher.calls > 0
+
+
 class TestDistilledCorpusSaves:
     def test_pattern_corpus_round_trips(self, tmp_path):
         gold = make_pattern_corpus("repeat", alphabet=6, n_pairs=12, min_len=2,
@@ -117,10 +154,7 @@ class TestDistilledCorpusSaves:
         assert loaded.vocab == distilled.vocab
 
     def test_grid_corpus_keeps_fixed_length(self, tmp_path):
-        gold = Corpus(kind="intensity_grid",
-                      vocab=Vocab(size=257, sep_token=256, eos_token=None, intensity=True),
-                      pairs=(((10, 20), (1, 2, 3, 4)), ((30,), (250, 0, 128, 5))),
-                      fixed_target_len=4, meta={"width": 2, "height": 2})
+        gold = grid_corpus()
         teacher = make_synthetic_model("random_table", seed=2, vocab_size=257, num_heads=1)
         distilled = distill_corpus(teacher, gold)
         assert distilled.fixed_target_len == 4

@@ -11,6 +11,7 @@ from blockdec.engine import (
 from blockdec.criteria import EXACT
 from blockdec.errors import ConfigurationError
 from blockdec.models import synthetic
+from blockdec.models.base import log_softmax
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 
@@ -46,6 +47,76 @@ class TestDeterminism:
             m = make_synthetic_model(kind, seed=5, vocab_size=12, num_heads=4)
             table = m.head_logprobs((9,), (0, 1))
             np.testing.assert_allclose(np.exp(table).sum(axis=-1), 1.0, atol=1e-9)
+
+
+def reference_table(kind, seed, vocab_size, num_heads, inp, ctx):
+    """A table drawn the way every earlier version drew it: each draw seeded
+    from the Python list [seed, salt, len(inp), *inp, split, *context]."""
+
+    def draw(salt, context, shape):
+        entropy = [seed, salt, len(inp), *inp, synthetic._SALT_SPLIT, *context]
+        return np.random.default_rng(np.random.SeedSequence(entropy)).normal(size=shape)
+
+    logits = [draw(synthetic._SALT_BASE, ctx, vocab_size)]
+    if num_heads > 1:
+        extra = draw(synthetic._SALT_HEADS, ctx, (num_heads - 1, vocab_size))
+        if kind == "random_table":
+            logits.extend(extra)
+        else:
+            rollout, context = [], ctx
+            for _ in range(num_heads):
+                rollout.append(int(np.argmax(draw(synthetic._SALT_BASE, context, vocab_size))))
+                context += (rollout[-1],)
+            for h in range(1, num_heads):
+                target = rollout[h]
+                if kind == "adversarial":
+                    target = (target + 1) % vocab_size
+                row = extra[h - 1].copy()
+                row[target] = row.max() + 1.0
+                logits.append(row)
+    return log_softmax(np.array(logits))
+
+
+class TestTablesArePinned:
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**40 + 5])
+    def test_tables_match_list_seeded_draws(self, kind, seed):
+        long_context = tuple((7 * i + 3) % 16 for i in range(30))
+        for vocab_size, num_heads in ((16, 6), (16, 1), (5, 3)):
+            model = make_synthetic_model(kind, seed, vocab_size, num_heads)
+            for inp, ctx in (((3, 4), ()), ((), (1,)), ((9,), long_context)):
+                ctx = tuple(t % vocab_size for t in ctx)
+                want = reference_table(kind, seed, vocab_size, num_heads, inp, ctx)
+                got = model.head_logprobs(inp, ctx)
+                assert got.tobytes() == want.tobytes(), (vocab_size, num_heads, inp, ctx)
+
+    def test_seed_words_give_the_seed_sequence_of_the_int(self):
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**40 + 5, 2**70 + 3):
+            words = np.array(synthetic._uint32_words(seed), dtype=np.uint32)
+            np.testing.assert_array_equal(
+                np.random.SeedSequence(words).pool, np.random.SeedSequence([seed]).pool
+            )
+
+
+class TestBadIds:
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    @pytest.mark.parametrize("inp, ctx, bad", [
+        ((1, -3), (2,), "-3 in the input"),
+        ((1,), (2, -1, 4), "-1 in the context"),
+        ((2**32,), (), "4294967296 in the input"),
+    ])
+    def test_rejected_before_any_draw(self, kind, inp, ctx, bad):
+        model = make_synthetic_model(kind, seed=3, vocab_size=8, num_heads=4)
+        draws = []
+        model._raw_logits = lambda *args: draws.append(args)
+        with pytest.raises(ConfigurationError, match=bad):
+            model.head_logprobs(inp, ctx)
+        assert draws == []
+
+    def test_score_grid_rejects_a_negative_candidate(self):
+        model = make_synthetic_model("random_table", seed=3, vocab_size=8, num_heads=2)
+        with pytest.raises(ConfigurationError, match="token id -2"):
+            model.score_grid((1,), (0,), (3, -2), 2)
 
 
 def count_base_draws(model) -> Counter:
