@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-KINDS = ("exact", "top_k", "distance")
+# each kind's textual keys and the fields they set; min_block belongs to every kind
+PARAMS = {"exact": {}, "top_k": {"k": "top_k_k"}, "distance": {"eps": "epsilon"}}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,9 @@ class AcceptanceCriterion:
             raise ConfigurationError("min_block must be >= 1")
 
     def describe(self) -> str:
-        """Textual form, matching the CLI grammar (see harness.cli)."""
+        """Textual form in the ``PARAMS`` grammar, e.g. ``kind=top_k,k=2``."""
         parts = [f"kind={self.kind}"]
-        if self.kind == "top_k":
-            parts.append(f"k={self.top_k_k}")
-        if self.kind == "distance":
-            parts.append(f"eps={self.epsilon}")
+        parts += [f"{key}={getattr(self, name)}" for key, name in PARAMS[self.kind].items()]
         if self.min_block != 1:
             parts.append(f"min_block={self.min_block}")
         return ",".join(parts)

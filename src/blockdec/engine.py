@@ -10,22 +10,23 @@ accept loop:
   accept   extend the output by that prefix (at least one token per
            iteration, or the criterion's min_block floor) and repeat
 
-Three schemes run through the same loop and differ only in where each
-iteration's proposals come from. Greedy proposes one token with the base
-head and accepts it unverified. Standard blockwise decoding makes a
-separate predict call before each verify call. Combined blockwise decoding
-reads the next proposals from the verify grid row that matches the tokens
-just accepted, so only its first iteration makes a predict call. With the
-exact acceptance criterion the blockwise output is identical to greedy
-decoding token for token; the payoff is fewer model invocations.
+Three schemes, named in ``SCHEMES``, run through the same loop in
+:func:`decode` and differ only in where each iteration's proposals come
+from. Greedy proposes one token with the base head and accepts it
+unverified. Standard blockwise decoding makes a separate predict call
+before each verify call. Combined blockwise decoding reads the next
+proposals from the verify grid row that matches the tokens just accepted,
+so only its first iteration makes a predict call. With the exact
+acceptance criterion the blockwise output is identical to greedy decoding
+token for token; the payoff is fewer model invocations.
 
 Each decode runs inside ``model.session(input_tokens)``, so a model may
 keep state across the calls of one decode (TinyBlockModel keeps each
 layer's keys and values there). Every call still goes through
-``model.score_grid`` on the object the decode function was given.
+``model.score_grid`` on the object ``decode`` was given.
 
-All decode functions return a :class:`DecodeResult` whose accounting
-fields satisfy sum(accepted_sizes) == len(output) and
+``decode`` and its three one-scheme wrappers return a :class:`DecodeResult`
+whose accounting fields satisfy sum(accepted_sizes) == len(output) and
 iterations == len(accepted_sizes).
 """
 
@@ -41,6 +42,7 @@ from .criteria import AcceptanceCriterion, EXACT, accepted, apply_min_block
 from .errors import ConfigurationError, ModelContractError
 
 NORMALIZATION_TOL = 1e-5
+SCHEMES = ("greedy", "standard", "combined")
 
 
 @dataclass(frozen=True)
@@ -234,9 +236,11 @@ def _top2_margin(scores: BlockScores, row: int) -> float:
     return float(best - second)
 
 
-def _decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
-    """The predict / verify / accept loop shared by the three schemes
-    ("greedy", "standard", "combined"; see the module docstring)."""
+def decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
+    """Decode `input_tokens` with the scheme named, one of ``SCHEMES`` (see
+    the module docstring). A bad scheme or model fails before any call."""
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown decode scheme {scheme!r}, pick from {SCHEMES}")
     _check_model(model, config)
     input_tokens = tuple(input_tokens)
     k = 1 if scheme == "greedy" else config.block_size
@@ -299,7 +303,7 @@ def greedy_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
     One model invocation per output token. Serves as the correctness and
     timing baseline for the blockwise schemes.
     """
-    return _decode(model, input_tokens, config, "greedy")
+    return decode(model, input_tokens, config, "greedy")
 
 
 def blockwise_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
@@ -308,7 +312,7 @@ def blockwise_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:
     Each iteration costs two model invocations, so producing m tokens in
     blocks of k takes about 2m/k calls instead of greedy's m.
     """
-    return _decode(model, input_tokens, config, "standard")
+    return decode(model, input_tokens, config, "standard")
 
 
 def blockwise_decode_combined(model, input_tokens, config: DecodeConfig) -> DecodeResult:
@@ -320,4 +324,4 @@ def blockwise_decode_combined(model, input_tokens, config: DecodeConfig) -> Deco
     producing m tokens in blocks of k costs about m/k + 1 invocations: one
     initial proposal call plus one call per iteration.
     """
-    return _decode(model, input_tokens, config, "combined")
+    return decode(model, input_tokens, config, "combined")

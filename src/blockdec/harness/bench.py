@@ -26,11 +26,10 @@ from typing import Optional
 import numpy as np
 
 from ..criteria import EXACT
-from ..engine import DecodeConfig, blockwise_decode, blockwise_decode_combined, greedy_decode
+from ..engine import SCHEMES, DecodeConfig, decode
 from ..errors import BlockdecError, ConfigurationError, CorpusError
 from .corpus import Corpus, exact_match, mean_absolute_error, strip_eos, token_accuracy
 
-SCHEMES = ("combined", "standard")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -58,8 +57,8 @@ class BenchConfig:
             raise ConfigurationError("need at least one criterion")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}")
+        if self.scheme not in SCHEMES or self.scheme == "greedy":
+            raise ConfigurationError(f"bench runs standard or combined, not {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -72,22 +71,22 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
 
-def _decode_pass(decode_fn, model, inputs, config):
+def _decode_pass(model, inputs, config, scheme):
     """Decode every input once; returns (results, total wall clock ns)."""
     results = []
     for i, inp in enumerate(inputs):
         try:
-            results.append(decode_fn(model, inp, config))
+            results.append(decode(model, inp, config, scheme))
         except BlockdecError as exc:
             raise type(exc)(f"pair {i}: {exc}") from exc
     return results, sum(r.wall_clock_ns for r in results)
 
 
-def _median_time(decode_fn, model, inputs, config, repeats):
-    results, first = _decode_pass(decode_fn, model, inputs, config)
+def _median_time(model, inputs, config, scheme, repeats):
+    results, first = _decode_pass(model, inputs, config, scheme)
     times = [first]
     for _ in range(repeats - 1):
-        times.append(_decode_pass(decode_fn, model, inputs, config)[1])
+        times.append(_decode_pass(model, inputs, config, scheme)[1])
     return results, int(statistics.median(times))
 
 
@@ -125,11 +124,10 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
     golds = [tgt for _, tgt in pairs]
     eos = corpus.vocab.eos_token
     max_len = bench.max_len if bench.max_len is not None else corpus.decode_budget()
-    decode_fn = blockwise_decode_combined if bench.scheme == "combined" else blockwise_decode
 
     greedy_cfg = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
-    _decode_pass(greedy_decode, model, inputs, greedy_cfg)  # warm-up, untimed
-    greedy_results, greedy_ns = _median_time(greedy_decode, model, inputs, greedy_cfg, bench.repeats)
+    _decode_pass(model, inputs, greedy_cfg, "greedy")  # warm-up, untimed
+    greedy_results, greedy_ns = _median_time(model, inputs, greedy_cfg, "greedy", bench.repeats)
     greedy_outputs = [r.output for r in greedy_results]
 
     rows = []
@@ -142,7 +140,7 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
                 config = DecodeConfig(
                     block_size=k, max_len=max_len, criterion=criterion, eos_token=eos
                 )
-                results, total_ns = _median_time(decode_fn, model, inputs, config, bench.repeats)
+                results, total_ns = _median_time(model, inputs, config, bench.scheme, bench.repeats)
             tokens = sum(len(r.output) for r in results)
             iterations = sum(r.iterations for r in results)
             invocations = sum(r.model_invocations for r in results)
@@ -198,7 +196,7 @@ def distill_corpus(teacher, corpus: Corpus, max_len: Optional[int] = None) -> Co
         )
     inputs = [inp for inp, _ in corpus.pairs]
     config = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
-    results, _ = _decode_pass(greedy_decode, teacher, inputs, config)
+    results, _ = _decode_pass(teacher, inputs, config, "greedy")
     pairs = []
     for inp, result in zip(inputs, results):
         target = strip_eos(result.output, eos)

@@ -21,39 +21,28 @@ import os
 import sys
 
 from .. import __version__
-from ..criteria import AcceptanceCriterion
-from ..engine import (
-    DecodeConfig,
-    blockwise_decode,
-    blockwise_decode_combined,
-    greedy_decode,
-)
+from ..criteria import PARAMS, AcceptanceCriterion
+from ..engine import SCHEMES, DecodeConfig, decode
 from ..errors import BlockdecError, ParseError
 from ..models.checkpoint import load_checkpoint, save_checkpoint
 from ..models.neural import FreezeMask, PARTITIONS
 from ..models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
-from .bench import SCHEMES, BenchConfig, distill_corpus, run_bench
-from .corpus import decode_text, load_corpus, save_corpus, strip_eos
+from .bench import BenchConfig, distill_corpus, run_bench
+from .corpus import _text_vocab, decode_text, load_corpus, save_corpus, strip_eos
 from .report import FORMATS, emit_report
 from .training import TrainingConfig, default_model_config, train_model
 
-_CRITERION_KEYS = {"k": "top_k_k", "eps": "epsilon", "min_block": "min_block"}
-_KEYS_BY_KIND = {
-    "exact": {"min_block"},
-    "top_k": {"k", "min_block"},
-    "distance": {"eps", "min_block"},
-}
-
 
 def parse_criterion(text: str) -> AcceptanceCriterion:
-    """Parse the criterion grammar, e.g. `kind=top_k,k=2,min_block=1`."""
+    """Parse the criterion grammar of `criteria.PARAMS`, e.g.
+    `kind=top_k,k=2,min_block=1`."""
     fields = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            if part in _KEYS_BY_KIND and "kind" not in fields:
+            if part in PARAMS and "kind" not in fields:
                 fields["kind"] = part
                 continue
             raise ParseError(f"expected key=value in criterion, got {part!r}")
@@ -64,15 +53,16 @@ def parse_criterion(text: str) -> AcceptanceCriterion:
         fields[key] = value
     kind = fields.pop("kind", None)
     if kind is None:
-        raise ParseError("criterion needs kind=exact, kind=top_k or kind=distance")
-    if kind not in _KEYS_BY_KIND:
+        raise ParseError(f"criterion needs a kind, one of {', '.join(PARAMS)}")
+    if kind not in PARAMS:
         raise ParseError(f"unknown criterion kind {kind!r}")
+    names = {**PARAMS[kind], "min_block": "min_block"}
     kwargs = {"kind": kind}
     for key, value in fields.items():
-        if key not in _KEYS_BY_KIND[kind]:
+        if key not in names:
             raise ParseError(f"key {key!r} is not valid for kind={kind}")
         try:
-            kwargs[_CRITERION_KEYS[key]] = int(value)
+            kwargs[names[key]] = int(value)
         except ValueError:
             raise ParseError(f"criterion key {key} needs an integer, got {value!r}") from None
     return AcceptanceCriterion(**kwargs)
@@ -159,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--block-size", type=int, default=4)
     dec.add_argument("--criterion", default="kind=exact")
     dec.add_argument("--max-len", type=int, default=32)
-    dec.add_argument("--scheme", choices=SCHEMES + ("greedy",), default="combined")
+    dec.add_argument("--scheme", choices=SCHEMES, default="combined")
     dec.add_argument("--vocab-size", type=int, default=16, help="synthetic model vocabulary")
     dec.add_argument("--check-greedy", action="store_true",
                      help="also run greedy decoding and compare outputs")
@@ -237,11 +227,12 @@ def _cmd_distill(args, seed: int) -> int:
 
 def _token_renderer(model):
     cfg = getattr(model, "config", None)
-    if cfg is not None and cfg.vocab_size == 258 and cfg.sep_token == 256:
+    text = _text_vocab()
+    if cfg is not None and cfg.vocab_size == text.size and cfg.sep_token == text.sep_token:
         def render(t):
-            if t == 256:
+            if t == text.sep_token:
                 return "<sep>"
-            if t == 257:
+            if t == text.eos_token:
                 return "<eos>"
             if 32 <= t < 127:
                 return chr(t)
@@ -272,12 +263,7 @@ def _cmd_decode(args, seed: int) -> int:
         criterion=parse_criterion(args.criterion),
         eos_token=eos,
     )
-    decoders = {
-        "combined": blockwise_decode_combined,
-        "standard": blockwise_decode,
-        "greedy": greedy_decode,
-    }
-    result = decoders[args.scheme](model, source, config)
+    result = decode(model, source, config, args.scheme)
     render, is_text = _token_renderer(model)
     if not args.no_trace:
         pos = 0
@@ -295,7 +281,7 @@ def _cmd_decode(args, seed: int) -> int:
         f"{result.wall_clock_ns / 1e6:.2f} ms"
     )
     if args.check_greedy:
-        greedy = greedy_decode(model, source, config)
+        greedy = decode(model, source, config, "greedy")
         match = greedy.output == result.output
         print(f"matches greedy: {match} "
               f"({greedy.model_invocations} greedy invocations)")

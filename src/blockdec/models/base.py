@@ -19,6 +19,15 @@ from ..engine import BlockScores
 from ..errors import ConfigurationError
 
 
+def check_token_ids(ids, vocab_size: int, where: str) -> None:
+    """Raise ConfigurationError naming the first id outside [0, vocab_size) and `where` it is."""
+    if ids and (min(ids) < 0 or max(ids) >= vocab_size):
+        bad = next(t for t in ids if not 0 <= t < vocab_size)
+        raise ConfigurationError(
+            f"token id {bad} in the {where} is outside the vocabulary [0, {vocab_size})"
+        )
+
+
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis, computed in float64."""
     x = np.asarray(logits, dtype=np.float64)

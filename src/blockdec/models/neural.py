@@ -48,7 +48,7 @@ import numpy as np
 
 from ..engine import BlockScores
 from ..errors import ConfigurationError, LengthError, NumericError
-from .base import ScoringModel, log_softmax
+from .base import ScoringModel, check_token_ids, log_softmax
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e9
@@ -231,10 +231,11 @@ class TinyBlockModel(ScoringModel):
     # ---- forward passes ----
 
     def _compose(self, input_tokens, prefix, candidates) -> tuple:
-        ids = tuple(input_tokens) + (self.config.sep_token,) + tuple(prefix) + tuple(candidates)
-        if min(ids) < 0 or max(ids) >= self.vocab_size:
-            raise ConfigurationError("token id outside vocabulary")
-        return ids
+        input_tokens, prefix, candidates = tuple(input_tokens), tuple(prefix), tuple(candidates)
+        check_token_ids(input_tokens, self.vocab_size, "input")
+        check_token_ids(prefix, self.vocab_size, "prefix")
+        check_token_ids(candidates, self.vocab_size, "candidates")
+        return input_tokens + (self.config.sep_token,) + prefix + candidates
 
     def _qkv_weights(self) -> list:
         """Each layer's query, key and value weights side by side, (D, 3D)."""
@@ -448,9 +449,9 @@ class TrainBatch:
             tgt = tuple(int(t) for t in tgt)
             if not tgt:
                 raise ConfigurationError("every training pair needs a non-empty target")
+            check_token_ids(inp, config.vocab_size, f"input of pair {row}")
+            check_token_ids(tgt, config.vocab_size, f"target of pair {row}")
             composed = inp + (config.sep_token,) + tgt
-            if any(not 0 <= t < config.vocab_size for t in composed):
-                raise ConfigurationError("token id outside vocabulary")
             if len(composed) > c:
                 raise LengthError(
                     f"composed sequence of {len(composed)} tokens exceeds context {c}"

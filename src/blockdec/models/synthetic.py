@@ -7,8 +7,10 @@ and, with more than one head, the other heads' logits. Each draw's entropy
 is handed to ``SeedSequence`` as one uint32 array holding the 32-bit words
 that ``SeedSequence`` itself derives from the list ``[seed, salt,
 len(input), *input, split, *context]``, so every table matches the one
-drawn from that list by earlier versions. Token ids must lie in
-[0, 2**32). Three kinds cover the interesting regimes:
+drawn from that list by earlier versions. Token ids must lie in the
+vocabulary, [0, vocab_size); a row is checked before it is first drawn,
+and any vocabulary small enough to draw keeps each id within one word.
+Three kinds cover the interesting regimes:
 
   random_table       every head is an independent random distribution, so
                      accepted block sizes land strictly between the extremes
@@ -29,7 +31,7 @@ from collections import deque
 import numpy as np
 
 from ..errors import ConfigurationError
-from .base import TableBackedModel, log_softmax
+from .base import TableBackedModel, check_token_ids, log_softmax
 
 SYNTHETIC_KINDS = ("random_table", "perfect_proposals", "adversarial")
 
@@ -38,7 +40,7 @@ _SALT_BASE = 101
 _SALT_HEADS = 202
 _SALT_SPLIT = 9999
 
-# largest uint32: a seed splits into words of this mask, and a token id is one word
+# largest uint32: a seed splits into words of this mask
 _UINT32_MAX = (1 << 32) - 1
 
 # entries each of a model's caches keeps before it evicts its oldest; the
@@ -64,16 +66,6 @@ def _uint32_words(n: int) -> list:
         words.append(n & _UINT32_MAX)
         n >>= 32
     return words
-
-
-def _check_ids(input_tokens, context) -> None:
-    """Reject ids that are not one uint32 word before anything is drawn."""
-    for where, ids in (("input", input_tokens), ("context", context)):
-        if ids and (min(ids) < 0 or max(ids) > _UINT32_MAX):
-            bad = next(t for t in ids if not 0 <= t <= _UINT32_MAX)
-            raise ConfigurationError(
-                f"token id {bad} in the {where} is outside [0, 2**32)"
-            )
 
 
 class SyntheticTableModel(TableBackedModel):
@@ -136,7 +128,8 @@ class SyntheticTableModel(TableBackedModel):
         cached = self._row_cache.get(key)
         if cached is not None:
             return cached
-        _check_ids(input_tokens, context)
+        check_token_ids(input_tokens, self.vocab_size, "input")
+        check_token_ids(context, self.vocab_size, "context")
         logits = np.empty((self.num_heads, self.vocab_size))
         if self.kind == "random_table":
             logits[0] = self._base_logits(input_tokens, context)

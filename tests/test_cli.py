@@ -7,11 +7,15 @@ import re
 import pytest
 
 from blockdec.criteria import AcceptanceCriterion
+from blockdec.engine import (
+    SCHEMES, DecodeConfig, blockwise_decode, blockwise_decode_combined, greedy_decode,
+)
 from blockdec.errors import ParseError
 from blockdec.harness import cli as cli_module
 from blockdec.harness.cli import cli, parse_criterion
-from blockdec.harness.corpus import load_corpus
+from blockdec.harness.corpus import BYTE_EOS, BYTE_SEP, _text_vocab, load_corpus
 from blockdec.models.checkpoint import load_checkpoint
+from blockdec.models.neural import ModelConfig, TinyBlockModel
 from blockdec.models.synthetic import make_synthetic_model
 
 
@@ -131,6 +135,20 @@ class TestDecode:
             outputs.append(capsys.readouterr().out.splitlines()[0])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_scheme_runs_its_wrapper(self, scheme, capsys):
+        wrapper = {"greedy": greedy_decode, "standard": blockwise_decode,
+                   "combined": blockwise_decode_combined}[scheme]
+        code = cli(["decode", "--synthetic", "random_table", "--tokens", "3,5",
+                    "--block-size", "4", "--max-len", "12", "--seed", "4",
+                    "--scheme", scheme, "--no-trace"])
+        out = capsys.readouterr().out
+        model = make_synthetic_model("random_table", seed=4, vocab_size=16, num_heads=4)
+        want = wrapper(model, (3, 5), DecodeConfig(block_size=4, max_len=12))
+        assert code == 0
+        assert f"output: {','.join(map(str, want.output))}\n" in out
+        assert f"{want.model_invocations} model invocations" in out
+
     def test_env_seed_fallback(self, capsys, monkeypatch):
         args = ["decode", "--synthetic", "random_table", "--tokens", "7",
                 "--block-size", "2", "--max-len", "6", "--no-trace"]
@@ -140,6 +158,32 @@ class TestDecode:
         monkeypatch.delenv("BLOCKDEC_SEED")
         assert cli([*args, "--seed", "9"]) == 0
         assert from_env == capsys.readouterr().out.splitlines()[0]
+
+
+class TestTextRendering:
+    def test_decode_prints_bytes_markers_and_text(self, capsys, monkeypatch):
+        text = _text_vocab()
+        config = ModelConfig(vocab_size=text.size, d_model=8, d_hidden=8, num_heads=2,
+                             num_layers=1, max_context=24, sep_token=text.sep_token,
+                             eos_token=text.eos_token)
+        # an untrained model whose decode of "ab" holds printable and other
+        # bytes, a separator and, last, an end token
+        model = TinyBlockModel(config, seed=526)
+        monkeypatch.setattr(cli_module, "load_checkpoint", lambda path: model)
+        code = cli(["decode", "--model", "model.ckpt", "--input", "ab",
+                    "--block-size", "2", "--max-len", "20"])
+        out = capsys.readouterr().out
+        want = greedy_decode(model, tuple(b"ab"),
+                             DecodeConfig(block_size=1, max_len=20, eos_token=BYTE_EOS)).output
+        assert code == 0
+        assert BYTE_SEP in want and want[-1] == BYTE_EOS
+        assert any(32 <= t < 127 for t in want) and any(128 <= t < 256 for t in want)
+        names = {BYTE_SEP: "<sep>", BYTE_EOS: "<eos>"}
+        rendered = [names.get(t) or (chr(t) if 32 <= t < 127 else f"\\x{t:02x}") for t in want]
+        traced = re.findall(r"^Step \d+: \d+ tokens \[(.*)\]$", out, re.M)
+        assert ", ".join(traced) == ", ".join(rendered)
+        decoded = bytes(t for t in want if t < 256).decode("utf-8", errors="replace")
+        assert f"output: {decoded}\n" in out
 
 
 class TestDistill:
@@ -207,6 +251,12 @@ class TestBench:
         assert out.startswith("### synthetic_pattern")
         assert "| k | criterion |" in out
 
+    def test_greedy_scheme_is_refused(self, workspace, capsys):
+        code = cli(["bench", "--synthetic", "random_table", "--corpus", str(workspace["corpus"]),
+                    "--scheme", "greedy"])
+        assert code == 2
+        assert "'greedy'" in capsys.readouterr().err
+
 
 class TestErrors:
     def test_missing_corpus_file(self, capsys):
@@ -231,6 +281,12 @@ class TestErrors:
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "1,-2"])
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
+
+    def test_token_outside_the_vocabulary(self, capsys):
+        code = cli(["decode", "--synthetic", "random_table", "--tokens", "100",
+                    "--vocab-size", "16"])
+        assert code == 2
+        assert "token id 100 in the input" in capsys.readouterr().err
 
     def test_min_block_is_set_through_the_criterion(self, capsys):
         code = cli(["decode", "--synthetic", "adversarial", "--tokens", "1",

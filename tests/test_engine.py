@@ -10,6 +10,7 @@ from blockdec.engine import (
     DecodeResult,
     blockwise_decode,
     blockwise_decode_combined,
+    decode,
     greedy_decode,
     predict_block,
     verify_block,
@@ -142,8 +143,9 @@ class TestVerifyAndPredict:
         for seed in range(50):
             model = make_synthetic_model("random_table", seed=seed, vocab_size=12, num_heads=6)
             prefix = tuple(rng.integers(0, 12, size=rng.integers(0, 4)).tolist())
-            proposals, _ = predict_block(model, (seed,), prefix, 5)
-            grid = model.score_grid((seed,), prefix, proposals, 5)
+            inp = (seed % 12,)
+            proposals, _ = predict_block(model, inp, prefix, 5)
+            grid = model.score_grid(inp, prefix, proposals, 5)
             for crit in (EXACT, top_k(2), top_k(4), distance(1), distance(3)):
                 assert verify_block(grid, proposals, crit) == naive_k_hat(grid, proposals, crit)
 
@@ -229,8 +231,9 @@ class TestGreedyEquivalence:
         for seed in range(20):
             model = make_synthetic_model("random_table", seed=seed, vocab_size=16, num_heads=4)
             config = DecodeConfig(block_size=4, max_len=16, criterion=top_k(3))
-            base = greedy_decode(model, (seed,), DecodeConfig(block_size=1, max_len=16))
-            out = blockwise_decode_combined(model, (seed,), config)
+            inp = (seed % 16,)
+            base = greedy_decode(model, inp, DecodeConfig(block_size=1, max_len=16))
+            out = blockwise_decode_combined(model, inp, config)
             changed += out.output != base.output
         assert changed > 0
 
@@ -364,6 +367,15 @@ class TestModelChecks:
             blockwise_decode_combined(model, (1,), config)
         model.intensity_vocab = True
         blockwise_decode_combined(model, (1,), config)
+
+    def test_unknown_scheme_fails_before_any_model_call(self):
+        model = make_synthetic_model("random_table", seed=0, vocab_size=8, num_heads=4)
+        calls = []
+        score_grid = model.score_grid
+        model.score_grid = lambda *args: calls.append(args) or score_grid(*args)
+        with pytest.raises(ConfigurationError, match="'turbo'"):
+            decode(model, (1,), DecodeConfig(block_size=4, max_len=8), "turbo")
+        assert calls == []
 
     def test_accounting_invariants_on_every_scheme(self):
         for seed in range(10):

@@ -175,8 +175,12 @@ class TestScoreGrid:
 
     def test_out_of_vocab_token_rejected(self):
         model = TinyBlockModel(small_config(), seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"token id 12 in the input .* \[0, 12\)"):
             model.score_grid((12,), (), (), 2)
+        with pytest.raises(ConfigurationError, match="token id -1 in the candidates"):
+            model.score_grid((1,), (2,), (3, -1), 2)
+        with pytest.raises(ConfigurationError, match="token id 12 in the target of pair 1"):
+            TrainBatch.from_pairs([((1,), (2,)), ((1,), (3, 12))], model.config)
 
     def test_too_many_heads_rejected(self):
         model = TinyBlockModel(small_config(), seed=0)

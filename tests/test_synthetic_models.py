@@ -85,6 +85,7 @@ class TestTablesArePinned:
         for vocab_size, num_heads in ((16, 6), (16, 1), (5, 3)):
             model = make_synthetic_model(kind, seed, vocab_size, num_heads)
             for inp, ctx in (((3, 4), ()), ((), (1,)), ((9,), long_context)):
+                inp = tuple(t % vocab_size for t in inp)
                 ctx = tuple(t % vocab_size for t in ctx)
                 want = reference_table(kind, seed, vocab_size, num_heads, inp, ctx)
                 got = model.head_logprobs(inp, ctx)
@@ -104,6 +105,8 @@ class TestBadIds:
         ((1, -3), (2,), "-3 in the input"),
         ((1,), (2, -1, 4), "-1 in the context"),
         ((2**32,), (), "4294967296 in the input"),
+        ((1, 8), (2,), r"token id 8 in the input is outside the vocabulary \[0, 8\)"),
+        ((1,), (2, 8, 4), "8 in the context"),
     ])
     def test_rejected_before_any_draw(self, kind, inp, ctx, bad):
         model = make_synthetic_model(kind, seed=3, vocab_size=8, num_heads=4)
@@ -111,6 +114,16 @@ class TestBadIds:
         model._raw_logits = lambda *args: draws.append(args)
         with pytest.raises(ConfigurationError, match=bad):
             model.head_logprobs(inp, ctx)
+        assert draws == []
+
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    def test_score_grid_rejects_a_candidate_at_the_vocabulary_size(self, kind):
+        model = make_synthetic_model(kind, seed=3, vocab_size=8, num_heads=4)
+        model.score_grid((1,), (0,), (3,), 4)  # the rows before the bad candidate
+        draws = []
+        model._raw_logits = lambda *args: draws.append(args)
+        with pytest.raises(ConfigurationError, match="token id 8 in the context"):
+            model.score_grid((1,), (0,), (3, 8), 4)
         assert draws == []
 
     def test_score_grid_rejects_a_negative_candidate(self):
