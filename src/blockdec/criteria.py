@@ -44,6 +44,11 @@ class AcceptanceCriterion:
             raise ConfigurationError("epsilon must be a non-negative integer")
         if self.min_block < 1:
             raise ConfigurationError("min_block must be >= 1")
+        # another kind's field keeps its default: equal descriptions, equal criteria
+        for kind, names in PARAMS.items():
+            for name in names.values():
+                if kind != self.kind and getattr(self, name) != getattr(type(self), name):
+                    raise ConfigurationError(f"{name} does not apply to kind={self.kind}")
 
     def describe(self) -> str:
         """Textual form in the ``PARAMS`` grammar, e.g. ``kind=top_k,k=2``."""

@@ -119,6 +119,7 @@ def _quality(outputs, golds, eos_token, metric):
 
 def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> BenchReport:
     """Benchmark a model over a corpus across the configuration grid."""
+    corpus.check_model(model)
     pairs = corpus.pairs[: bench.max_pairs] if bench.max_pairs else corpus.pairs
     inputs = [inp for inp, _ in pairs]
     golds = [tgt for _, tgt in pairs]
@@ -186,6 +187,7 @@ def distill_corpus(teacher, corpus: Corpus, max_len: Optional[int] = None) -> Co
     meta carry over, so the result saves like the original. A fixed-length
     corpus keeps its length, so there `max_len` may only be that length.
     """
+    corpus.check_model(teacher)
     eos = corpus.vocab.eos_token
     fixed = corpus.fixed_target_len
     if max_len is None:

@@ -12,6 +12,8 @@ Criteria are written as comma-separated key=value lists, for example
 kind name is accepted as shorthand. The criterion's `min_block` is the only
 floor on tokens accepted per iteration. The global --seed falls back to the
 BLOCKDEC_SEED environment variable, then to 0.
+A --synthetic model gets as many heads as the largest block size asked for.
+bench and distill refuse a model whose vocabulary differs from the corpus's.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..models.checkpoint import load_checkpoint, save_checkpoint
 from ..models.neural import FreezeMask, PARTITIONS
 from ..models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 from .bench import BenchConfig, distill_corpus, run_bench
-from .corpus import _text_vocab, decode_text, load_corpus, save_corpus, strip_eos
+from .corpus import _text_vocab, decode_text, encode_text, load_corpus, save_corpus, strip_eos
 from .report import FORMATS, emit_report
 from .training import TrainingConfig, default_model_config, train_model
 
@@ -114,6 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--report-format", choices=FORMATS, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
+    source = argparse.ArgumentParser(add_help=False)
+    model = source.add_mutually_exclusive_group(required=True)
+    model.add_argument("--model", help="model checkpoint")
+    model.add_argument("--synthetic", choices=SYNTHETIC_KINDS, help="use a seeded table model")
     sub = parser.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("train", help="train a k-head model on a corpus", parents=[common])
@@ -139,10 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--max-len", type=int, default=None)
 
     dec = sub.add_parser("decode", help="decode one input, printing the block trace",
-                         parents=[common])
-    src = dec.add_mutually_exclusive_group(required=True)
-    src.add_argument("--model", help="model checkpoint")
-    src.add_argument("--synthetic", choices=SYNTHETIC_KINDS, help="use a seeded table model")
+                         parents=[common, source])
     what = dec.add_mutually_exclusive_group(required=True)
     what.add_argument("--input", help="input text (byte tokens)")
     what.add_argument("--tokens", help="input token ids, comma separated")
@@ -156,10 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--no-trace", action="store_true")
 
     b = sub.add_parser("bench", help="benchmark decode configurations over a corpus",
-                       parents=[common])
-    bsrc = b.add_mutually_exclusive_group(required=True)
-    bsrc.add_argument("--model", help="model checkpoint")
-    bsrc.add_argument("--synthetic", choices=SYNTHETIC_KINDS, help="use a seeded table model")
+                       parents=[common, source])
     b.add_argument("--corpus", required=True)
     b.add_argument("--corpus-kind", default=None)
     b.add_argument("--block-sizes", default="1,2,4,8")
@@ -169,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--max-pairs", type=int, default=None)
     b.add_argument("--max-len", type=int, default=None)
     b.add_argument("--scheme", choices=SCHEMES, default="combined")
-    b.add_argument("--heads", type=int, default=None, help="synthetic model heads")
     return parser
 
 
@@ -210,11 +209,6 @@ def _cmd_distill(args, seed: int) -> int:
     del seed  # greedy distillation is deterministic
     teacher = load_checkpoint(args.teacher)
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
-    fixed = corpus.fixed_target_len
-    if args.max_len is not None and fixed is not None and args.max_len != fixed:
-        raise ParseError(
-            f"--max-len {args.max_len} must equal the corpus's fixed target length {fixed}"
-        )
     distilled = distill_corpus(teacher, corpus, args.max_len)
     skipped = len(corpus) - len(distilled)
     if skipped:
@@ -241,22 +235,22 @@ def _token_renderer(model):
     return str, False
 
 
-def _cmd_decode(args, seed: int) -> int:
+def _model(args, seed: int, vocab_size: int, block_sizes):
+    """The --model checkpoint, or a --synthetic model with a head per block position."""
     if args.model:
-        model = load_checkpoint(args.model)
-        eos = model.config.eos_token
-    else:
-        heads = max(args.block_size, 2)
-        model = make_synthetic_model(
-            args.synthetic, seed=seed, vocab_size=args.vocab_size, num_heads=heads
-        )
-        eos = None
+        return load_checkpoint(args.model)
+    return make_synthetic_model(
+        args.synthetic, seed=seed, vocab_size=vocab_size, num_heads=max(block_sizes)
+    )
+
+
+def _cmd_decode(args, seed: int) -> int:
+    model = _model(args, seed, args.vocab_size, (args.block_size,))
+    eos = model.config.eos_token if args.model else None
     if args.tokens:
         source = _parse_int_list(args.tokens, "--tokens")
-        if any(t < 0 for t in source):
-            raise ParseError(f"--tokens ids must be non-negative, got {args.tokens!r}")
     else:
-        source = tuple(args.input.encode("utf-8"))
+        source = encode_text(args.input)
     config = DecodeConfig(
         block_size=args.block_size,
         max_len=args.max_len,
@@ -297,13 +291,6 @@ def _cmd_bench(args, seed: int) -> int:
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
     block_sizes = _parse_int_list(args.block_sizes, "--block-sizes")
     criteria = tuple(parse_criterion(c) for c in args.criteria.split(";") if c.strip())
-    if args.model:
-        model = load_checkpoint(args.model)
-    else:
-        heads = args.heads or max(block_sizes)
-        model = make_synthetic_model(
-            args.synthetic, seed=seed, vocab_size=corpus.vocab.size, num_heads=heads
-        )
     bench = BenchConfig(
         block_sizes=block_sizes,
         criteria=criteria,
@@ -312,6 +299,7 @@ def _cmd_bench(args, seed: int) -> int:
         max_len=args.max_len,
         scheme=args.scheme,
     )
+    model = _model(args, seed, corpus.vocab.size, bench.block_sizes)
     report = run_bench(model, corpus, bench)
     text = emit_report(report, args.report_format)
     if args.out:
@@ -336,10 +324,7 @@ def cli(argv=None) -> int:
             "bench": _cmd_bench,
         }[args.command]
         return command(args, seed)
-    except BlockdecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BlockdecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

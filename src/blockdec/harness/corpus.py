@@ -34,9 +34,15 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigurationError, CorpusError, ParseError
+from ..models.base import check_token_ids
 
 KINDS = ("text_char", "synthetic_pattern", "intensity_grid")
-PATTERN_RULES = ("repeat", "reverse", "sort")
+# each pattern rule's target for an input, before it is repeated `copies` times
+PATTERN_RULES = {
+    "repeat": lambda inp: inp,
+    "reverse": lambda inp: tuple(reversed(inp)),
+    "sort": lambda inp: tuple(sorted(inp)),
+}
 
 BYTE_SEP = 256
 BYTE_EOS = 257
@@ -84,13 +90,14 @@ class Corpus:
             for inp, tgt in self.pairs
         )
         object.__setattr__(self, "pairs", pairs)
-        limit = self.vocab.size
-        for inp, tgt in pairs:
+        for i, (inp, tgt) in enumerate(pairs):
             if not tgt:
                 raise CorpusError("corpus contains an empty target")
-            for t in inp + tgt:
-                if not 0 <= t < limit:
-                    raise CorpusError(f"token id {t} outside vocabulary of {limit}")
+            try:
+                check_token_ids(inp, self.vocab.size, f"input of pair {i}")
+                check_token_ids(tgt, self.vocab.size, f"target of pair {i}")
+            except ConfigurationError as exc:
+                raise CorpusError(str(exc)) from None
             if self.fixed_target_len is not None and len(tgt) != self.fixed_target_len:
                 raise CorpusError(
                     f"target of {len(tgt)} tokens in a fixed-length corpus of "
@@ -104,21 +111,29 @@ class Corpus:
     def quality_metric(self) -> str:
         return "mean_absolute_error" if self.kind == "intensity_grid" else "token_accuracy"
 
-    def max_target_len(self) -> int:
-        return max(len(t) for _, t in self.pairs)
-
     def decode_budget(self) -> int:
         """Tokens a decode of this corpus's inputs may produce: the fixed
         target length, else the longest target plus room for the end token
         when the vocabulary has one."""
         if self.fixed_target_len is not None:
             return self.fixed_target_len
-        return self.max_target_len() + (1 if self.vocab.eos_token is not None else 0)
+        longest = max(len(t) for _, t in self.pairs)
+        return longest + (1 if self.vocab.eos_token is not None else 0)
 
     def max_composed_len(self) -> int:
         """Longest input + SEP + target (+ end token) in the corpus."""
         extra = 2 if self.vocab.eos_token is not None else 1
         return max(len(i) + len(t) + extra for i, t in self.pairs)
+
+    def check_model(self, model) -> None:
+        """Raise ConfigurationError unless `model` has this corpus's vocabulary
+        size and, if it places its own separator (`config.sep_token`), separator."""
+        sep = getattr(getattr(model, "config", None), "sep_token", None)
+        if model.vocab_size != self.vocab.size or sep not in (None, self.vocab.sep_token):
+            raise ConfigurationError(
+                f"model vocabulary ({model.vocab_size} tokens, separator {sep}) differs from "
+                f"the corpus's ({self.vocab.size} tokens, separator {self.vocab.sep_token})"
+            )
 
 
 # ---- text_char ----
@@ -198,18 +213,6 @@ def _pattern_vocab(alphabet: int) -> Vocab:
     return Vocab(size=alphabet + 2, sep_token=alphabet, eos_token=alphabet + 1)
 
 
-def _apply_rule(rule: str, inp: tuple, copies: int) -> tuple:
-    if rule == "repeat":
-        base = inp
-    elif rule == "reverse":
-        base = tuple(reversed(inp))
-    elif rule == "sort":
-        base = tuple(sorted(inp))
-    else:
-        raise CorpusError(f"unknown pattern rule {rule!r}")
-    return base * copies
-
-
 def make_pattern_corpus(
     rule: str,
     alphabet: int,
@@ -222,6 +225,8 @@ def make_pattern_corpus(
 ) -> Corpus:
     """Generate a pattern corpus whose targets follow `rule` applied to the
     input, with `noise` probability of corrupting each target token."""
+    if rule not in PATTERN_RULES:
+        raise CorpusError(f"unknown pattern rule {rule!r}")
     if not 1 <= min_len <= max_len:
         raise CorpusError("need 1 <= min_len <= max_len")
     if copies < 1:
@@ -236,7 +241,7 @@ def make_pattern_corpus(
     for _ in range(n_pairs):
         length = int(rng.integers(min_len, max_len + 1))
         inp = tuple(rng.integers(0, alphabet, size=length).tolist())
-        tgt = list(_apply_rule(rule, inp, copies))
+        tgt = list(PATTERN_RULES[rule](inp) * copies)
         for i in range(len(tgt)):
             if noise > 0.0 and rng.random() < noise:
                 tgt[i] = int(rng.integers(0, alphabet))
@@ -300,6 +305,10 @@ def _pairs_from_json(raw) -> tuple:
         inp, tgt = item
         if not (isinstance(inp, list) and isinstance(tgt, list)):
             raise CorpusError(f"pair {i} fields must be token lists")
+        # bool is an int subclass, and int() would pass 1.9 or "3"
+        bad = [t for t in inp + tgt if type(t) is not int]
+        if bad:
+            raise CorpusError(f"pair {i} holds {json.dumps(bad[0])}, not an integer token id")
         pairs.append((tuple(inp), tuple(tgt)))
     return tuple(pairs)
 
@@ -315,21 +324,20 @@ def load_corpus(path, kind: Optional[str] = None) -> Corpus:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
+    doc = None
+    if kind != "text_char" and (kind in KINDS or (kind is None and stripped.startswith("{"))):
+        try:
+            doc = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON corpus: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("a JSON corpus must be an object")
     if kind is None:
-        kind = "text_char"
-        if stripped.startswith("{"):
-            try:
-                kind = json.loads(stripped).get("kind", "")
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON corpus: {exc}") from exc
+        kind = "text_char" if doc is None else doc.get("kind", "")
     if kind == "text_char":
         return _load_text_char(text)
     if kind not in KINDS:
         raise CorpusError(f"unknown corpus kind {kind!r}")
-    try:
-        doc = json.loads(stripped)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON corpus: {exc}") from exc
     if doc.get("kind") != kind:
         raise CorpusError(f"corpus declares kind {doc.get('kind')!r}, expected {kind!r}")
     if kind == "synthetic_pattern":

@@ -110,9 +110,8 @@ def train_model(
         if model_config is None:
             model_config = default_model_config(corpus)
         model = TinyBlockModel(model_config, seed=training.seed)
+    corpus.check_model(model)
     cfg = model.config
-    if cfg.vocab_size != corpus.vocab.size or cfg.sep_token != corpus.vocab.sep_token:
-        raise ConfigurationError("model vocabulary does not match the corpus")
     pairs = training_pairs(corpus)
     rng = np.random.default_rng(training.seed)
     losses = []

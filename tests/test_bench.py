@@ -200,6 +200,57 @@ class TestDecodeErrors:
             run_bench(model, corpus, BenchConfig(block_sizes=(1,), repeats=1))
 
 
+def counted(model):
+    """`model` with its score_grid calls counted in `.calls`."""
+    model.calls = 0
+    score_grid = model.score_grid
+
+    def spy(*args):
+        model.calls += 1
+        return score_grid(*args)
+
+    model.score_grid = spy
+    return model
+
+
+class TestVocabularyMatch:
+    """run_bench refuses a model of another vocabulary before any decode."""
+
+    def test_mismatched_checkpoint_is_rejected_before_scoring(self):
+        from blockdec.models.neural import ModelConfig, TinyBlockModel
+
+        model = counted(TinyBlockModel(ModelConfig(
+            vocab_size=10, d_model=4, d_hidden=4, num_heads=2, num_layers=1,
+            max_context=16, sep_token=8, eos_token=9)))
+        corpus = make_pattern_corpus("repeat", alphabet=6, n_pairs=4, min_len=2,
+                                     max_len=3, seed=0)
+        with pytest.raises(ConfigurationError,
+                           match=r"model vocabulary \(10 tokens, separator 8\) differs "
+                                 r"from the corpus's \(8 tokens, separator 6\)"):
+            run_bench(model, corpus, BenchConfig(block_sizes=(1, 2), repeats=1))
+        assert model.calls == 0
+
+    def test_separator_counts_for_a_checkpoint(self):
+        from blockdec.models.neural import ModelConfig, TinyBlockModel
+
+        model = counted(TinyBlockModel(ModelConfig(
+            vocab_size=8, d_model=4, d_hidden=4, num_heads=2, num_layers=1,
+            max_context=16, sep_token=7, eos_token=6)))
+        corpus = make_pattern_corpus("repeat", alphabet=6, n_pairs=4, min_len=2,
+                                     max_len=3, seed=0)
+        with pytest.raises(ConfigurationError, match="separator 7"):
+            run_bench(model, corpus, BenchConfig(block_sizes=(1,), repeats=1))
+        assert model.calls == 0
+
+    def test_table_model_of_another_size_is_rejected(self):
+        model = counted(make_synthetic_model("random_table", seed=0, vocab_size=16,
+                                             num_heads=2))
+        with pytest.raises(ConfigurationError,
+                           match=r"\(16 tokens, separator None\) .* \(12 tokens"):
+            run_bench(model, pattern_corpus(2), BenchConfig(block_sizes=(1,), repeats=1))
+        assert model.calls == 0
+
+
 class TestBenchConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):

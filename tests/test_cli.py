@@ -203,6 +203,17 @@ class TestDistill:
         assert all(inp in inputs for inp, _ in distilled.pairs)
         capsys.readouterr()
 
+    def test_mismatched_teacher_fails_before_decoding(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "wide.json"
+        corpus.write_text(json.dumps({"kind": "synthetic_pattern", "alphabet": 8,
+                                      "pairs": 4, "seed": 1}))
+        out = tmp_path / "distilled.json"
+        code = cli(["distill", "--teacher", str(workspace["ckpt"]), "--corpus", str(corpus),
+                    "--out", str(out)])
+        assert code == 2
+        assert "differs from the corpus's" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_max_len_off_a_fixed_length_corpus_fails_before_decoding(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -220,7 +231,7 @@ class TestDistill:
         code = cli(["distill", "--teacher", "teacher.ckpt", "--corpus", str(corpus),
                     "--max-len", "3", "--out", str(out)])
         assert code == 2
-        assert "--max-len 3" in capsys.readouterr().err
+        assert "max_len 3" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -251,6 +262,32 @@ class TestBench:
         assert out.startswith("### synthetic_pattern")
         assert "| k | criterion |" in out
 
+    def test_mismatched_checkpoint_is_refused(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "wide.json"
+        corpus.write_text(json.dumps({"kind": "synthetic_pattern", "alphabet": 8,
+                                      "pairs": 4, "seed": 1}))
+        code = cli(["bench", "--model", str(workspace["ckpt"]), "--corpus", str(corpus),
+                    "--block-sizes", "1,2", "--repeats", "1"])
+        assert code == 2
+        assert "(8 tokens, separator 6) differs from the corpus's " \
+               "(10 tokens, separator 8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["1.9", "true", '"3"', "null"])
+    def test_a_non_integer_token_exits_2(self, tmp_path, capsys, bad):
+        corpus = tmp_path / "bad.json"
+        corpus.write_text('{"kind": "synthetic_pattern", "alphabet": 4, '
+                          f'"pairs": [[[1], [2]], [[{bad}], [3]]]}}')
+        code = cli(["bench", "--synthetic", "random_table", "--corpus", str(corpus),
+                    "--block-sizes", "1", "--repeats", "1"])
+        assert code == 2
+        assert f"pair 1 holds {bad}, not an integer" in capsys.readouterr().err
+
+    def test_heads_is_not_an_option(self, workspace, capsys):
+        with pytest.raises(SystemExit):
+            cli(["bench", "--synthetic", "random_table", "--corpus",
+                 str(workspace["corpus"]), "--heads", "8"])
+        assert "unrecognized arguments: --heads" in capsys.readouterr().err
+
     def test_greedy_scheme_is_refused(self, workspace, capsys):
         code = cli(["bench", "--synthetic", "random_table", "--corpus", str(workspace["corpus"]),
                     "--scheme", "greedy"])
@@ -280,7 +317,7 @@ class TestErrors:
     def test_negative_tokens(self, capsys):
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "1,-2"])
         assert code == 2
-        assert "non-negative" in capsys.readouterr().err
+        assert "token id -2" in capsys.readouterr().err
 
     def test_token_outside_the_vocabulary(self, capsys):
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "100",

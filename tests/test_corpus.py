@@ -1,6 +1,7 @@
 """Corpus formats, generators, and quality metrics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,42 @@ class TestPattern:
             load_corpus(path)
 
 
+    def test_generator_spec_parses_the_document_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "synthetic_pattern", "alphabet": 4, "pairs": 3}))
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+        assert len(load_corpus(path)) == 3
+        assert len(calls) == 1
+
+    def test_a_json_corpus_must_be_an_object(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text("[[1, 2]]")
+        with pytest.raises(ParseError, match="object"):
+            load_corpus(path, kind="synthetic_pattern")
+
+
+BAD_TOKENS = {"float": 1.9, "bool": True, "string": "3", "null": None}
+
+
+@pytest.mark.parametrize("bad", BAD_TOKENS.values(), ids=list(BAD_TOKENS))
+class TestJsonTokensAreIntegers:
+    def test_pattern_pairs(self, tmp_path, bad):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "synthetic_pattern", "alphabet": 4,
+                                    "pairs": [[[1], [2]], [[0, bad], [3]]]}))
+        with pytest.raises(CorpusError, match=f"pair 1 holds {re.escape(json.dumps(bad))}"):
+            load_corpus(path)
+
+    def test_grid_pairs(self, tmp_path, bad):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"kind": "intensity_grid", "width": 2, "height": 1,
+                                    "pairs": [[[1], [2, bad]]]}))
+        with pytest.raises(CorpusError, match="pair 0 holds"):
+            load_corpus(path)
+
+
 class TestIntensityGrid:
     def grid_doc(self, pairs):
         return {"kind": "intensity_grid", "width": 2, "height": 2, "pairs": pairs}
@@ -176,10 +213,17 @@ class TestIntensityGrid:
 
 class TestCorpusValidation:
     def test_out_of_vocab_token(self):
-        with pytest.raises(CorpusError, match="outside vocabulary"):
+        with pytest.raises(CorpusError, match=r"token id 12 in the target of pair 0 "
+                                              r"is outside the vocabulary \[0, 10\)"):
             Corpus(kind="synthetic_pattern",
                    vocab=Vocab(size=10, sep_token=8, eos_token=9),
                    pairs=(((1,), (12,)),))
+
+    def test_out_of_vocab_input_names_the_pair(self):
+        with pytest.raises(CorpusError, match=r"token id -1 in the input of pair 1 "):
+            Corpus(kind="synthetic_pattern",
+                   vocab=Vocab(size=10, sep_token=8, eos_token=9),
+                   pairs=(((1,), (2,)), ((3, -1), (2,))))
 
     def test_empty_target(self):
         with pytest.raises(CorpusError, match="empty target"):

@@ -119,6 +119,21 @@ class TestValidationAndDescribe:
         with pytest.raises(ConfigurationError):
             exact(min_block=0)
 
+    @pytest.mark.parametrize("kind, fields", [
+        ("exact", {"top_k_k": 3}),
+        ("exact", {"epsilon": 2}),
+        ("top_k", {"top_k_k": 2, "epsilon": 1}),
+        ("distance", {"epsilon": 1, "top_k_k": 2}),
+    ])
+    def test_a_field_of_another_kind_is_rejected(self, kind, fields):
+        # kind=exact,top_k_k=3 would describe itself as kind=exact yet differ from EXACT
+        with pytest.raises(ConfigurationError, match=f"does not apply to kind={kind}"):
+            AcceptanceCriterion(kind=kind, **fields)
+
+    def test_defaults_of_other_kinds_are_accepted(self):
+        assert AcceptanceCriterion("exact", top_k_k=1, epsilon=0) == EXACT
+        assert AcceptanceCriterion("distance", epsilon=3, top_k_k=1) == distance(3)
+
     def test_describe_round_trips_the_grammar(self):
         from blockdec.harness.cli import parse_criterion
 

@@ -139,6 +139,32 @@ class TestFixedLengthBudget:
         assert teacher.calls > 0
 
 
+class TestVocabularyMatch:
+    def test_mismatched_checkpoint_is_rejected_before_any_decode(self):
+        # at vocabulary 10 the teacher can emit ids the vocab-8 corpus cannot hold
+        model = TinyBlockModel(ModelConfig(
+            vocab_size=10, d_model=4, d_hidden=4, num_heads=2, num_layers=1,
+            max_context=16, sep_token=8, eos_token=9))
+        model.calls = 0
+        score_grid = model.score_grid
+
+        def spy(*args):
+            model.calls += 1
+            return score_grid(*args)
+
+        model.score_grid = spy
+        with pytest.raises(ConfigurationError, match=r"\(10 tokens, separator 8\) .* "
+                                                     r"\(8 tokens, separator 6\)"):
+            distill_corpus(model, corpus_of([(0,), (1, 2)]))
+        assert model.calls == 0
+
+    def test_table_teacher_of_another_size_is_rejected(self):
+        teacher = counting_teacher(256)
+        with pytest.raises(ConfigurationError, match="256 tokens"):
+            distill_corpus(teacher, grid_corpus())
+        assert teacher.calls == 0
+
+
 class TestDistilledCorpusSaves:
     def test_pattern_corpus_round_trips(self, tmp_path):
         gold = make_pattern_corpus("repeat", alphabet=6, n_pairs=12, min_len=2,

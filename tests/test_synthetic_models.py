@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from blockdec.engine import (
-    DecodeConfig, blockwise_decode_combined, greedy_decode, predict_block, verify_block,
+    SCHEMES, DecodeConfig, blockwise_decode_combined, decode, greedy_decode, predict_block,
+    verify_block,
 )
-from blockdec.criteria import EXACT
+from blockdec.criteria import EXACT, distance, exact, top_k
 from blockdec.errors import ConfigurationError
 from blockdec.models import synthetic
 from blockdec.models.base import log_softmax
@@ -206,6 +207,26 @@ class TestProposalQuality:
         rollout = greedy_decode(m, (1,), config).output
         proposals, _ = predict_block(m, (1,), (), 4)
         assert proposals == rollout
+
+
+class TestHeadCount:
+    """Heads past the block size change no decode, so a model with as many
+    heads as the block size decodes like one with more."""
+
+    @pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_decodes_identical_at_k_and_eight_heads(self, kind, k):
+        fewest, most = (make_synthetic_model(kind, seed=5, vocab_size=12, num_heads=h)
+                        for h in (k, 8))
+        criteria = [EXACT, top_k(2), distance(3), exact(min_block=k)]
+        for scheme in SCHEMES:
+            for criterion in criteria:
+                config = DecodeConfig(block_size=k, max_len=20, criterion=criterion)
+                for inp in ((1,), (4, 9), (0, 0, 11)):
+                    a = decode(fewest, inp, config, scheme)
+                    b = decode(most, inp, config, scheme)
+                    assert (a.output, a.accepted_sizes, a.model_invocations) == (
+                        b.output, b.accepted_sizes, b.model_invocations)
 
 
 class TestValidation:

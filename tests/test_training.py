@@ -101,7 +101,8 @@ class TestTrainModel:
         wrong = ModelConfig(vocab_size=50, d_model=8, d_hidden=8, num_heads=2,
                             num_layers=1, max_context=16, sep_token=40)
         model = TinyBlockModel(wrong, seed=0)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=r"\(50 tokens, separator 40\) .* "
+                                                     r"\(10 tokens, separator 8\)"):
             train_model(corpus, model=model)
 
 
