@@ -10,8 +10,9 @@ accepts exactly two tokens.
 
 import numpy as np
 
-from blockdec import DecodeConfig, blockwise_decode, blockwise_decode_combined, greedy_decode
-from blockdec.engine import predict_block, verify_block
+from blockdec import (
+    DecodeConfig, DecodeState, blockwise_decode, blockwise_decode_combined, greedy_decode,
+)
 from blockdec.models.base import TableBackedModel
 
 # the continuation the base head follows, one token per position
@@ -48,12 +49,16 @@ class ScriptedModel(TableBackedModel):
 model = ScriptedModel()
 config = DecodeConfig(block_size=4, max_len=12)
 
-# one manual round first: propose a block, then score the proposals so the
-# base head can check each one against its own next-token distribution
-proposals, _ = predict_block(model, (0,), (), config.block_size)
-grid = model.score_grid((0,), (), proposals, config.block_size)
+# one manual round first: the decode state names each scoring call and takes
+# its grid back. The predict call scores the bare prefix and proposes a block;
+# the verify call scores the proposals so the base head can check each one
+# against its own next-token distribution
+state = DecodeState((0,), config, "standard")
+state.feed(model.score_grid((0,), *state.next_call()))
+prefix, proposals, k = state.next_call()
 print(f"proposed block: {proposals}")
-print(f"accepted prefix length: {verify_block(grid, proposals, config.criterion)}")
+state.feed(model.score_grid((0,), prefix, proposals, k))
+print(f"accepted prefix length: {state.accepted_sizes[0]}")
 
 # the full loop repeats that round until max_len tokens are out
 result = blockwise_decode(model, (0,), config)

@@ -5,10 +5,10 @@ from .engine import (
     BlockScores,
     DecodeConfig,
     DecodeResult,
+    DecodeState,
     blockwise_decode,
     blockwise_decode_combined,
     greedy_decode,
-    predict_block,
     verify_block,
 )
 from . import errors
@@ -25,10 +25,10 @@ __all__ = [
     "BlockScores",
     "DecodeConfig",
     "DecodeResult",
+    "DecodeState",
     "blockwise_decode",
     "blockwise_decode_combined",
     "greedy_decode",
-    "predict_block",
     "verify_block",
     "errors",
     "models",

@@ -10,15 +10,16 @@ accept loop:
   accept   extend the output by that prefix (at least one token per
            iteration, or the criterion's min_block floor) and repeat
 
-Three schemes, named in ``SCHEMES``, run through the same loop in
-:func:`decode` and differ only in where each iteration's proposals come
-from. Greedy proposes one token with the base head and accepts it
-unverified. Standard blockwise decoding makes a separate predict call
-before each verify call. Combined blockwise decoding reads the next
-proposals from the verify grid row that matches the tokens just accepted,
-so only its first iteration makes a predict call. With the exact
-acceptance criterion the blockwise output is identical to greedy decoding
-token for token; the payoff is fewer model invocations.
+A :class:`DecodeState` holds that loop's state as data: it names the next
+``score_grid`` call and takes the grid back, and :func:`decode` makes the
+calls it names. Three schemes, named in ``SCHEMES``, differ only in where
+each iteration's proposals come from. Greedy proposes one token with the
+base head and accepts it unverified. Standard blockwise decoding makes a
+separate predict call before each verify call. Combined blockwise decoding
+reads the next proposals from the verify grid row that matches the tokens
+just accepted, so only its first iteration makes a predict call. With the
+exact acceptance criterion the blockwise output is identical to greedy
+decoding token for token; the payoff is fewer model invocations.
 
 Each decode runs inside ``model.session(input_tokens)``, so a model may
 keep state across the calls of one decode (TinyBlockModel keeps each
@@ -26,8 +27,8 @@ layer's keys and values there). Every call still goes through
 ``model.score_grid`` on the object ``decode`` was given.
 
 ``decode`` and its three one-scheme wrappers return a :class:`DecodeResult`
-whose accounting fields satisfy sum(accepted_sizes) == len(output) and
-iterations == len(accepted_sizes).
+whose accounting satisfies sum(accepted_sizes) == len(output); its
+iterations are len(accepted_sizes).
 """
 
 from __future__ import annotations
@@ -135,14 +136,12 @@ class DecodeResult:
     output:            produced token ids, including the end token if one
                        was produced within budget
     accepted_sizes:    tokens accepted per iteration, each >= 1
-    iterations:        number of predict/verify/accept rounds
     model_invocations: scoring calls made (each call scores a full grid)
     wall_clock_ns:     elapsed time of the decode loop
     """
 
     output: tuple
     accepted_sizes: tuple
-    iterations: int
     model_invocations: int
     wall_clock_ns: int
 
@@ -156,17 +155,17 @@ class DecodeResult:
                 "accepted_sizes do not sum to output length: "
                 f"{self.accepted_sizes} vs {len(self.output)} tokens"
             )
-        if self.iterations != len(self.accepted_sizes):
-            raise ModelContractError(
-                f"iterations {self.iterations} != len(accepted_sizes) "
-                f"{len(self.accepted_sizes)}"
-            )
         if any(s < 1 for s in self.accepted_sizes):
             raise ModelContractError("every iteration must accept at least one token")
         if self.model_invocations < self.iterations:
             raise ModelContractError("fewer invocations than iterations")
         if self.wall_clock_ns < 0:
             raise ModelContractError("negative wall clock")
+
+    @property
+    def iterations(self) -> int:
+        """Number of predict/verify/accept rounds."""
+        return len(self.accepted_sizes)
 
     @property
     def mean_accepted_block_size(self) -> float:
@@ -198,17 +197,6 @@ def _grid_proposals(scores: BlockScores, row: int, k: int) -> tuple:
     return tuple(scores.grid[row, :k].argmax(axis=-1).tolist())
 
 
-def predict_block(model, input_tokens, prefix, k: int):
-    """Propose the next k tokens after `prefix`, one per head.
-
-    Returns (proposals, scores) where proposals[i] is head i+1's argmax
-    conditioned on the prefix alone and scores is the single-row grid the
-    proposals were read from.
-    """
-    scores = model.score_grid(tuple(input_tokens), tuple(prefix), (), k)
-    return _grid_proposals(scores, 0, k), scores
-
-
 def verify_block(base_scores: BlockScores, proposals, criterion: AcceptanceCriterion) -> int:
     """Longest prefix of `proposals` accepted by the base head.
 
@@ -236,65 +224,83 @@ def _top2_margin(scores: BlockScores, row: int) -> float:
     return float(best - second)
 
 
+class DecodeState:
+    """One decode's predict / verify / accept state, advanced one score_grid
+    call at a time until ``done``."""
+
+    def __init__(self, input_tokens, config: DecodeConfig, scheme: str):
+        if scheme not in SCHEMES:
+            raise ConfigurationError(f"unknown decode scheme {scheme!r}, pick from {SCHEMES}")
+        self.input_tokens = tuple(input_tokens)
+        self.config = config
+        self.scheme = scheme
+        self.k = 1 if scheme == "greedy" else config.block_size
+        self.output = []
+        self.accepted_sizes = []
+        self.invocations = 0
+        self.proposals = None  # read from a grid, awaiting verification
+        self.source = None  # the grid and row the proposals came from
+        self.done = False
+
+    def next_call(self) -> tuple:
+        """The (prefix, candidates, k) of the score_grid call to make next; a
+        predict call has no candidates."""
+        return tuple(self.output), self.proposals or (), self.k
+
+    def feed(self, scores: BlockScores) -> None:
+        """Take the grid of the call ``next_call()`` named and advance."""
+        self.invocations += 1
+        if self.proposals is None:  # a predict call
+            self._propose(scores, 0)
+            if self.scheme != "greedy":
+                return
+            k_hat = 1
+        else:
+            k_hat = verify_block(scores, self.proposals, self.config.criterion)
+            if k_hat < 1:
+                raise ModelContractError(
+                    "model rejected its own base proposal at iteration "
+                    f"{len(self.accepted_sizes)}, prefix length {len(self.output)}: base-head "
+                    f"top-2 margin {_top2_margin(*self.source):.3e} in the row the proposal "
+                    f"was read from, {_top2_margin(scores, 0):.3e} in the verify row; "
+                    "scoring is not deterministic"
+                )
+        config = self.config
+        remaining = config.max_len - len(self.output)
+        # the min-block floor may accept past the verified prefix; an end
+        # token cuts the block short and ends the decode
+        k_eff = apply_min_block(k_hat, config.criterion.min_block, config.block_size, remaining)
+        block = self.proposals[:k_eff]
+        eos = config.eos_token in block
+        if eos:
+            block = block[: block.index(config.eos_token) + 1]
+        self.output.extend(block)
+        self.accepted_sizes.append(len(block))
+        self.done = eos or len(self.output) >= config.max_len
+        self.proposals = None
+        if self.scheme == "combined" and not eos:
+            self._propose(scores, len(block))
+
+    def _propose(self, scores: BlockScores, row: int) -> None:
+        self.source = (scores, row)
+        remaining = self.config.max_len - len(self.output)
+        self.proposals = _grid_proposals(scores, row, self.k)[:remaining]
+
+
 def decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
     """Decode `input_tokens` with the scheme named, one of ``SCHEMES`` (see
-    the module docstring). A bad scheme or model fails before any call."""
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown decode scheme {scheme!r}, pick from {SCHEMES}")
+    the module docstring), by making the score_grid calls a
+    :class:`DecodeState` names. A bad scheme or model fails before any call."""
+    state = DecodeState(input_tokens, config, scheme)
     _check_model(model, config)
-    input_tokens = tuple(input_tokens)
-    k = 1 if scheme == "greedy" else config.block_size
-    output = []
-    accepted_sizes = []
-    invocations = 0
-    proposals = None
+    input_tokens = state.input_tokens
     start = time.perf_counter_ns()
     with model.session(input_tokens):
-        while len(output) < config.max_len:
-            remaining = config.max_len - len(output)
-            if proposals is None:
-                proposals, scores = predict_block(model, input_tokens, output, k)
-                source = (scores, 0)  # the grid and row the proposals came from
-                invocations += 1
-            proposals = proposals[:remaining]
-            k_hat = 1
-            if scheme != "greedy":
-                ver = model.score_grid(input_tokens, tuple(output), proposals, k)
-                invocations += 1
-                k_hat = verify_block(ver, proposals, config.criterion)
-                if k_hat < 1:
-                    raise ModelContractError(
-                        "model rejected its own base proposal at iteration "
-                        f"{len(accepted_sizes)}, prefix length {len(output)}: base-head "
-                        f"top-2 margin {_top2_margin(*source):.3e} in the row the proposal "
-                        f"was read from, {_top2_margin(ver, 0):.3e} in the verify row; "
-                        "scoring is not deterministic"
-                    )
-            # the min-block floor may accept past the verified prefix; an end
-            # token cuts the block short and ends the decode
-            k_eff = apply_min_block(
-                k_hat, config.criterion.min_block, config.block_size, remaining
-            )
-            block = proposals[:k_eff]
-            done = config.eos_token in block
-            if done:
-                block = block[: block.index(config.eos_token) + 1]
-            output.extend(block)
-            accepted_sizes.append(len(block))
-            if done:
-                break
-            proposals = None
-            if scheme == "combined":
-                source = (ver, len(block))
-                proposals = _grid_proposals(*source, k)
+        while not state.done:
+            state.feed(model.score_grid(input_tokens, *state.next_call()))
     elapsed = time.perf_counter_ns() - start
-    return DecodeResult(
-        output=tuple(output),
-        accepted_sizes=tuple(accepted_sizes),
-        iterations=len(accepted_sizes),
-        model_invocations=invocations,
-        wall_clock_ns=elapsed,
-    )
+    return DecodeResult(output=state.output, accepted_sizes=state.accepted_sizes,
+                        model_invocations=state.invocations, wall_clock_ns=elapsed)
 
 
 def greedy_decode(model, input_tokens, config: DecodeConfig) -> DecodeResult:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .. import __version__
 from ..criteria import PARAMS, AcceptanceCriterion
@@ -220,9 +221,8 @@ def _cmd_distill(args, seed: int) -> int:
 
 
 def _token_renderer(model):
-    cfg = getattr(model, "config", None)
     text = _text_vocab()
-    if cfg is not None and cfg.vocab_size == text.size and cfg.sep_token == text.sep_token:
+    if text.fits(model):
         def render(t):
             if t == text.sep_token:
                 return "<sep>"
@@ -245,18 +245,19 @@ def _model(args, seed: int, vocab_size: int, block_sizes):
 
 
 def _cmd_decode(args, seed: int) -> int:
-    model = _model(args, seed, args.vocab_size, (args.block_size,))
-    eos = model.config.eos_token if args.model else None
-    if args.tokens:
-        source = _parse_int_list(args.tokens, "--tokens")
-    else:
-        source = encode_text(args.input)
+    # the config checks the block size before a synthetic model is built with that many heads
     config = DecodeConfig(
         block_size=args.block_size,
         max_len=args.max_len,
         criterion=parse_criterion(args.criterion),
-        eos_token=eos,
     )
+    model = _model(args, seed, args.vocab_size, (config.block_size,))
+    eos = model.config.eos_token if args.model else None
+    config = replace(config, eos_token=eos)
+    if args.tokens:
+        source = _parse_int_list(args.tokens, "--tokens")
+    else:
+        source = encode_text(args.input)
     result = decode(model, source, config, args.scheme)
     render, is_text = _token_renderer(model)
     if not args.no_trace:

@@ -67,6 +67,15 @@ class Vocab:
         if self.eos_token is not None and not 0 <= self.eos_token < self.size:
             raise ConfigurationError("eos_token outside vocabulary")
 
+    def fits(self, model) -> bool:
+        """True when `model` has this vocabulary's size and, if it places its
+        own separator (`config.sep_token`), separator."""
+        return model.vocab_size == self.size and _model_sep(model) in (None, self.sep_token)
+
+
+def _model_sep(model):
+    return getattr(getattr(model, "config", None), "sep_token", None)
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -126,13 +135,12 @@ class Corpus:
         return max(len(i) + len(t) + extra for i, t in self.pairs)
 
     def check_model(self, model) -> None:
-        """Raise ConfigurationError unless `model` has this corpus's vocabulary
-        size and, if it places its own separator (`config.sep_token`), separator."""
-        sep = getattr(getattr(model, "config", None), "sep_token", None)
-        if model.vocab_size != self.vocab.size or sep not in (None, self.vocab.sep_token):
+        """Raise ConfigurationError unless the corpus's vocabulary fits `model`."""
+        if not self.vocab.fits(model):
             raise ConfigurationError(
-                f"model vocabulary ({model.vocab_size} tokens, separator {sep}) differs from "
-                f"the corpus's ({self.vocab.size} tokens, separator {self.vocab.sep_token})"
+                f"model vocabulary ({model.vocab_size} tokens, separator {_model_sep(model)}) "
+                f"differs from the corpus's ({self.vocab.size} tokens, "
+                f"separator {self.vocab.sep_token})"
             )
 
 
@@ -235,6 +243,8 @@ def make_pattern_corpus(
         raise CorpusError("noise must be in [0, 1]")
     if n_pairs < 1:
         raise CorpusError("n_pairs must be >= 1")
+    if seed < 0:
+        raise CorpusError("seed must be non-negative")
     vocab = _pattern_vocab(alphabet)
     rng = np.random.default_rng(seed)
     pairs = []
@@ -253,21 +263,37 @@ def make_pattern_corpus(
     return Corpus(kind="synthetic_pattern", vocab=vocab, pairs=tuple(pairs), meta=meta)
 
 
+def _is_json_int(value) -> bool:
+    # bool is an int subclass, and int() would pass 1.9 or "3"
+    return type(value) is int
+
+
+def _int_field(doc: dict, key: str, default=None) -> int:
+    """doc[key], or `default` when absent, refused unless a JSON integer."""
+    value = doc.get(key, default)
+    if not _is_json_int(value):
+        raise CorpusError(f"'{key}' must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _load_pattern(doc: dict) -> Corpus:
-    alphabet = doc.get("alphabet")
-    if not isinstance(alphabet, int):
-        raise CorpusError("synthetic_pattern needs an integer 'alphabet'")
+    alphabet = _int_field(doc, "alphabet")
     pairs_field = doc.get("pairs")
-    if isinstance(pairs_field, int):
+    if _is_json_int(pairs_field):
+        rule, noise = doc.get("rule", "repeat"), doc.get("noise", 0.0)
+        if not isinstance(rule, str):
+            raise CorpusError(f"'rule' must be a string, got {json.dumps(rule)}")
+        if not (_is_json_int(noise) or type(noise) is float):
+            raise CorpusError(f"'noise' must be a number, got {json.dumps(noise)}")
         return make_pattern_corpus(
-            rule=doc.get("rule", "repeat"),
+            rule=rule,
             alphabet=alphabet,
             n_pairs=pairs_field,
-            min_len=doc.get("min_len", 1),
-            max_len=doc.get("max_len", 8),
-            copies=doc.get("copies", 1),
-            noise=doc.get("noise", 0.0),
-            seed=doc.get("seed", 0),
+            min_len=_int_field(doc, "min_len", 1),
+            max_len=_int_field(doc, "max_len", 8),
+            copies=_int_field(doc, "copies", 1),
+            noise=noise,
+            seed=_int_field(doc, "seed", 0),
         )
     if not isinstance(pairs_field, list):
         raise CorpusError("'pairs' must be a pair list or a generator count")
@@ -281,8 +307,8 @@ def _load_pattern(doc: dict) -> Corpus:
 # ---- intensity_grid ----
 
 def _load_intensity(doc: dict) -> Corpus:
-    width, height = doc.get("width"), doc.get("height")
-    if not (isinstance(width, int) and isinstance(height, int)) or width < 1 or height < 1:
+    width, height = _int_field(doc, "width"), _int_field(doc, "height")
+    if width < 1 or height < 1:
         raise CorpusError("intensity_grid needs positive integer 'width' and 'height'")
     pairs = _pairs_from_json(doc.get("pairs"))
     vocab = Vocab(size=257, sep_token=256, eos_token=None, intensity=True)
@@ -305,8 +331,7 @@ def _pairs_from_json(raw) -> tuple:
         inp, tgt = item
         if not (isinstance(inp, list) and isinstance(tgt, list)):
             raise CorpusError(f"pair {i} fields must be token lists")
-        # bool is an int subclass, and int() would pass 1.9 or "3"
-        bad = [t for t in inp + tgt if type(t) is not int]
+        bad = [t for t in inp + tgt if not _is_json_int(t)]
         if bad:
             raise CorpusError(f"pair {i} holds {json.dumps(bad[0])}, not an integer token id")
         pairs.append((tuple(inp), tuple(tgt)))

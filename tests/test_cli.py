@@ -186,6 +186,22 @@ class TestTextRendering:
         assert f"output: {decoded}\n" in out
 
 
+    def test_a_synthetic_model_over_the_byte_vocabulary_renders_text(self, capsys):
+        code = cli(["decode", "--synthetic", "random_table", "--tokens", "1,2",
+                    "--vocab-size", "258", "--block-size", "2", "--max-len", "12",
+                    "--seed", "0"])
+        out = capsys.readouterr().out
+        model = make_synthetic_model("random_table", seed=0, vocab_size=258, num_heads=2)
+        want = greedy_decode(model, (1, 2), DecodeConfig(block_size=1, max_len=12)).output
+        assert code == 0
+        assert any(32 <= t < 127 for t in want) and any(t >= 128 for t in want)
+        rendered = [chr(t) if 32 <= t < 127 else f"\\x{t:02x}" for t in want]
+        traced = re.findall(r"^Step \d+: \d+ tokens \[(.*)\]$", out, re.M)
+        assert ", ".join(traced) == ", ".join(rendered)
+        decoded = bytes(want).decode("utf-8", errors="replace")
+        assert f"output: {decoded}\n" in out
+
+
 class TestDistill:
     def test_rewrites_targets(self, workspace, tmp_path, capsys):
         out = tmp_path / "distilled.json"
@@ -282,6 +298,15 @@ class TestBench:
         assert code == 2
         assert f"pair 1 holds {bad}, not an integer" in capsys.readouterr().err
 
+    def test_a_non_integer_generator_field_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.json"
+        corpus.write_text('{"kind": "synthetic_pattern", "alphabet": 4, "pairs": 3, '
+                          '"min_len": "2"}')
+        code = cli(["bench", "--synthetic", "random_table", "--corpus", str(corpus),
+                    "--block-sizes", "1", "--repeats", "1"])
+        assert code == 2
+        assert "error: 'min_len' must be an integer, got \"2\"" in capsys.readouterr().err
+
     def test_heads_is_not_an_option(self, workspace, capsys):
         with pytest.raises(SystemExit):
             cli(["bench", "--synthetic", "random_table", "--corpus",
@@ -324,6 +349,12 @@ class TestErrors:
                     "--vocab-size", "16"])
         assert code == 2
         assert "token id 100 in the input" in capsys.readouterr().err
+
+    def test_block_size_0_on_a_synthetic_model_names_the_block_size(self, capsys):
+        code = cli(["decode", "--synthetic", "random_table", "--tokens", "1",
+                    "--block-size", "0"])
+        assert code == 2
+        assert "block_size must be >= 1" in capsys.readouterr().err
 
     def test_min_block_is_set_through_the_criterion(self, capsys):
         code = cli(["decode", "--synthetic", "adversarial", "--tokens", "1",

@@ -108,6 +108,8 @@ class TestPattern:
             make_pattern_corpus("repeat", 8, 5, 4, 3)
         with pytest.raises(CorpusError):
             make_pattern_corpus("repeat", 8, 5, 1, 3, noise=1.5)
+        with pytest.raises(CorpusError, match="seed must be non-negative"):
+            make_pattern_corpus("repeat", 8, 5, 1, 3, seed=-1)
 
     def test_json_generator_spec(self, tmp_path):
         path = tmp_path / "c.json"
@@ -178,6 +180,42 @@ class TestJsonTokensAreIntegers:
                                     "pairs": [[[1], [2, bad]]]}))
         with pytest.raises(CorpusError, match="pair 0 holds"):
             load_corpus(path)
+
+
+PATTERN_SPEC = {"kind": "synthetic_pattern", "alphabet": 4, "pairs": 3}
+GRID_SPEC = {"kind": "intensity_grid", "width": 2, "height": 1, "pairs": [[[1], [2, 3]]]}
+BAD_FIELDS = [
+    (PATTERN_SPEC, "alphabet", True, "must be an integer"),
+    (PATTERN_SPEC, "alphabet", 4.0, "must be an integer"),
+    (PATTERN_SPEC, "pairs", True, "must be a pair list or a generator count"),
+    (PATTERN_SPEC, "min_len", "2", "must be an integer"),
+    (PATTERN_SPEC, "max_len", 2.5, "must be an integer"),
+    (PATTERN_SPEC, "copies", True, "must be an integer"),
+    (PATTERN_SPEC, "seed", "x", "must be an integer"),
+    (PATTERN_SPEC, "seed", None, "must be an integer"),
+    (PATTERN_SPEC, "noise", "x", "must be a number"),
+    (PATTERN_SPEC, "noise", False, "must be a number"),
+    (PATTERN_SPEC, "rule", ["x"], "must be a string"),
+    (GRID_SPEC, "width", True, "must be an integer"),
+    (GRID_SPEC, "height", True, "must be an integer"),
+    (GRID_SPEC, "width", "2", "must be an integer"),
+]
+
+
+class TestGeneratorSpecFields:
+    @pytest.mark.parametrize("doc, key, value, message", BAD_FIELDS,
+                             ids=[f"{key}={json.dumps(v)}" for _, key, v, _ in BAD_FIELDS])
+    def test_a_field_of_the_wrong_json_type_is_named(self, tmp_path, doc, key, value, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(CorpusError, match=f"'{key}' {message}"):
+            load_corpus(path)
+
+    def test_the_specs_load_as_they_are(self, tmp_path):
+        path = tmp_path / "c.json"
+        for doc, pairs in ((PATTERN_SPEC, 3), (GRID_SPEC, 1)):
+            path.write_text(json.dumps(doc))
+            assert len(load_corpus(path)) == pairs
 
 
 class TestIntensityGrid:

@@ -5,14 +5,15 @@ import pytest
 
 from blockdec.criteria import EXACT, accepts, distance, exact, top_k
 from blockdec.engine import (
+    SCHEMES,
     BlockScores,
     DecodeConfig,
     DecodeResult,
+    DecodeState,
     blockwise_decode,
     blockwise_decode_combined,
     decode,
     greedy_decode,
-    predict_block,
     verify_block,
 )
 from blockdec.errors import ConfigurationError, ModelContractError
@@ -118,22 +119,20 @@ class TestTypes:
             BlockScores(grid=grid, base_len=0)
 
     def test_decode_result_invariants(self):
-        DecodeResult(output=(1, 2, 3), accepted_sizes=(2, 1), iterations=2,
+        DecodeResult(output=(1, 2, 3), accepted_sizes=(2, 1),
                      model_invocations=3, wall_clock_ns=10)
         with pytest.raises(ModelContractError):
-            DecodeResult(output=(1, 2, 3), accepted_sizes=(2, 2), iterations=2,
+            DecodeResult(output=(1, 2, 3), accepted_sizes=(2, 2),
                          model_invocations=3, wall_clock_ns=10)
         with pytest.raises(ModelContractError):
-            DecodeResult(output=(1, 2), accepted_sizes=(2,), iterations=2,
+            DecodeResult(output=(1, 2), accepted_sizes=(2, 0),
                          model_invocations=3, wall_clock_ns=10)
         with pytest.raises(ModelContractError):
-            DecodeResult(output=(1, 2), accepted_sizes=(2, 0), iterations=2,
-                         model_invocations=3, wall_clock_ns=10)
-        with pytest.raises(ModelContractError):
-            DecodeResult(output=(1, 2), accepted_sizes=(1, 1), iterations=2,
+            DecodeResult(output=(1, 2), accepted_sizes=(1, 1),
                          model_invocations=1, wall_clock_ns=10)
-        result = DecodeResult(output=(1, 2, 3, 4), accepted_sizes=(3, 1), iterations=2,
+        result = DecodeResult(output=(1, 2, 3, 4), accepted_sizes=(3, 1),
                               model_invocations=3, wall_clock_ns=0)
+        assert result.iterations == 2
         assert result.mean_accepted_block_size == 2.0
 
 
@@ -144,7 +143,7 @@ class TestVerifyAndPredict:
             model = make_synthetic_model("random_table", seed=seed, vocab_size=12, num_heads=6)
             prefix = tuple(rng.integers(0, 12, size=rng.integers(0, 4)).tolist())
             inp = (seed % 12,)
-            proposals, _ = predict_block(model, inp, prefix, 5)
+            proposals = tuple(model.score_grid(inp, prefix, (), 5).grid[0].argmax(-1).tolist())
             grid = model.score_grid(inp, prefix, proposals, 5)
             for crit in (EXACT, top_k(2), top_k(4), distance(1), distance(3)):
                 assert verify_block(grid, proposals, crit) == naive_k_hat(grid, proposals, crit)
@@ -177,10 +176,84 @@ class TestVerifyAndPredict:
 
     def test_predict_reads_head_argmaxes_of_bare_prefix(self):
         model = make_synthetic_model("random_table", seed=9, vocab_size=10, num_heads=5)
-        proposals, scores = predict_block(model, (1, 2), (3,), 4)
-        table = model.head_logprobs((1, 2), (3,))
-        assert proposals == tuple(int(np.argmax(table[h])) for h in range(4))
-        assert scores.rows == 1 and scores.heads == 4
+        state = DecodeState((1, 2), DecodeConfig(block_size=4, max_len=8), "standard")
+        for _ in range(2):  # the predict calls of the first two iterations
+            prefix, candidates, k = state.next_call()
+            scores = model.score_grid((1, 2), prefix, candidates, k)
+            assert scores.rows == 1 and scores.heads == 4
+            state.feed(scores)
+            table = model.head_logprobs((1, 2), prefix)
+            proposals = tuple(int(np.argmax(table[h])) for h in range(4))
+            assert state.next_call() == (prefix, proposals, 4)
+            state.feed(model.score_grid((1, 2), *state.next_call()))
+
+
+def spied(model):
+    """`model` with a list recording the arguments of each score_grid call."""
+    calls = []
+    score_grid = model.score_grid
+    model.score_grid = lambda *args: calls.append(args) or score_grid(*args)
+    return model, calls
+
+
+def prefixes(result):
+    """The output prefix each iteration of `result` started from."""
+    ends = np.cumsum((0,) + result.accepted_sizes)
+    return [result.output[:end] for end in ends[:-1]]
+
+
+class TestDecodeState:
+    """The score_grid calls each scheme makes, and the state driven by hand."""
+
+    INPUT = (3,)
+    CONFIG = DecodeConfig(block_size=4, max_len=10)
+
+    def proposals_after(self, model, prefix):
+        """The four heads' argmaxes after `prefix`, cut to the budget left."""
+        proposals = model.head_logprobs(self.INPUT, prefix)[:4].argmax(axis=-1)
+        return tuple(proposals.tolist())[: 10 - len(prefix)]
+
+    @pytest.mark.parametrize("kind", ["perfect_proposals", "random_table", "adversarial"])
+    def test_greedy_makes_one_single_head_predict_call_per_token(self, kind):
+        model, calls = spied(make_synthetic_model(kind, seed=4, vocab_size=8, num_heads=4))
+        result = greedy_decode(model, self.INPUT, self.CONFIG)
+        assert calls == [(self.INPUT, result.output[:i], (), 1) for i in range(10)]
+
+    @pytest.mark.parametrize("kind", ["perfect_proposals", "random_table", "adversarial"])
+    def test_standard_alternates_predict_and_verify_calls(self, kind):
+        model, calls = spied(make_synthetic_model(kind, seed=4, vocab_size=8, num_heads=4))
+        result = blockwise_decode(model, self.INPUT, self.CONFIG)
+        want = []
+        for prefix in prefixes(result):
+            proposals = self.proposals_after(model, prefix)
+            want += [(self.INPUT, prefix, (), 4), (self.INPUT, prefix, proposals, 4)]
+        assert calls == want
+
+    @pytest.mark.parametrize("kind", ["perfect_proposals", "random_table", "adversarial"])
+    def test_combined_makes_one_predict_call_then_verify_calls(self, kind):
+        model, calls = spied(make_synthetic_model(kind, seed=4, vocab_size=8, num_heads=4))
+        result = blockwise_decode_combined(model, self.INPUT, self.CONFIG)
+        # each verify call's proposals are the heads' argmaxes after its prefix
+        want = [(self.INPUT, (), (), 4)]
+        for prefix in prefixes(result):
+            want.append((self.INPUT, prefix, self.proposals_after(model, prefix), 4))
+        assert calls == want
+        assert all(candidates for _, _, candidates, _ in calls[1:])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_state_driven_by_hand_decodes_like_decode(self, scheme):
+        for seed in range(8):
+            model = make_synthetic_model("random_table", seed=seed, vocab_size=8, num_heads=4)
+            criterion = (EXACT, top_k(2), exact(min_block=2), distance(2))[seed % 4]
+            config = DecodeConfig(block_size=4, max_len=13, criterion=criterion,
+                                  eos_token=seed if seed % 2 else None)
+            state = DecodeState((seed,), config, scheme)
+            while not state.done:
+                state.feed(model.score_grid((seed,), *state.next_call()))
+            result = decode(model, (seed,), config, scheme)
+            assert tuple(state.output) == result.output
+            assert tuple(state.accepted_sizes) == result.accepted_sizes
+            assert state.invocations == result.model_invocations
 
 
 class Float32Tables(ScriptedModel):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blockdec.engine import (
-    SCHEMES, DecodeConfig, blockwise_decode_combined, decode, greedy_decode, predict_block,
+    SCHEMES, DecodeConfig, DecodeState, blockwise_decode_combined, decode, greedy_decode,
     verify_block,
 )
 from blockdec.criteria import EXACT, distance, exact, top_k
@@ -176,6 +176,11 @@ class TestCaches:
         assert synthetic.CACHE_ENTRIES >= 4 * 4454
 
 
+def head_argmaxes(model, input_tokens, prefix, k):
+    """Each of the first k heads' argmax after the bare prefix: a block's proposals."""
+    return tuple(model.score_grid(input_tokens, prefix, (), k).grid[0].argmax(axis=-1).tolist())
+
+
 class TestProposalQuality:
     def test_shared_base_head_across_kinds(self):
         config = DecodeConfig(block_size=1, max_len=12)
@@ -190,14 +195,14 @@ class TestProposalQuality:
     def test_perfect_proposals_verify_in_full(self):
         m = make_synthetic_model("perfect_proposals", seed=13, vocab_size=16, num_heads=6)
         for prefix in ((), (3,), (4, 4, 1)):
-            proposals, _ = predict_block(m, (8,), prefix, 6)
+            proposals = head_argmaxes(m, (8,), prefix, 6)
             grid = m.score_grid((8,), prefix, proposals, 6)
             assert verify_block(grid, proposals, EXACT) == 6
 
     def test_adversarial_verifies_exactly_one(self):
         m = make_synthetic_model("adversarial", seed=13, vocab_size=16, num_heads=6)
         for prefix in ((), (3,), (4, 4, 1)):
-            proposals, _ = predict_block(m, (8,), prefix, 6)
+            proposals = head_argmaxes(m, (8,), prefix, 6)
             grid = m.score_grid((8,), prefix, proposals, 6)
             assert verify_block(grid, proposals, EXACT) == 1
 
@@ -205,8 +210,9 @@ class TestProposalQuality:
         m = make_synthetic_model("perfect_proposals", seed=17, vocab_size=16, num_heads=4)
         config = DecodeConfig(block_size=1, max_len=4)
         rollout = greedy_decode(m, (1,), config).output
-        proposals, _ = predict_block(m, (1,), (), 4)
-        assert proposals == rollout
+        state = DecodeState((1,), DecodeConfig(block_size=4, max_len=4), "standard")
+        state.feed(m.score_grid((1,), *state.next_call()))
+        assert state.next_call()[1] == rollout
 
 
 class TestHeadCount:
