@@ -124,10 +124,6 @@ class BlockScores:
     def heads(self) -> int:
         return self.grid.shape[1]
 
-    @property
-    def vocab_size(self) -> int:
-        return self.grid.shape[2]
-
 
 @dataclass(frozen=True)
 class DecodeResult:

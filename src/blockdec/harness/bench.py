@@ -57,6 +57,8 @@ class BenchConfig:
             raise ConfigurationError("need at least one criterion")
         if self.repeats < 1:
             raise ConfigurationError("repeats must be >= 1")
+        if self.max_pairs is not None and self.max_pairs < 1:
+            raise ConfigurationError("max_pairs must be >= 1")
         if self.scheme not in SCHEMES or self.scheme == "greedy":
             raise ConfigurationError(f"bench runs standard or combined, not {self.scheme!r}")
 
@@ -120,7 +122,7 @@ def _quality(outputs, golds, eos_token, metric):
 def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> BenchReport:
     """Benchmark a model over a corpus across the configuration grid."""
     corpus.check_model(model)
-    pairs = corpus.pairs[: bench.max_pairs] if bench.max_pairs else corpus.pairs
+    pairs = corpus.pairs[: bench.max_pairs]
     inputs = [inp for inp, _ in pairs]
     golds = [tgt for _, tgt in pairs]
     eos = corpus.vocab.eos_token

@@ -22,7 +22,8 @@ intensity_grid
     intensity vocabulary makes the distance acceptance criterion
     meaningful.
 
-Targets are stored without any end token; training appends it.
+Targets are stored without any end token; `training_pairs` appends it, and
+the longest training target is a corpus's decode budget.
 """
 
 from __future__ import annotations
@@ -122,17 +123,11 @@ class Corpus:
 
     def decode_budget(self) -> int:
         """Tokens a decode of this corpus's inputs may produce: the fixed
-        target length, else the longest target plus room for the end token
-        when the vocabulary has one."""
+        target length, else the longest training target (see
+        `training_pairs`), which has room for the end token."""
         if self.fixed_target_len is not None:
             return self.fixed_target_len
-        longest = max(len(t) for _, t in self.pairs)
-        return longest + (1 if self.vocab.eos_token is not None else 0)
-
-    def max_composed_len(self) -> int:
-        """Longest input + SEP + target (+ end token) in the corpus."""
-        extra = 2 if self.vocab.eos_token is not None else 1
-        return max(len(i) + len(t) + extra for i, t in self.pairs)
+        return max(len(t) for _, t in training_pairs(self))
 
     def check_model(self, model) -> None:
         """Raise ConfigurationError unless the corpus's vocabulary fits `model`."""
@@ -142,6 +137,15 @@ class Corpus:
                 f"differs from the corpus's ({self.vocab.size} tokens, "
                 f"separator {self.vocab.sep_token})"
             )
+
+
+def training_pairs(corpus: Corpus) -> list:
+    """Corpus pairs with the end token appended to each target, when the
+    vocabulary has one. No other code adds the end token to a target."""
+    eos = corpus.vocab.eos_token
+    if eos is None:
+        return list(corpus.pairs)
+    return [(inp, tgt + (eos,)) for inp, tgt in corpus.pairs]
 
 
 # ---- text_char ----

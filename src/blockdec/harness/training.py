@@ -22,7 +22,7 @@ from ..models.neural import (
     TrainBatch,
     train_step,
 )
-from .corpus import Corpus
+from .corpus import Corpus, training_pairs
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,14 @@ def default_model_config(
 ) -> ModelConfig:
     """Model settings sized to a corpus.
 
-    The context length covers the longest composed sequence in the corpus,
-    which also covers decoding up to the corpus's own target lengths.
+    The context length is the longest input + SEP + the longest training
+    target, rounded up to a multiple of 8. It holds every training pair and
+    every decode of a corpus input up to `Corpus.decode_budget()` tokens.
     """
     if max_context is None:
-        max_context = _round_up(corpus.max_composed_len())
+        pairs = training_pairs(corpus)
+        longest_input = max(len(inp) for inp, _ in pairs)
+        max_context = _round_up(longest_input + 1 + max(len(tgt) for _, tgt in pairs))
     return ModelConfig(
         vocab_size=corpus.vocab.size,
         d_model=d_model,
@@ -83,15 +86,6 @@ def default_model_config(
         eos_token=corpus.vocab.eos_token,
         intensity_vocab=corpus.vocab.intensity,
     )
-
-
-def training_pairs(corpus: Corpus) -> list:
-    """Corpus pairs with the end token appended to each target, when the
-    vocabulary has one."""
-    eos = corpus.vocab.eos_token
-    if eos is None:
-        return list(corpus.pairs)
-    return [(inp, tgt + (eos,)) for inp, tgt in corpus.pairs]
 
 
 def train_model(

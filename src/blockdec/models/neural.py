@@ -406,8 +406,8 @@ def _layernorm_backward(dy, g, cache):
     dxhat = dy * g
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
     )
     return dx, dg, db
 
@@ -460,9 +460,6 @@ class TrainBatch:
             input_lens[row] = len(inp)
             target_lens[row] = len(tgt)
         return cls(ids=ids, input_lens=input_lens, target_lens=target_lens)
-
-    def __len__(self):
-        return self.ids.shape[0]
 
 
 def _loss_positions(batch: TrainBatch, head: int, max_context: int):
@@ -594,15 +591,17 @@ def train_step(
     """One SGD step on the sub-loss of a single head.
 
     Parameters in frozen partitions are left untouched. When max_grad_norm
-    is set, the whole gradient is rescaled so its global L2 norm does not
-    exceed it. Raises NumericError before applying any update if the loss
-    is not finite.
+    is set, the trained partitions' gradient is rescaled so its global L2
+    norm does not exceed it; frozen partitions' gradients do not count.
+    Raises NumericError before applying any update if the loss is not
+    finite.
     """
     if learning_rate <= 0:
         raise ConfigurationError("learning_rate must be positive")
     loss, grads = loss_and_gradients(model, batch, head)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")
+    grads = {name: g for name, g in grads.items() if not freeze.frozen(partition_of(name))}
     if max_grad_norm is not None:
         total = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
         if total > max_grad_norm:
@@ -610,7 +609,5 @@ def train_step(
             grads = {name: g * factor for name, g in grads.items()}
     lr = model.dtype.type(learning_rate)
     for name, grad in grads.items():
-        if freeze.frozen(partition_of(name)):
-            continue
         model.params[name] -= lr * grad
     return loss

@@ -84,6 +84,11 @@ class TestReportShape:
             block_sizes=(1,), repeats=1, max_pairs=2))
         assert report.meta["pairs"] == 2
 
+    @pytest.mark.parametrize("max_pairs", [0, -1])
+    def test_max_pairs_below_1_is_refused(self, max_pairs):
+        with pytest.raises(ConfigurationError, match="max_pairs must be >= 1"):
+            BenchConfig(max_pairs=max_pairs)
+
 
 class TestWarmUpAndEnvironment:
     def test_meta_records_the_environment(self):

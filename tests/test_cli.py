@@ -307,6 +307,12 @@ class TestBench:
         assert code == 2
         assert "error: 'min_len' must be an integer, got \"2\"" in capsys.readouterr().err
 
+    def test_max_pairs_0_exits_2(self, workspace, capsys):
+        code = cli(["bench", "--synthetic", "random_table", "--corpus", str(workspace["corpus"]),
+                    "--block-sizes", "1", "--repeats", "1", "--max-pairs", "0"])
+        assert code == 2
+        assert "max_pairs must be >= 1" in capsys.readouterr().err
+
     def test_heads_is_not_an_option(self, workspace, capsys):
         with pytest.raises(SystemExit):
             cli(["bench", "--synthetic", "random_table", "--corpus",

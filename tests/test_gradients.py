@@ -119,6 +119,24 @@ class TestTrainStep:
         ))
         np.testing.assert_allclose(applied, clip, rtol=1e-6)
 
+    def test_clipping_counts_only_trained_partitions(self):
+        model = micro_model()
+        batch = micro_batch(model.config)
+        freeze = FreezeMask(base=True)
+        _, grads = loss_and_gradients(model, batch, 1)
+        trained = {k: g for k, g in grads.items() if not freeze.frozen(partition_of(k))}
+        norm = np.sqrt(sum(float((g ** 2).sum()) for g in trained.values()))
+        clip = norm / 4
+        before = {k: v.copy() for k, v in model.params.items()}
+        train_step(model, batch, 1, learning_rate=0.1, freeze=freeze, max_grad_norm=clip)
+        for name, value in model.params.items():
+            if name in trained:
+                np.testing.assert_allclose(
+                    value, before[name] - 0.1 * trained[name] * clip / norm, rtol=1e-12
+                )
+            else:
+                np.testing.assert_array_equal(value, before[name])
+
     def test_non_finite_loss_raises_before_update(self):
         model = micro_model()
         batch = micro_batch(model.config)

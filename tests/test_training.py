@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from blockdec.errors import ConfigurationError
-from blockdec.harness.corpus import make_pattern_corpus
+from blockdec.harness.bench import BenchConfig, distill_corpus, run_bench
+from blockdec.harness.corpus import Corpus, Vocab, _text_vocab, encode_text, make_pattern_corpus
 from blockdec.harness.training import (
     TrainingConfig,
     default_model_config,
@@ -37,6 +38,34 @@ def tiny_model_config(corpus):
     return default_model_config(corpus, num_heads=3, d_model=16, d_hidden=16, num_layers=1)
 
 
+def text_corpus(rows):
+    return Corpus(kind="text_char", vocab=_text_vocab(),
+                  pairs=tuple((encode_text(i), encode_text(t)) for i, t in rows))
+
+
+# the longest input and the longest target sit in different pairs
+MIXED_TEXT = (("abcdefghij", "x"), ("a", "klmnopqrst"))
+
+# corpus and its decode budget, as before the context rule changed
+LENGTH_CASES = {
+    "text_mixed": (lambda: text_corpus(MIXED_TEXT), 11),
+    "text": (lambda: text_corpus((("abc", "cba"), ("hello", "olleh"))), 6),
+    "pattern_generated": (lambda: make_pattern_corpus(
+        "reverse", alphabet=6, n_pairs=20, min_len=1, max_len=7, seed=3), 8),
+    "pattern_materialized_mixed": (lambda: Corpus(
+        kind="synthetic_pattern", vocab=Vocab(size=6, sep_token=4, eos_token=5),
+        pairs=(((0,) * 9, (1,)), ((2,), (3,) * 12), ((1, 2), (0, 1, 2)))), 13),
+    "grid": (lambda: Corpus(
+        kind="intensity_grid", vocab=Vocab(size=257, sep_token=256, eos_token=None, intensity=True),
+        pairs=(((1,) * 12, (0,) * 6), ((3,), (9,) * 6)), fixed_target_len=6,
+        meta={"width": 3, "height": 2}), 6),
+    # a fixed length is the budget even when the vocabulary has an end token
+    "fixed_length_with_end_token": (lambda: Corpus(
+        kind="synthetic_pattern", vocab=Vocab(size=10, sep_token=8, eos_token=9),
+        pairs=(((1,) * 5, (2, 3, 4)), ((4,), (5, 6, 7))), fixed_target_len=3), 3),
+}
+
+
 class TestDefaults:
     def test_model_config_sized_to_corpus(self):
         corpus = tiny_corpus()
@@ -46,6 +75,25 @@ class TestDefaults:
         assert cfg.eos_token == corpus.vocab.eos_token
         # 3 input + SEP + 6 target + EOS = 11, rounded up to 16
         assert cfg.max_context == 16
+
+    @pytest.mark.parametrize("make, budget", LENGTH_CASES.values(), ids=LENGTH_CASES.keys())
+    def test_context_holds_every_pair_and_every_decode(self, make, budget):
+        corpus = make()
+        pairs = training_pairs(corpus)
+        longest_input = max(len(i) for i, _ in pairs)
+        longest_target = max(len(t) for _, t in pairs)
+        assert default_model_config(corpus).max_context >= longest_input + 1 + longest_target
+        assert corpus.decode_budget() == budget
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_default_model_decodes_its_own_corpus(self, seed):
+        corpus = text_corpus(MIXED_TEXT)
+        config = default_model_config(corpus, num_heads=4, d_model=16, d_hidden=16, num_layers=1)
+        model = TinyBlockModel(config, seed=seed)
+        report = run_bench(model, corpus, BenchConfig(block_sizes=(1, 2, 4), repeats=1))
+        assert report.meta["pairs"] == 2
+        distill_corpus(model, corpus)
+        assert config.max_context == 24  # 10 input + SEP + 10 target + EOS, rounded up
 
     def test_training_pairs_append_eos(self):
         corpus = tiny_corpus()
