@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError
 
 # each kind's textual keys and the fields they set; min_block belongs to every kind
 PARAMS = {"exact": {}, "top_k": {"k": "top_k_k"}, "distance": {"eps": "epsilon"}}
@@ -57,6 +57,41 @@ class AcceptanceCriterion:
         if self.min_block != 1:
             parts.append(f"min_block={self.min_block}")
         return ",".join(parts)
+
+
+def parse_criterion(text: str) -> AcceptanceCriterion:
+    """Parse the ``PARAMS`` grammar that ``describe()`` writes, e.g.
+    ``kind=top_k,k=2,min_block=1``; a bare kind name is shorthand for it."""
+    fields = {}
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            if part in PARAMS and "kind" not in fields:
+                fields["kind"] = part
+                continue
+            raise ParseError(f"expected key=value in criterion, got {part!r}")
+        key, _, value = part.partition("=")
+        key, value = key.strip(), value.strip()
+        if key in fields:
+            raise ParseError(f"duplicate criterion key {key!r}")
+        fields[key] = value
+    kind = fields.pop("kind", None)
+    if kind is None:
+        raise ParseError(f"criterion needs a kind, one of {', '.join(PARAMS)}")
+    if kind not in PARAMS:
+        raise ParseError(f"unknown criterion kind {kind!r}")
+    names = {**PARAMS[kind], "min_block": "min_block"}
+    kwargs = {"kind": kind}
+    for key, value in fields.items():
+        if key not in names:
+            raise ParseError(f"key {key!r} is not valid for kind={kind}")
+        try:
+            kwargs[names[key]] = int(value)
+        except ValueError:
+            raise ParseError(f"criterion key {key} needs an integer, got {value!r}") from None
+    return AcceptanceCriterion(**kwargs)
 
 
 EXACT = AcceptanceCriterion()

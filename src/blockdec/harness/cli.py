@@ -24,7 +24,7 @@ import sys
 from dataclasses import replace
 
 from .. import __version__
-from ..criteria import PARAMS, AcceptanceCriterion
+from ..criteria import parse_criterion
 from ..engine import SCHEMES, DecodeConfig, decode
 from ..errors import BlockdecError, ParseError
 from ..models.checkpoint import load_checkpoint, save_checkpoint
@@ -34,41 +34,6 @@ from .bench import BenchConfig, distill_corpus, run_bench
 from .corpus import _text_vocab, decode_text, encode_text, load_corpus, save_corpus, strip_eos
 from .report import FORMATS, emit_report
 from .training import TrainingConfig, default_model_config, train_model
-
-
-def parse_criterion(text: str) -> AcceptanceCriterion:
-    """Parse the criterion grammar of `criteria.PARAMS`, e.g.
-    `kind=top_k,k=2,min_block=1`."""
-    fields = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            if part in PARAMS and "kind" not in fields:
-                fields["kind"] = part
-                continue
-            raise ParseError(f"expected key=value in criterion, got {part!r}")
-        key, _, value = part.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in fields:
-            raise ParseError(f"duplicate criterion key {key!r}")
-        fields[key] = value
-    kind = fields.pop("kind", None)
-    if kind is None:
-        raise ParseError(f"criterion needs a kind, one of {', '.join(PARAMS)}")
-    if kind not in PARAMS:
-        raise ParseError(f"unknown criterion kind {kind!r}")
-    names = {**PARAMS[kind], "min_block": "min_block"}
-    kwargs = {"kind": kind}
-    for key, value in fields.items():
-        if key not in names:
-            raise ParseError(f"key {key!r} is not valid for kind={kind}")
-        try:
-            kwargs[names[key]] = int(value)
-        except ValueError:
-            raise ParseError(f"criterion key {key} needs an integer, got {value!r}") from None
-    return AcceptanceCriterion(**kwargs)
 
 
 def _parse_int_list(text: str, what: str) -> tuple:

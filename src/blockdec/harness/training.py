@@ -1,10 +1,12 @@
 """Training loop for the k-head model on a task corpus.
 
-Each step draws a random batch, draws one head uniformly at random, and
-takes one SGD step on that head's sub-loss. The uniform draw keeps the
-expected step equal to training on the mean of all head losses at a
-fraction of the cost. Freezing partitions turns the same loop into
-head-only fine-tuning on top of a fixed trunk.
+The corpus is composed into padded rows and checked against the model once,
+before the first step, so a pair past the model's context fails, naming the
+pair, before any training. Each step draws a random batch of those rows,
+draws one head uniformly at random, and takes one SGD step on that head's
+sub-loss. The uniform draw keeps the expected step equal to training on the
+mean of all head losses at a fraction of the cost. Freezing partitions turns
+the same loop into head-only fine-tuning on top of a fixed trunk.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class TrainingConfig:
             raise ConfigurationError("learning_rate must be positive")
         if not 0.0 <= self.lr_decay <= 1.0:
             raise ConfigurationError("lr_decay must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+        if self.log_every < 0:
+            raise ConfigurationError("log_every must be >= 0 (0: no log)")
 
 
 def _round_up(value: int, multiple: int = 8) -> int:
@@ -106,12 +112,12 @@ def train_model(
         model = TinyBlockModel(model_config, seed=training.seed)
     corpus.check_model(model)
     cfg = model.config
-    pairs = training_pairs(corpus)
+    composed = TrainBatch.from_pairs(training_pairs(corpus), cfg)
     rng = np.random.default_rng(training.seed)
     losses = []
     for step in range(training.steps):
-        idx = rng.integers(0, len(pairs), size=training.batch_size)
-        batch = TrainBatch.from_pairs([pairs[i] for i in idx], cfg)
+        idx = rng.integers(0, len(composed.ids), size=training.batch_size)
+        batch = TrainBatch(composed.ids[idx], composed.input_lens[idx], composed.target_lens[idx])
         head = int(rng.integers(1, cfg.num_heads + 1))
         lr = training.learning_rate * (1.0 - training.lr_decay * step / training.steps)
         loss = train_step(

@@ -245,10 +245,9 @@ class TinyBlockModel(ScoringModel):
             for layer in range(self.config.num_layers)
         ]
 
-    def _layer(self, layer: int, x: np.ndarray, mask: np.ndarray, wqkv: np.ndarray,
-               kv=None, want_cache=False):
+    def _layer(self, layer: int, x: np.ndarray, mask: np.ndarray, wqkv: np.ndarray, kv=None):
         """One transformer layer over x (..., T, D); returns the layer output
-        and, when requested, the intermediates the backward pass needs.
+        and the intermediates the backward pass reads.
 
         `wqkv` is the layer's fused (D, 3D) q/k/v weight. Attention reads the
         keys and values computed from x itself, or, with kv = (store, rows),
@@ -277,31 +276,23 @@ class TinyBlockModel(ScoringModel):
         upre = b @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"]
         u = np.maximum(upre, 0)
         x3 = x2 + u @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
-        if not want_cache:
-            return x3, None
         return x3, {
-            "x": x, "a": a, "ln1": ln1c, "q": q, "k": keys, "v": values,
-            "attn": attn, "ctx": ctx, "x2": x2, "b": b, "ln2": ln2c, "u": u,
+            "a": a, "ln1": ln1c, "q": q, "k": keys, "v": values,
+            "attn": attn, "ctx": ctx, "b": b, "ln2": ln2c, "u": u,
         }
 
-    def trunk_forward(self, ids_batch: np.ndarray, want_cache: bool = False):
+    def trunk_forward(self, ids_batch: np.ndarray):
         """Transformer trunk over padded id batches of shape (B, max_context).
 
-        Returns the final layernormed hidden states (B, C, D) and, when
-        requested, the intermediates needed for the backward pass.
+        Returns the final layernormed hidden states (B, C, D) and the
+        intermediates the backward pass reads.
         """
         p = self.params
         x = p["tok_emb"][ids_batch] + p["pos_emb"][None, :, :]
-        cache = {"ids": ids_batch, "x0": x} if want_cache else None
+        cache = {"ids": ids_batch}
         for layer, wqkv in enumerate(self._qkv_weights()):
-            x, layer_cache = self._layer(layer, x, self._mask, wqkv, want_cache=want_cache)
-            if want_cache:
-                cache[f"layer{layer}"] = layer_cache
-        hf, lnfc = _layernorm(x, p["lnf.g"], p["lnf.b"])
-        if want_cache:
-            cache["x_final"] = x
-            cache["lnf"] = lnfc
-            cache["hf"] = hf
+            x, cache[f"layer{layer}"] = self._layer(layer, x, self._mask, wqkv)
+        hf, cache["lnf"] = _layernorm(x, p["lnf.g"], p["lnf.b"])
         return hf, cache
 
     def _positions_forward(self, tokens: np.ndarray, first: int, cache: _KVCache):
@@ -333,9 +324,10 @@ class TinyBlockModel(ScoringModel):
         finally:
             self._cache = outer
 
-    def extension_forward(self, hf: np.ndarray, heads: slice, want_cache: bool = False):
+    def extension_forward(self, hf: np.ndarray, heads: slice):
         """Logits of the heads in `heads` (a slice of 0-indexed heads) at
-        every position: hf (..., T, D) gives (..., T, len(heads), V).
+        every position: hf (..., T, D) gives (..., T, len(heads), V), and
+        the intermediates the backward pass reads.
 
         score_grid passes every head on its window of num_heads + 1 rows and
         training one head on padded rows (T = max_context). The vocabulary
@@ -352,8 +344,7 @@ class TinyBlockModel(ScoringModel):
         o = u @ p["ext.w2"][:, lo:hi] + p["ext.b2"][lo:hi]
         y = o.reshape(*hf.shape[:-1], stop - first, d) + hf[..., None, :]
         logits = y.reshape(*hf.shape[:-2], -1, d) @ p["proj.w"]
-        cache = {"u": u, "y": y, "lo": lo} if want_cache else None
-        return logits.reshape(*y.shape[:-1], -1), cache
+        return logits.reshape(*y.shape[:-1], -1), {"u": u, "y": y, "lo": lo}
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         """Score k heads at every candidate offset: the trunk on the positions
@@ -454,7 +445,7 @@ class TrainBatch:
             composed = inp + (config.sep_token,) + tgt
             if len(composed) > c:
                 raise LengthError(
-                    f"composed sequence of {len(composed)} tokens exceeds context {c}"
+                    f"pair {row}: composed sequence of {len(composed)} tokens exceeds context {c}"
                 )
             ids[row, : len(composed)] = composed
             input_lens[row] = len(inp)
@@ -462,25 +453,25 @@ class TrainBatch:
         return cls(ids=ids, input_lens=input_lens, target_lens=target_lens)
 
 
-def _loss_positions(batch: TrainBatch, head: int, max_context: int):
+def _loss_positions(batch: TrainBatch, head: int):
     """Boolean mask of positions where head `head` has a target.
 
     Head h at position p predicts ids[p + h]. Valid p runs from the SEP
     (index input_len) through input_len + target_len - h.
     """
-    pos = np.arange(max_context)[None, :]
+    pos = np.arange(batch.ids.shape[1])[None, :]
     sep = batch.input_lens[:, None]
     last = batch.input_lens[:, None] + batch.target_lens[:, None] - head
     return (pos >= sep) & (pos <= last)
 
 
-def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int, want_cache: bool):
+def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
     if not 1 <= head <= model.num_heads:
         raise ConfigurationError(f"head must be in [1, {model.num_heads}]")
-    hf, trunk_cache = model.trunk_forward(batch.ids, want_cache=want_cache)
-    logits, ext_cache = model.extension_forward(hf, slice(head - 1, head), want_cache=want_cache)
+    hf, trunk_cache = model.trunk_forward(batch.ids)
+    logits, ext_cache = model.extension_forward(hf, slice(head - 1, head))
     logits = logits[..., 0, :]
-    mask = _loss_positions(batch, head, model.config.max_context)
+    mask = _loss_positions(batch, head)
     count = int(mask.sum())
     if count == 0:
         raise ConfigurationError(
@@ -500,13 +491,12 @@ def sub_loss(model: TinyBlockModel, batch: TrainBatch, head: int) -> float:
     Averaging sub_loss over a uniformly random head is an unbiased
     estimate of the mean of all per-head losses.
     """
-    loss, _ = _head_loss(model, batch, head, want_cache=False)
-    return loss
+    return _head_loss(model, batch, head)[0]
 
 
 def loss_and_gradients(model: TinyBlockModel, batch: TrainBatch, head: int):
     """Sub-loss of one head and its gradient for every parameter."""
-    loss, aux = _head_loss(model, batch, head, want_cache=True)
+    loss, aux = _head_loss(model, batch, head)
     hf, cache, logits, ext_cache, rows, cols, targets, count = aux
     p = model.params
     cfg = model.config
@@ -576,7 +566,6 @@ def loss_and_gradients(model: TinyBlockModel, batch: TrainBatch, head: int):
     dtok = np.zeros_like(p["tok_emb"])
     np.add.at(dtok, cache["ids"].reshape(-1), dx.reshape(-1, cfg.d_model))
     grads["tok_emb"] = dtok
-    grads = {k: v.astype(model.dtype) for k, v in grads.items()}
     return loss, grads
 
 

@@ -81,6 +81,19 @@ class TestTrain:
         assert load_checkpoint(out).config == load_checkpoint(workspace["ckpt"]).config
 
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed", "seed must be >= 0"), ("--log-every", "log_every must be >= 0"),
+    ])
+    def test_a_negative_seed_or_log_every_exits_2(self, workspace, tmp_path, capsys,
+                                                  flag, message):
+        out = tmp_path / "model.ckpt"
+        code = cli(["train", "--corpus", str(workspace["corpus"]), "--steps", "2",
+                    flag, "-1", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDecode:
     def test_trace_and_stats(self, workspace, capsys):
         code = cli([

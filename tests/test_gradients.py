@@ -70,6 +70,16 @@ class TestFiniteDifferences:
         for part, err in worst.items():
             assert err <= REL_TOL, f"{part}: {err}"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_have_their_parameters_shape_and_dtype(self, dtype):
+        model = TinyBlockModel(micro_model().config, seed=3, dtype=dtype)
+        for head in (1, 2, 3):
+            _, grads = loss_and_gradients(model, micro_batch(model.config), head)
+            assert set(grads) == set(model.params)
+            for name, grad in grads.items():
+                assert grad.shape == model.params[name].shape, name
+                assert grad.dtype == model.dtype, name
+
     def test_gradients_deterministic(self):
         model = micro_model()
         batch = micro_batch(model.config)

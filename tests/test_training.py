@@ -1,9 +1,12 @@
 """Training loop behavior: loss trends, estimator bias, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from blockdec.errors import ConfigurationError
+from blockdec.errors import ConfigurationError, LengthError
+from blockdec.harness import training as training_module
 from blockdec.harness.bench import BenchConfig, distill_corpus, run_bench
 from blockdec.harness.corpus import Corpus, Vocab, _text_vocab, encode_text, make_pattern_corpus
 from blockdec.harness.training import (
@@ -18,6 +21,7 @@ from blockdec.models.neural import (
     TinyBlockModel,
     TrainBatch,
     sub_loss,
+    train_step,
 )
 
 
@@ -109,6 +113,10 @@ class TestDefaults:
             TrainingConfig(learning_rate=-1)
         with pytest.raises(ConfigurationError):
             TrainingConfig(lr_decay=2.0)
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainingConfig(seed=-1)
+        with pytest.raises(ConfigurationError, match="log_every"):
+            TrainingConfig(log_every=-1)
 
 
 class TestTrainModel:
@@ -152,6 +160,56 @@ class TestTrainModel:
         with pytest.raises(ConfigurationError, match=r"\(50 tokens, separator 40\) .* "
                                                      r"\(10 tokens, separator 8\)"):
             train_model(corpus, model=model)
+
+
+def reference_training(corpus, model, training):
+    """train_model's loop with each step's batch composed from its pairs."""
+    pairs = training_pairs(corpus)
+    rng = np.random.default_rng(training.seed)
+    losses = []
+    for step in range(training.steps):
+        idx = rng.integers(0, len(pairs), size=training.batch_size)
+        batch = TrainBatch.from_pairs([pairs[i] for i in idx], model.config)
+        head = int(rng.integers(1, model.num_heads + 1))
+        lr = training.learning_rate * (1.0 - training.lr_decay * step / training.steps)
+        losses.append(train_step(model, batch, head, lr, freeze=training.freeze,
+                                 max_grad_norm=training.max_grad_norm))
+    return losses
+
+
+class TestComposedOnce:
+    @pytest.mark.parametrize("dtype, freeze, max_grad_norm", [
+        (np.float32, FreezeMask(), 1.0),
+        (np.float64, FreezeMask(), 1.0),
+        (np.float32, FreezeMask(base=True), 0.05),
+        (np.float64, FreezeMask(base=True), 0.05),
+    ])
+    def test_bitwise_equal_to_composing_every_step(self, dtype, freeze, max_grad_norm):
+        corpus = tiny_corpus(min_len=2, max_len=5)
+        training = tiny_training(steps=120, freeze=freeze, max_grad_norm=max_grad_norm)
+        model = TinyBlockModel(tiny_model_config(corpus), seed=5, dtype=dtype)
+        reference = model.copy()
+        trained, losses = train_model(corpus, training=training, model=model)
+        assert losses == reference_training(corpus, reference, training)
+        for name in reference.params:
+            np.testing.assert_array_equal(trained.params[name], reference.params[name])
+
+    @pytest.mark.parametrize("steps, seed", [(1, 0), (1, 3), (200, 0)])
+    def test_a_pair_past_the_context_fails_before_the_first_step(
+        self, monkeypatch, steps, seed
+    ):
+        corpus = tiny_corpus()
+        config = tiny_model_config(corpus)
+        pairs = list(corpus.pairs)
+        pairs.insert(40, ((1,) * 10, (2,) * 5))  # 10 + SEP + 5 + EOS = 17 > 16
+        long_corpus = dataclasses.replace(corpus, pairs=tuple(pairs))
+        calls = []
+        monkeypatch.setattr(training_module, "train_step",
+                            lambda *args, **kwargs: calls.append(args) or 0.0)
+        with pytest.raises(LengthError, match="pair 40: composed sequence of 17 tokens "
+                                              "exceeds context 16"):
+            train_model(long_corpus, config, tiny_training(steps=steps, seed=seed))
+        assert calls == []
 
 
 class TestSubLossEstimator:
