@@ -14,6 +14,9 @@ floor on tokens accepted per iteration. The global --seed falls back to the
 BLOCKDEC_SEED environment variable, then to 0.
 A --synthetic model gets as many heads as the largest block size asked for.
 bench and distill refuse a model whose vocabulary differs from the corpus's.
+An option left out is not passed on, so the library's own types keep every
+default; an option the chosen model would ignore is refused before any work:
+an architecture flag with `train --init-from`, `--vocab-size` with `decode --model`.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .. import __version__
 from ..criteria import parse_criterion
 from ..engine import SCHEMES, DecodeConfig, decode
-from ..errors import BlockdecError, ParseError
+from ..errors import BlockdecError, ConfigurationError, ParseError
 from ..models.checkpoint import load_checkpoint, save_checkpoint
 from ..models.neural import FreezeMask, PARTITIONS
 from ..models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
@@ -41,6 +45,10 @@ def _parse_int_list(text: str, what: str) -> tuple:
         return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ParseError(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
+def _parse_criteria(text: str) -> tuple:
+    return tuple(parse_criterion(c) for c in text.split(";") if c.strip())
 
 
 def _parse_freeze(text: str) -> FreezeMask:
@@ -73,14 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (default: $BLOCKDEC_SEED, then 0)")
-    parser.add_argument("--report-format", choices=FORMATS, default="json",
+    parser.add_argument("--report-format", dest="fmt", choices=FORMATS,
                         help="serialization for bench reports")
     parser.add_argument("--out", default=None, help="output path (default depends on command)")
     # the same options are accepted after the subcommand; SUPPRESS keeps an
     # omitted one from overwriting a value given before the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--report-format", choices=FORMATS, default=argparse.SUPPRESS)
+    common.add_argument("--report-format", dest="fmt", choices=FORMATS,
+                        default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     source = argparse.ArgumentParser(add_help=False)
     model = source.add_mutually_exclusive_group(required=True)
@@ -88,20 +97,22 @@ def build_parser() -> argparse.ArgumentParser:
     model.add_argument("--synthetic", choices=SYNTHETIC_KINDS, help="use a seeded table model")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an option without a default is passed on only when given (`_given`), so
+    # the library's config types own every default; dests are library names
     t = sub.add_parser("train", help="train a k-head model on a corpus", parents=[common])
     t.add_argument("--corpus", required=True)
     t.add_argument("--corpus-kind", default=None)
-    t.add_argument("--steps", type=int, default=8000)
-    t.add_argument("--batch-size", type=int, default=16)
-    t.add_argument("--learning-rate", type=float, default=0.3)
-    t.add_argument("--heads", type=int, default=4)
-    t.add_argument("--d-model", type=int, default=64)
-    t.add_argument("--d-hidden", type=int, default=64)
-    t.add_argument("--layers", type=int, default=2)
-    t.add_argument("--max-context", type=int, default=None)
-    t.add_argument("--freeze", default="", help="comma list of partitions to freeze")
+    t.add_argument("--steps", type=int)
+    t.add_argument("--batch-size", type=int)
+    t.add_argument("--learning-rate", type=float)
+    t.add_argument("--heads", dest="num_heads", type=int)
+    t.add_argument("--d-model", type=int)
+    t.add_argument("--d-hidden", type=int)
+    t.add_argument("--layers", dest="num_layers", type=int)
+    t.add_argument("--max-context", type=int)
+    t.add_argument("--freeze", type=_parse_freeze, help="comma list of partitions to freeze")
     t.add_argument("--init-from", default=None, help="checkpoint to continue training from")
-    t.add_argument("--log-every", type=int, default=0)
+    t.add_argument("--log-every", type=int)
 
     d = sub.add_parser("distill", help="rewrite corpus targets with teacher decodes",
                        parents=[common])
@@ -114,12 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
                          parents=[common, source])
     what = dec.add_mutually_exclusive_group(required=True)
     what.add_argument("--input", help="input text (byte tokens)")
-    what.add_argument("--tokens", help="input token ids, comma separated")
+    what.add_argument("--tokens", type=partial(_parse_int_list, what="--tokens"),
+                      help="input token ids, comma separated")
     dec.add_argument("--block-size", type=int, default=4)
-    dec.add_argument("--criterion", default="kind=exact")
+    dec.add_argument("--criterion", type=parse_criterion)
     dec.add_argument("--max-len", type=int, default=32)
     dec.add_argument("--scheme", choices=SCHEMES, default="combined")
-    dec.add_argument("--vocab-size", type=int, default=16, help="synthetic model vocabulary")
+    dec.add_argument("--vocab-size", type=int, help="synthetic model vocabulary")
     dec.add_argument("--check-greedy", action="store_true",
                      help="also run greedy decoding and compare outputs")
     dec.add_argument("--no-trace", action="store_true")
@@ -128,40 +140,31 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common, source])
     b.add_argument("--corpus", required=True)
     b.add_argument("--corpus-kind", default=None)
-    b.add_argument("--block-sizes", default="1,2,4,8")
-    b.add_argument("--criteria", default="kind=exact",
-                   help="semicolon-separated criterion specs")
-    b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--max-pairs", type=int, default=None)
-    b.add_argument("--max-len", type=int, default=None)
-    b.add_argument("--scheme", choices=SCHEMES, default="combined")
+    b.add_argument("--block-sizes", type=partial(_parse_int_list, what="--block-sizes"))
+    b.add_argument("--criteria", type=_parse_criteria, help="semicolon-separated criterion specs")
+    b.add_argument("--repeats", type=int)
+    b.add_argument("--max-pairs", type=int)
+    b.add_argument("--max-len", type=int)
+    b.add_argument("--scheme", choices=SCHEMES)
     return parser
+
+
+def _given(args, *names) -> dict:
+    """The named options the user gave, as keyword arguments; one left out is
+    not passed, so the library's own default holds."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _cmd_train(args, seed: int) -> int:
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
     training = TrainingConfig(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=seed,
-        freeze=_parse_freeze(args.freeze),
-        log_every=args.log_every,
+        seed=seed, **_given(args, "steps", "batch_size", "learning_rate", "freeze", "log_every")
     )
-    model = None
-    model_config = None
-    if args.init_from:
-        model = load_checkpoint(args.init_from)
-    else:
-        model_config = default_model_config(
-            corpus,
-            num_heads=args.heads,
-            d_model=args.d_model,
-            d_hidden=args.d_hidden,
-            num_layers=args.layers,
-            max_context=args.max_context,
-        )
-    model, losses = train_model(corpus, model_config=model_config, training=training, model=model)
+    # train_model refuses an architecture given for an --init-from model
+    shape = _given(args, "num_heads", "d_model", "d_hidden", "num_layers", "max_context")
+    model_config = default_model_config(corpus, **shape) if shape else None
+    model = load_checkpoint(args.init_from) if args.init_from else None
+    model, losses = train_model(corpus, model_config, training, model)
     out = args.out or "model.ckpt"
     save_checkpoint(model, out)
     tail = losses[-min(50, len(losses)):]
@@ -200,29 +203,26 @@ def _token_renderer(model):
     return str, False
 
 
-def _model(args, seed: int, vocab_size: int, block_sizes):
-    """The --model checkpoint, or a --synthetic model with a head per block position."""
+def _model(args, seed: int, num_heads: int, **synthetic):
+    """The --model checkpoint, or a --synthetic model with `num_heads` heads,
+    built with the `synthetic` keyword arguments."""
     if args.model:
         return load_checkpoint(args.model)
-    return make_synthetic_model(
-        args.synthetic, seed=seed, vocab_size=vocab_size, num_heads=max(block_sizes)
-    )
+    return make_synthetic_model(args.synthetic, seed=seed, num_heads=num_heads, **synthetic)
 
 
 def _cmd_decode(args, seed: int) -> int:
     # the config checks the block size before a synthetic model is built with that many heads
     config = DecodeConfig(
-        block_size=args.block_size,
-        max_len=args.max_len,
-        criterion=parse_criterion(args.criterion),
+        block_size=args.block_size, max_len=args.max_len, **_given(args, "criterion")
     )
-    model = _model(args, seed, args.vocab_size, (config.block_size,))
+    if args.model and args.vocab_size is not None:
+        raise ConfigurationError("--vocab-size sizes a --synthetic model; a checkpoint "
+                                 "has its own vocabulary")
+    model = _model(args, seed, config.block_size, **_given(args, "vocab_size"))
     eos = model.config.eos_token if args.model else None
     config = replace(config, eos_token=eos)
-    if args.tokens:
-        source = _parse_int_list(args.tokens, "--tokens")
-    else:
-        source = encode_text(args.input)
+    source = args.tokens if args.tokens is not None else encode_text(args.input)
     result = decode(model, source, config, args.scheme)
     render, is_text = _token_renderer(model)
     if not args.no_trace:
@@ -255,19 +255,12 @@ def _cmd_decode(args, seed: int) -> int:
 
 def _cmd_bench(args, seed: int) -> int:
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
-    block_sizes = _parse_int_list(args.block_sizes, "--block-sizes")
-    criteria = tuple(parse_criterion(c) for c in args.criteria.split(";") if c.strip())
     bench = BenchConfig(
-        block_sizes=block_sizes,
-        criteria=criteria,
-        repeats=args.repeats,
-        max_pairs=args.max_pairs,
-        max_len=args.max_len,
-        scheme=args.scheme,
+        **_given(args, "block_sizes", "criteria", "repeats", "max_pairs", "max_len", "scheme")
     )
-    model = _model(args, seed, corpus.vocab.size, bench.block_sizes)
+    model = _model(args, seed, max(bench.block_sizes), vocab_size=corpus.vocab.size)
     report = run_bench(model, corpus, bench)
-    text = emit_report(report, args.report_format)
+    text = emit_report(report, **_given(args, "fmt"))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -279,9 +272,9 @@ def _cmd_bench(args, seed: int) -> int:
 
 def cli(argv=None) -> int:
     """Entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # options parsed to library values raise BlockdecError, reported below
+        args = build_parser().parse_args(argv)
         seed = _resolve_seed(args)
         command = {
             "train": _cmd_train,

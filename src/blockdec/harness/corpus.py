@@ -381,7 +381,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     else:
         doc = {"kind": corpus.kind}
         if corpus.kind == "synthetic_pattern":
-            doc["alphabet"] = corpus.meta["alphabet"]
+            doc["alphabet"] = corpus.vocab.size - 2  # _pattern_vocab: alphabet, SEP, EOS
         else:
             doc["width"] = corpus.meta["width"]
             doc["height"] = corpus.meta["height"]

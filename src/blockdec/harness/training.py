@@ -103,13 +103,17 @@ def train_model(
     """Train a model on a corpus; returns (model, per-step loss list).
 
     Pass `model` to continue training an existing one (for head-only
-    fine-tuning combine it with a freeze mask); otherwise a fresh model is
-    built from `model_config` or corpus-derived defaults.
+    fine-tuning combine it with a freeze mask); it keeps its own config, so
+    a `model_config` with it is refused. Otherwise a fresh model is built
+    from `model_config` or corpus-derived defaults.
     """
+    if model is not None and model_config is not None:
+        raise ConfigurationError(
+            "a model_config was given with a model to continue training; "
+            "that model keeps its own architecture"
+        )
     if model is None:
-        if model_config is None:
-            model_config = default_model_config(corpus)
-        model = TinyBlockModel(model_config, seed=training.seed)
+        model = TinyBlockModel(model_config or default_model_config(corpus), seed=training.seed)
     corpus.check_model(model)
     cfg = model.config
     composed = TrainBatch.from_pairs(training_pairs(corpus), cfg)

@@ -1,21 +1,24 @@
 """CLI: criterion grammar, option placement, and the four subcommands
 exercised end to end on a tiny corpus."""
 
+import inspect
 import json
 import re
 
 import pytest
 
-from blockdec.criteria import AcceptanceCriterion
+from blockdec.criteria import EXACT, AcceptanceCriterion
 from blockdec.engine import (
     SCHEMES, DecodeConfig, blockwise_decode, blockwise_decode_combined, greedy_decode,
 )
 from blockdec.errors import ParseError
 from blockdec.harness import cli as cli_module
+from blockdec.harness.bench import BenchConfig, BenchReport
 from blockdec.harness.cli import cli, parse_criterion
 from blockdec.harness.corpus import BYTE_EOS, BYTE_SEP, _text_vocab, load_corpus
+from blockdec.harness.training import TrainingConfig
 from blockdec.models.checkpoint import load_checkpoint
-from blockdec.models.neural import ModelConfig, TinyBlockModel
+from blockdec.models.neural import FreezeMask, ModelConfig, TinyBlockModel
 from blockdec.models.synthetic import make_synthetic_model
 
 
@@ -80,6 +83,18 @@ class TestTrain:
         assert "trained 5 steps" in capsys.readouterr().out
         assert load_checkpoint(out).config == load_checkpoint(workspace["ckpt"]).config
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--heads", "8"), ("--d-model", "64"), ("--d-hidden", "64"), ("--layers", "3"),
+        ("--max-context", "96"),
+    ])
+    def test_an_architecture_flag_with_init_from_exits_2(self, workspace, tmp_path, capsys,
+                                                         flag, value):
+        out = tmp_path / "cont.ckpt"
+        code = cli(["train", "--corpus", str(workspace["corpus"]), "--steps", "5",
+                    "--init-from", str(workspace["ckpt"]), flag, value, "--out", str(out)])
+        assert code == 2
+        assert "keeps its own architecture" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, message", [
         ("--seed", "seed must be >= 0"), ("--log-every", "log_every must be >= 0"),
@@ -92,6 +107,59 @@ class TestTrain:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def spy(monkeypatch, name, returns=None):
+    """Replace `cli_module.<name>` with a recorder of its bound arguments; it
+    calls through to the real function unless `returns` is given."""
+    real = getattr(cli_module, name)
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs) if returns is None else returns
+    monkeypatch.setattr(cli_module, name, record)
+    return calls
+
+
+class TestTheLibraryOwnsEveryDefault:
+    """A command given no optional flags hands the library its own default
+    configs, so no parser default can drift from the library's."""
+
+    def test_train(self, workspace, tmp_path, monkeypatch, capsys):
+        calls = spy(monkeypatch, "train_model",
+                    returns=(load_checkpoint(workspace["ckpt"]), [1.0]))
+        out = str(tmp_path / "model.ckpt")
+        assert cli(["train", "--corpus", str(workspace["corpus"]), "--seed", "7",
+                    "--out", out]) == 0
+        assert cli(["train", "--corpus", str(workspace["corpus"]), "--seed", "7",
+                    "--steps", "5", "--freeze", "base", "--out", out]) == 0
+        defaults, given = calls
+        assert defaults["training"] == TrainingConfig(seed=7)
+        assert defaults.get("model_config") is None and defaults.get("model") is None
+        assert given["training"] == TrainingConfig(seed=7, steps=5, freeze=FreezeMask(base=True))
+        capsys.readouterr()
+
+    def test_bench(self, workspace, monkeypatch, capsys):
+        report = BenchReport(task="t", quality_metric="q", rows=({"k": 1},))
+        calls = spy(monkeypatch, "run_bench", returns=report)
+        assert cli(["bench", "--synthetic", "random_table",
+                    "--corpus", str(workspace["corpus"])]) == 0
+        (call,) = calls
+        assert call["bench"] == BenchConfig()
+        assert call["model"].num_heads == max(BenchConfig().block_sizes)
+        assert json.loads(capsys.readouterr().out)["rows"] == [{"k": 1}]
+
+    def test_decode(self, monkeypatch, capsys):
+        calls = spy(monkeypatch, "decode")
+        assert cli(["decode", "--synthetic", "random_table", "--tokens", "3", "--seed", "0"]) == 0
+        (call,) = calls
+        assert call["config"] == DecodeConfig(block_size=4, max_len=32)
+        assert call["config"].criterion == EXACT
+        assert call["scheme"] == "combined"
+        library = make_synthetic_model("random_table", seed=0, num_heads=4)
+        assert call["model"].vocab_size == library.vocab_size
+        capsys.readouterr()
 
 
 class TestDecode:
@@ -362,6 +430,14 @@ class TestErrors:
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "1,-2"])
         assert code == 2
         assert "token id -2" in capsys.readouterr().err
+
+    def test_vocab_size_with_a_checkpoint_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "decoded.txt"
+        code = cli(["decode", "--model", str(workspace["ckpt"]), "--tokens", "1",
+                    "--vocab-size", "16", "--out", str(out)])
+        assert code == 2
+        assert "--vocab-size sizes a --synthetic model" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_token_outside_the_vocabulary(self, capsys):
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "100",

@@ -129,6 +129,17 @@ class TestPattern:
         assert loaded.pairs == corpus.pairs
         assert loaded.vocab == corpus.vocab
 
+    def test_a_corpus_built_without_meta_round_trips(self, tmp_path):
+        # the alphabet is read from the vocabulary, which every pattern corpus has
+        vocab = Vocab(size=7, sep_token=5, eos_token=6)
+        corpus = Corpus(kind="synthetic_pattern", vocab=vocab, pairs=(((1, 4), (4, 1)),))
+        path = tmp_path / "c.json"
+        save_corpus(corpus, path)
+        loaded = load_corpus(path)
+        assert loaded.pairs == corpus.pairs
+        assert loaded.vocab == vocab
+        assert loaded.meta == {"alphabet": 5}
+
     def test_bad_documents(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"kind": "synthetic_pattern", "pairs": 3}))

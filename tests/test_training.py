@@ -161,6 +161,18 @@ class TestTrainModel:
                                                      r"\(10 tokens, separator 8\)"):
             train_model(corpus, model=model)
 
+    def test_a_model_config_with_a_model_fails_before_the_first_step(self, monkeypatch):
+        # even the model's own config: a model never takes another one
+        corpus = tiny_corpus()
+        config = tiny_model_config(corpus)
+        model = TinyBlockModel(config, seed=0)
+        calls = []
+        monkeypatch.setattr(training_module, "train_step",
+                            lambda *args, **kwargs: calls.append(args) or 0.0)
+        with pytest.raises(ConfigurationError, match="keeps its own architecture"):
+            train_model(corpus, config, tiny_training(steps=3), model=model)
+        assert calls == []
+
 
 def reference_training(corpus, model, training):
     """train_model's loop with each step's batch composed from its pairs."""
