@@ -15,8 +15,10 @@ BLOCKDEC_SEED environment variable, then to 0.
 A --synthetic model gets as many heads as the largest block size asked for.
 bench and distill refuse a model whose vocabulary differs from the corpus's.
 An option left out is not passed on, so the library's own types keep every
-default; an option the chosen model would ignore is refused before any work:
-an architecture flag with `train --init-from`, `--vocab-size` with `decode --model`.
+default; an option the command would ignore is refused before any work:
+an architecture flag with `train --init-from`, `--vocab-size` with `decode --model`,
+`--report-format` with anything but `bench`, and `--seed` with `distill` or a
+`--model` checkpoint (the BLOCKDEC_SEED fallback is not refused).
 """
 
 from __future__ import annotations
@@ -61,6 +63,19 @@ def _parse_freeze(text: str) -> FreezeMask:
             raise ParseError(f"unknown partition {part!r}, pick from {PARTITIONS}")
         flags[part] = True
     return FreezeMask(**flags)
+
+
+def _refuse_ignored_globals(args) -> None:
+    """Refuse a global option given to a command that has no use for it."""
+    if args.fmt is not None and args.command != "bench":
+        raise ConfigurationError(
+            f"--report-format formats bench reports; {args.command} writes none"
+        )
+    if args.seed is not None and (args.command == "distill" or getattr(args, "model", None)):
+        raise ConfigurationError(
+            f"--seed seeds training and --synthetic models; {args.command} with a "
+            "checkpoint uses none"
+        )
 
 
 def _resolve_seed(args) -> int:
@@ -275,6 +290,7 @@ def cli(argv=None) -> int:
     try:
         # options parsed to library values raise BlockdecError, reported below
         args = build_parser().parse_args(argv)
+        _refuse_ignored_globals(args)
         seed = _resolve_seed(args)
         command = {
             "train": _cmd_train,

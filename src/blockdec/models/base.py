@@ -31,8 +31,10 @@ def check_token_ids(ids, vocab_size: int, where: str) -> None:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-probabilities over the last axis, computed in float64."""
     x = np.asarray(logits, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # the ufunc reductions are what ndarray.max and .sum call, minus their
+    # Python wrappers
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 class ScoringModel:

@@ -15,9 +15,10 @@ Layout, all little-endian:
     dims    ndim*u32
     data    float32 values, C order
 
-Parameters are stored as float32 regardless of the in-memory dtype. A
-malformed file (bad magic, unknown version, truncation, mismatched names or
-shapes) raises CheckpointFormatError without constructing a partial model.
+Parameters are stored as float32, so `save_checkpoint` refuses a model of
+another dtype rather than round its parameters. A malformed file (bad
+magic, unknown version, truncation, mismatched names or shapes) raises
+CheckpointFormatError without constructing a partial model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import struct
 
 import numpy as np
 
-from ..errors import CheckpointFormatError
+from ..errors import CheckpointFormatError, ConfigurationError
 from .neural import ModelConfig, TinyBlockModel
 
 MAGIC = b"BDKC"
@@ -47,7 +48,12 @@ _CONFIG_FIELDS = (
 
 
 def save_checkpoint(model: TinyBlockModel, path) -> None:
-    """Write the model's config and parameters to `path`."""
+    """Write the model's config and parameters to `path`; a model that is
+    not float32 raises ConfigurationError before the file is opened."""
+    if model.dtype != np.float32:
+        raise ConfigurationError(
+            f"a checkpoint stores float32 parameters; this model's are {model.dtype}"
+        )
     cfg = model.config
     buf = io.BytesIO()
     buf.write(MAGIC)

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from blockdec.errors import CheckpointFormatError
+from blockdec.errors import CheckpointFormatError, ConfigurationError
 from blockdec.models.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from blockdec.models.neural import ModelConfig, TinyBlockModel
 
@@ -46,16 +46,13 @@ class TestRoundTrip:
         b = loaded.score_grid((1, 2), (3,), (4,), 3)
         np.testing.assert_array_equal(a.grid, b.grid)
 
-    def test_float64_model_saved_as_float32(self, tmp_path):
+    def test_a_float64_model_is_refused(self, tmp_path):
         config = model_for_test().config
         model = TinyBlockModel(config, seed=1, dtype=np.float64)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.dtype == np.dtype(np.float32)
-        np.testing.assert_allclose(
-            loaded.params["proj.w"], model.params["proj.w"].astype(np.float32)
-        )
+        with pytest.raises(ConfigurationError, match="this model's are float64"):
+            save_checkpoint(model, path)
+        assert not path.exists()
 
     def test_loss_reproduced_exactly_after_reload(self, tmp_path):
         from blockdec.models.neural import TrainBatch, sub_loss, train_step

@@ -462,3 +462,48 @@ class TestErrors:
         code = cli(["decode", "--synthetic", "random_table", "--tokens", "1"])
         assert code == 2
         capsys.readouterr()
+
+
+class TestAGlobalOptionACommandIgnores:
+    """A global option the command has no use for exits 2 before any work."""
+
+    @staticmethod
+    def argv(command, workspace, out):
+        corpus, ckpt = str(workspace["corpus"]), str(workspace["ckpt"])
+        return {
+            "train": ["train", "--corpus", corpus, "--steps", "2"],
+            "distill": ["distill", "--teacher", ckpt, "--corpus", corpus],
+            "decode": ["decode", "--model", ckpt, "--tokens", "1", "--block-size", "2",
+                       "--max-len", "8"],
+            "bench": ["bench", "--model", ckpt, "--corpus", corpus, "--block-sizes", "1",
+                      "--repeats", "1"],
+        }[command] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["train", "distill", "decode"])
+    def test_report_format_outside_bench_exits_2(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = cli([*self.argv(command, workspace, out), "--report-format", "csv"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--report-format formats bench reports; {command} writes none" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("before", [False, True])
+    @pytest.mark.parametrize("command", ["distill", "decode", "bench"])
+    def test_seed_with_a_checkpoint_exits_2(self, workspace, tmp_path, capsys, command, before):
+        out = tmp_path / "out"
+        argv = self.argv(command, workspace, out)
+        code = cli(["--seed", "3", *argv] if before else [*argv, "--seed", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--seed seeds training and --synthetic models; {command} with a checkpoint " \
+               "uses none" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_the_env_seed_with_a_checkpoint_is_not_refused(self, workspace, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setenv("BLOCKDEC_SEED", "3")
+        out = tmp_path / "out"
+        assert cli(self.argv("decode", workspace, out)) == 0
+        assert out.exists()
+        capsys.readouterr()

@@ -12,10 +12,12 @@ from blockdec.models.neural import (
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
+    _KVCache,
     _layernorm,
     _softmax,
     partition_of,
     sub_loss,
+    train_step,
 )
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
@@ -70,6 +72,9 @@ class TestKernels:
         assert y.shape == x.shape and inv.shape == (3, 12, 1)
         np.testing.assert_allclose(y, reference_layernorm(x, g, b), **tol)
         np.testing.assert_allclose(xhat, reference_layernorm(x, np.ones(64), np.zeros(64)), **tol)
+        # the decode step's layernorm keeps no intermediates and is bitwise training's
+        step = _KVCache(TinyBlockModel(small_config(d_model=64), dtype=dtype))
+        np.testing.assert_array_equal(step.layernorm(x, g, b), y)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_softmax_matches_float64_reference(self, dtype):
@@ -252,7 +257,38 @@ class TestTrunkWork:
         assert sum(n for _, n in runs) == len(inp) + len(result.output)
 
 
+def decode_grids(model, inp, config):
+    """The grid of every score_grid call of a combined decode."""
+    grids = []
+    score_grid = model.score_grid
+
+    def record(*args):
+        scores = score_grid(*args)
+        grids.append(scores.grid)
+        return scores
+
+    model.score_grid = record
+    blockwise_decode_combined(model, inp, config)
+    del model.score_grid
+    return grids
+
+
 class TestDecodingWithNeuralModel:
+    def test_a_train_step_between_decodes_is_seen(self):
+        """A session binds the weights it reads when it opens, so the decode
+        after a train step scores as a copy of the trained model does."""
+        model = TinyBlockModel(small_config(), seed=8)
+        inp, config = (1, 2), DecodeConfig(block_size=3, max_len=8, eos_token=11)
+        before = decode_grids(model, inp, config)
+        batch = TrainBatch.from_pairs([(inp, (3, 4, 5, 11)), ((6,), (7, 8, 11))], model.config)
+        train_step(model, batch, head=1, learning_rate=0.5)
+        after = decode_grids(model, inp, config)
+        fresh = decode_grids(model.copy(), inp, config)
+        assert not np.array_equal(before[0], after[0])
+        assert len(after) == len(fresh)
+        for got, want in zip(after, fresh):
+            np.testing.assert_array_equal(got, want)
+
     def test_blockwise_equals_greedy_untrained(self):
         model = TinyBlockModel(small_config(), seed=5)
         config = DecodeConfig(block_size=3, max_len=8, eos_token=11)

@@ -7,6 +7,7 @@ stateless call on prefix + candidates[:i], so later candidates never change
 earlier rows, and a repeated call must return the same grid.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from blockdec.models.neural import ModelConfig, TinyBlockModel
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
+CHECKPOINT_RECORD = CHECKPOINT.with_suffix(".json")
 
 # the tiny models differ in dtype and context length; at every length a grid
 # row near the end of the context reads a head window that runs past the last
@@ -137,3 +139,19 @@ def test_engine_calls_score_grid_through_a_proxy(name, decode):
     result = decode(proxy, (1, 2, 3), config)
     assert proxy.calls == result.model_invocations
     assert result.output == decode(model, (1, 2, 3), config).output
+
+
+@pytest.mark.parametrize("decode", [greedy_decode, blockwise_decode, blockwise_decode_combined],
+                         ids=["greedy", "standard", "combined"])
+def test_the_checkpoint_decodes_its_recorded_probes(decode):
+    """The committed checkpoint loads, and every scheme decodes each probe
+    in its record to the greedy output recorded when it was made."""
+    model = load_checkpoint(CHECKPOINT)
+    record = json.loads(CHECKPOINT_RECORD.read_text())
+    task = record["corpus"]
+    # the probes' budget: the longest repeat-task target and its end token
+    max_len = task["max_len"] * task["copies"] + 1
+    config = DecodeConfig(block_size=model.num_heads, max_len=max_len,
+                          eos_token=model.config.eos_token)
+    for probe in record["probes"]:
+        assert list(decode(model, probe["input"], config).output) == probe["greedy_output"]
