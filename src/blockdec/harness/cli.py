@@ -10,21 +10,21 @@ Subcommands:
 Criteria are written as comma-separated key=value lists, for example
 `kind=exact`, `kind=top_k,k=2` or `kind=distance,eps=2,min_block=1`; a bare
 kind name is accepted as shorthand. The criterion's `min_block` is the only
-floor on tokens accepted per iteration. The global --seed falls back to the
-BLOCKDEC_SEED environment variable, then to 0.
+floor on tokens accepted per iteration.
+Each option is declared only on the subcommands that read it: `--out` on all
+four, `--report-format` on bench, and `--seed` on train, decode and bench.
+argparse refuses an option given anywhere else (exit code 2).
 A --synthetic model gets as many heads as the largest block size asked for.
 bench and distill refuse a model whose vocabulary differs from the corpus's.
 An option left out is not passed on, so the library's own types keep every
 default; an option the command would ignore is refused before any work:
-an architecture flag with `train --init-from`, `--vocab-size` with `decode --model`,
-`--report-format` with anything but `bench`, and `--seed` with `distill` or a
-`--model` checkpoint (the BLOCKDEC_SEED fallback is not refused).
+an architecture flag with `train --init-from`, and `--vocab-size` or `--seed`
+with a `--model` checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -65,57 +65,25 @@ def _parse_freeze(text: str) -> FreezeMask:
     return FreezeMask(**flags)
 
 
-def _refuse_ignored_globals(args) -> None:
-    """Refuse a global option given to a command that has no use for it."""
-    if args.fmt is not None and args.command != "bench":
-        raise ConfigurationError(
-            f"--report-format formats bench reports; {args.command} writes none"
-        )
-    if args.seed is not None and (args.command == "distill" or getattr(args, "model", None)):
-        raise ConfigurationError(
-            f"--seed seeds training and --synthetic models; {args.command} with a "
-            "checkpoint uses none"
-        )
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get("BLOCKDEC_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"BLOCKDEC_SEED must be an integer, got {raw!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockdec",
         description="Blockwise parallel decoding: train, distill, decode, benchmark.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (default: $BLOCKDEC_SEED, then 0)")
-    parser.add_argument("--report-format", dest="fmt", choices=FORMATS,
-                        help="serialization for bench reports")
-    parser.add_argument("--out", default=None, help="output path (default depends on command)")
-    # the same options are accepted after the subcommand; SUPPRESS keeps an
-    # omitted one from overwriting a value given before the subcommand
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--report-format", dest="fmt", choices=FORMATS,
-                        default=argparse.SUPPRESS)
-    common.add_argument("--out", default=argparse.SUPPRESS)
     source = argparse.ArgumentParser(add_help=False)
     model = source.add_mutually_exclusive_group(required=True)
     model.add_argument("--model", help="model checkpoint")
     model.add_argument("--synthetic", choices=SYNTHETIC_KINDS, help="use a seeded table model")
+    source.add_argument("--seed", type=int, help="--synthetic model seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # an option without a default is passed on only when given (`_given`), so
     # the library's config types own every default; dests are library names
-    t = sub.add_parser("train", help="train a k-head model on a corpus", parents=[common])
+    t = sub.add_parser("train", help="train a k-head model on a corpus")
     t.add_argument("--corpus", required=True)
+    t.add_argument("--out", default="model.ckpt", help="checkpoint path")
+    t.add_argument("--seed", type=int, help="initialization and batch seed")
     t.add_argument("--corpus-kind", default=None)
     t.add_argument("--steps", type=int)
     t.add_argument("--batch-size", type=int)
@@ -129,15 +97,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--init-from", default=None, help="checkpoint to continue training from")
     t.add_argument("--log-every", type=int)
 
-    d = sub.add_parser("distill", help="rewrite corpus targets with teacher decodes",
-                       parents=[common])
+    d = sub.add_parser("distill", help="rewrite corpus targets with teacher decodes")
     d.add_argument("--teacher", required=True)
     d.add_argument("--corpus", required=True)
+    d.add_argument("--out", default="distilled_corpus", help="distilled corpus path")
     d.add_argument("--corpus-kind", default=None)
     d.add_argument("--max-len", type=int, default=None)
 
     dec = sub.add_parser("decode", help="decode one input, printing the block trace",
-                         parents=[common, source])
+                         parents=[source])
+    dec.add_argument("--out", help="also write the output to this file")
     what = dec.add_mutually_exclusive_group(required=True)
     what.add_argument("--input", help="input text (byte tokens)")
     what.add_argument("--tokens", type=partial(_parse_int_list, what="--tokens"),
@@ -152,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--no-trace", action="store_true")
 
     b = sub.add_parser("bench", help="benchmark decode configurations over a corpus",
-                       parents=[common, source])
+                       parents=[source])
     b.add_argument("--corpus", required=True)
+    b.add_argument("--out", help="write the report to this file instead of stdout")
+    b.add_argument("--report-format", dest="fmt", choices=FORMATS, help="report serialization")
     b.add_argument("--corpus-kind", default=None)
     b.add_argument("--block-sizes", type=partial(_parse_int_list, what="--block-sizes"))
     b.add_argument("--criteria", type=_parse_criteria, help="semicolon-separated criterion specs")
@@ -170,36 +141,33 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _cmd_train(args, seed: int) -> int:
+def _cmd_train(args) -> int:
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
     training = TrainingConfig(
-        seed=seed, **_given(args, "steps", "batch_size", "learning_rate", "freeze", "log_every")
+        **_given(args, "seed", "steps", "batch_size", "learning_rate", "freeze", "log_every")
     )
     # train_model refuses an architecture given for an --init-from model
     shape = _given(args, "num_heads", "d_model", "d_hidden", "num_layers", "max_context")
     model_config = default_model_config(corpus, **shape) if shape else None
     model = load_checkpoint(args.init_from) if args.init_from else None
     model, losses = train_model(corpus, model_config, training, model)
-    out = args.out or "model.ckpt"
-    save_checkpoint(model, out)
+    save_checkpoint(model, args.out)
     tail = losses[-min(50, len(losses)):]
     print(f"trained {len(losses)} steps on {len(corpus)} pairs; "
           f"final loss {sum(tail) / len(tail):.4f} (mean of last {len(tail)})")
-    print(f"checkpoint written to {out}")
+    print(f"checkpoint written to {args.out}")
     return 0
 
 
-def _cmd_distill(args, seed: int) -> int:
-    del seed  # greedy distillation is deterministic
+def _cmd_distill(args) -> int:
     teacher = load_checkpoint(args.teacher)
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
     distilled = distill_corpus(teacher, corpus, args.max_len)
     skipped = len(corpus) - len(distilled)
     if skipped:
         print(f"warning: skipped {skipped} pairs with empty teacher output", file=sys.stderr)
-    out_path = args.out or "distilled_corpus"
-    save_corpus(distilled, out_path)
-    print(f"distilled {len(distilled)} pairs written to {out_path}")
+    save_corpus(distilled, args.out)
+    print(f"distilled {len(distilled)} pairs written to {args.out}")
     return 0
 
 
@@ -218,15 +186,19 @@ def _token_renderer(model):
     return str, False
 
 
-def _model(args, seed: int, num_heads: int, **synthetic):
+def _model(args, num_heads: int, **synthetic):
     """The --model checkpoint, or a --synthetic model with `num_heads` heads,
-    built with the `synthetic` keyword arguments."""
+    built with --seed and the `synthetic` keyword arguments."""
     if args.model:
+        if args.seed is not None:
+            raise ConfigurationError("--seed seeds a --synthetic model; a checkpoint "
+                                     "has its own weights")
         return load_checkpoint(args.model)
-    return make_synthetic_model(args.synthetic, seed=seed, num_heads=num_heads, **synthetic)
+    return make_synthetic_model(args.synthetic, num_heads=num_heads,
+                                **_given(args, "seed"), **synthetic)
 
 
-def _cmd_decode(args, seed: int) -> int:
+def _cmd_decode(args) -> int:
     # the config checks the block size before a synthetic model is built with that many heads
     config = DecodeConfig(
         block_size=args.block_size, max_len=args.max_len, **_given(args, "criterion")
@@ -234,7 +206,7 @@ def _cmd_decode(args, seed: int) -> int:
     if args.model and args.vocab_size is not None:
         raise ConfigurationError("--vocab-size sizes a --synthetic model; a checkpoint "
                                  "has its own vocabulary")
-    model = _model(args, seed, config.block_size, **_given(args, "vocab_size"))
+    model = _model(args, config.block_size, **_given(args, "vocab_size"))
     eos = model.config.eos_token if args.model else None
     config = replace(config, eos_token=eos)
     source = args.tokens if args.tokens is not None else encode_text(args.input)
@@ -268,12 +240,12 @@ def _cmd_decode(args, seed: int) -> int:
     return 0
 
 
-def _cmd_bench(args, seed: int) -> int:
+def _cmd_bench(args) -> int:
     corpus = load_corpus(args.corpus, kind=args.corpus_kind)
     bench = BenchConfig(
         **_given(args, "block_sizes", "criteria", "repeats", "max_pairs", "max_len", "scheme")
     )
-    model = _model(args, seed, max(bench.block_sizes), vocab_size=corpus.vocab.size)
+    model = _model(args, max(bench.block_sizes), vocab_size=corpus.vocab.size)
     report = run_bench(model, corpus, bench)
     text = emit_report(report, **_given(args, "fmt"))
     if args.out:
@@ -290,15 +262,13 @@ def cli(argv=None) -> int:
     try:
         # options parsed to library values raise BlockdecError, reported below
         args = build_parser().parse_args(argv)
-        _refuse_ignored_globals(args)
-        seed = _resolve_seed(args)
         command = {
             "train": _cmd_train,
             "distill": _cmd_distill,
             "decode": _cmd_decode,
             "bench": _cmd_bench,
         }[args.command]
-        return command(args, seed)
+        return command(args)
     except (BlockdecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

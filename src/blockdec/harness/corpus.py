@@ -351,7 +351,10 @@ def load_corpus(path, kind: Optional[str] = None) -> Corpus:
     treated as text_char TSV.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        return _parse_corpus(fh.read(), kind)
+
+
+def _parse_corpus(text: str, kind: Optional[str]) -> Corpus:
     stripped = text.lstrip()
     doc = None
     if kind != "text_char" and (kind in KINDS or (kind is None and stripped.startswith("{"))):
@@ -375,7 +378,11 @@ def load_corpus(path, kind: Optional[str] = None) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write a corpus in its canonical on-disk form (pairs materialized)."""
+    """Write a corpus in its canonical on-disk form (pairs materialized).
+
+    The payload is first parsed back as `load_corpus` would, and a corpus it
+    would not reproduce (vocabulary, pairs, fixed target length) raises
+    CorpusError naming the first difference before the file is opened."""
     if corpus.kind == "text_char":
         payload = _dump_text_char(corpus)
     else:
@@ -383,10 +390,24 @@ def save_corpus(corpus: Corpus, path) -> None:
         if corpus.kind == "synthetic_pattern":
             doc["alphabet"] = corpus.vocab.size - 2  # _pattern_vocab: alphabet, SEP, EOS
         else:
-            doc["width"] = corpus.meta["width"]
-            doc["height"] = corpus.meta["height"]
+            doc["width"] = corpus.meta.get("width")
+            doc["height"] = corpus.meta.get("height")
         doc["pairs"] = [[list(i), list(t)] for i, t in corpus.pairs]
         payload = json.dumps(doc, indent=1) + "\n"
+    refused = f"{corpus.kind} corpus would not load back as saved"
+    try:
+        loaded = _parse_corpus(payload, corpus.kind)
+    except CorpusError as exc:
+        raise CorpusError(f"{refused}: {exc}") from None
+    checks = [
+        ("vocabulary", corpus.vocab, loaded.vocab),
+        ("pair count", len(corpus), len(loaded)),
+        *((f"pair {i}", a, b) for i, (a, b) in enumerate(zip(corpus.pairs, loaded.pairs))),
+        ("fixed target length", corpus.fixed_target_len, loaded.fixed_target_len),
+    ]
+    for what, saved, read in checks:
+        if saved != read:
+            raise CorpusError(f"{refused}: its {what} {saved} would read {read}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)
 

@@ -259,12 +259,6 @@ class TinyBlockModel(ScoringModel):
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def partition_names(self) -> dict:
-        out = {part: [] for part in PARTITIONS}
-        for name in sorted(self.params):
-            out[partition_of(name)].append(name)
-        return out
-
     def copy(self) -> "TinyBlockModel":
         return TinyBlockModel(
             self.config,
@@ -367,28 +361,22 @@ class TinyBlockModel(ScoringModel):
         finally:
             self._cache = outer
 
-    def extension_forward(self, hf: np.ndarray, heads: slice):
-        """Logits of the heads in `heads` (a slice of 0-indexed heads) at
-        every position: hf (..., T, D) gives (..., T, len(heads), V), and
-        the intermediates the backward pass reads.
+    def extension_forward(self, hf: np.ndarray, head: int):
+        """Logits of head `head` (1-indexed) at every position: hf (..., T, D)
+        gives (..., T, V), and the intermediates the backward pass reads.
 
-        Training passes one head on padded rows (T = max_context); score_grid
-        makes the same operations on every head of its window of
-        num_heads + 1 rows. The vocabulary projection is one
-        (T * len(heads), D) @ (D, V) product per leading index of hf; that
-        fixed shape keeps the result bitwise reproducible.
+        Training runs it on padded rows (T = max_context); score_grid makes
+        the same operations on every head of its window of num_heads + 1
+        rows. The vocabulary projection is one (T, D) @ (D, V) product per
+        leading index of hf; that fixed shape keeps the result bitwise
+        reproducible.
         """
-        first, stop, step = heads.indices(self.num_heads)
-        if step != 1 or stop <= first:
-            raise ConfigurationError(f"heads must be a non-empty slice of [0, {self.num_heads})")
         p = self.params
-        d = self.config.d_model
-        lo, hi = first * d, stop * d
+        lo = (head - 1) * self.config.d_model
+        hi = lo + self.config.d_model
         u = np.maximum(hf @ p["ext.w1"] + p["ext.b1"], 0)
-        o = u @ p["ext.w2"][:, lo:hi] + p["ext.b2"][lo:hi]
-        y = o.reshape(*hf.shape[:-1], stop - first, d) + hf[..., None, :]
-        logits = y.reshape(*hf.shape[:-2], -1, d) @ p["proj.w"]
-        return logits.reshape(*y.shape[:-1], -1), {"u": u, "y": y, "lo": lo}
+        y = u @ p["ext.w2"][:, lo:hi] + p["ext.b2"][lo:hi] + hf
+        return y @ p["proj.w"], {"u": u, "y": y, "lo": lo}
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         """Score k heads at every candidate offset: the trunk on the positions
@@ -517,8 +505,7 @@ def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
     if not 1 <= head <= model.num_heads:
         raise ConfigurationError(f"head must be in [1, {model.num_heads}]")
     hf, trunk_cache = model.trunk_forward(batch.ids)
-    logits, ext_cache = model.extension_forward(hf, slice(head - 1, head))
-    logits = logits[..., 0, :]
+    logits, ext_cache = model.extension_forward(hf, head)
     mask = _loss_positions(batch, head)
     count = int(mask.sum())
     if count == 0:

@@ -158,7 +158,7 @@ class SyntheticTableModel(TableBackedModel):
 
 
 def make_synthetic_model(
-    kind: str, seed: int, vocab_size: int = 16, num_heads: int = 8
+    kind: str, seed: int = 0, vocab_size: int = 16, num_heads: int = 8
 ) -> SyntheticTableModel:
     """Build a seeded table model of the given kind.
 

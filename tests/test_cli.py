@@ -1,11 +1,18 @@
 """CLI: criterion grammar, option placement, and the four subcommands
 exercised end to end on a tiny corpus."""
 
+import argparse
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import blockdec
 
 from blockdec.criteria import EXACT, AcceptanceCriterion
 from blockdec.engine import (
@@ -207,15 +214,6 @@ class TestDecode:
         written = out_path.read_text().strip()
         assert re.fullmatch(r"\d+(,\d+)*", written)
 
-    def test_seed_position_equivalent(self, capsys):
-        args = ["decode", "--synthetic", "random_table", "--tokens", "7",
-                "--block-size", "2", "--max-len", "6", "--no-trace"]
-        outputs = []
-        for argv in ([*args, "--seed", "9"], ["--seed", "9", *args]):
-            assert cli(argv) == 0
-            outputs.append(capsys.readouterr().out.splitlines()[0])
-        assert outputs[0] == outputs[1]
-
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_scheme_runs_its_wrapper(self, scheme, capsys):
         wrapper = {"greedy": greedy_decode, "standard": blockwise_decode,
@@ -229,17 +227,6 @@ class TestDecode:
         assert code == 0
         assert f"output: {','.join(map(str, want.output))}\n" in out
         assert f"{want.model_invocations} model invocations" in out
-
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        args = ["decode", "--synthetic", "random_table", "--tokens", "7",
-                "--block-size", "2", "--max-len", "6", "--no-trace"]
-        monkeypatch.setenv("BLOCKDEC_SEED", "9")
-        assert cli(args) == 0
-        from_env = capsys.readouterr().out.splitlines()[0]
-        monkeypatch.delenv("BLOCKDEC_SEED")
-        assert cli([*args, "--seed", "9"]) == 0
-        assert from_env == capsys.readouterr().out.splitlines()[0]
-
 
 class TestTextRendering:
     def test_decode_prints_bytes_markers_and_text(self, capsys, monkeypatch):
@@ -350,9 +337,9 @@ class TestBench:
 
     def test_markdown_to_stdout(self, workspace, capsys):
         code = cli([
-            "--report-format", "markdown",
             "bench", "--model", str(workspace["ckpt"]), "--corpus", str(workspace["corpus"]),
             "--block-sizes", "1,2", "--repeats", "1", "--max-pairs", "2",
+            "--report-format", "markdown",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -457,15 +444,24 @@ class TestErrors:
         assert code == 0
         assert "8 tokens in 2 iterations" in capsys.readouterr().out
 
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("BLOCKDEC_SEED", "nope")
-        code = cli(["decode", "--synthetic", "random_table", "--tokens", "1"])
-        assert code == 2
-        capsys.readouterr()
+def options(parser) -> set:
+    return {o for action in parser._actions for o in action.option_strings}
 
 
-class TestAGlobalOptionACommandIgnores:
-    """A global option the command has no use for exits 2 before any work."""
+class TestEachOptionLivesWhereItIsRead:
+    """An option is declared only on the subcommands that read it, so one
+    given anywhere else exits 2 in argparse before any work."""
+
+    def test_where_each_option_is_declared(self):
+        parser = cli_module.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert options(parser) == {"-h", "--help", "--version"}
+        declared = {name: options(command) for name, command in sub.choices.items()}
+        assert set(declared) == {"train", "distill", "decode", "bench"}
+        assert {n for n, opts in declared.items() if "--out" in opts} == set(declared)
+        assert {n for n, opts in declared.items() if "--report-format" in opts} == {"bench"}
+        assert {n for n, opts in declared.items() if "--seed" in opts} == {
+            "train", "decode", "bench"}
 
     @staticmethod
     def argv(command, workspace, out):
@@ -479,31 +475,70 @@ class TestAGlobalOptionACommandIgnores:
                       "--repeats", "1"],
         }[command] + ["--out", str(out)]
 
-    @pytest.mark.parametrize("command", ["train", "distill", "decode"])
-    def test_report_format_outside_bench_exits_2(self, workspace, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--report-format", "csv"]),
+        ("distill", ["--report-format", "csv"]),
+        ("decode", ["--report-format", "csv"]),
+        ("distill", ["--seed", "3"]),
+    ], ids=["train-report_format", "distill-report_format", "decode-report_format",
+            "distill-seed"])
+    def test_an_option_the_command_does_not_read_exits_2(self, workspace, tmp_path, capsys,
+                                                         command, extra):
         out = tmp_path / "out"
-        code = cli([*self.argv(command, workspace, out), "--report-format", "csv"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli([*self.argv(command, workspace, out), *extra])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert f"--report-format formats bench reports; {command} writes none" in captured.err
+        assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
         assert captured.out == "" and not out.exists()
 
-    @pytest.mark.parametrize("before", [False, True])
-    @pytest.mark.parametrize("command", ["distill", "decode", "bench"])
-    def test_seed_with_a_checkpoint_exits_2(self, workspace, tmp_path, capsys, command, before):
+    @pytest.mark.parametrize("command, extra", [
+        ("train", ["--seed", "3"]), ("bench", ["--report-format", "csv"]),
+    ], ids=["train-seed", "bench-report_format"])
+    def test_an_option_before_the_subcommand_exits_2(self, workspace, tmp_path, capsys,
+                                                      command, extra):
         out = tmp_path / "out"
-        argv = self.argv(command, workspace, out)
-        code = cli(["--seed", "3", *argv] if before else [*argv, "--seed", "3"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli([*extra, *self.argv(command, workspace, out)])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert f"--seed seeds training and --synthetic models; {command} with a checkpoint " \
-               "uses none" in captured.err
+        assert "error:" in captured.err
         assert captured.out == "" and not out.exists()
 
-    def test_the_env_seed_with_a_checkpoint_is_not_refused(self, workspace, tmp_path, capsys,
-                                                           monkeypatch):
-        monkeypatch.setenv("BLOCKDEC_SEED", "3")
+    @pytest.mark.parametrize("command", ["decode", "bench"])
+    def test_seed_with_a_checkpoint_exits_2_before_it_loads(self, workspace, tmp_path, capsys,
+                                                            monkeypatch, command):
+        loads = spy(monkeypatch, "load_checkpoint")
         out = tmp_path / "out"
-        assert cli(self.argv("decode", workspace, out)) == 0
-        assert out.exists()
-        capsys.readouterr()
+        assert cli([*self.argv(command, workspace, out), "--seed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed seeds a --synthetic model; a checkpoint has its own weights" \
+            in captured.err
+        assert loads == []
+        assert captured.out == "" and not out.exists()
+
+
+class TestTheModuleEntryPoint:
+    """`python -m blockdec` exits 2 both for an option argparse refuses
+    (in process, `cli` raises SystemExit) and for a ConfigurationError (in
+    process, `cli` returns 2)."""
+
+    @staticmethod
+    def run(*argv):
+        env = {**os.environ, "PYTHONPATH": str(Path(blockdec.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-m", "blockdec", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_an_option_argparse_refuses(self, workspace):
+        done = self.run("distill", "--teacher", str(workspace["ckpt"]),
+                        "--corpus", str(workspace["corpus"]), "--seed", "3")
+        assert done.returncode == 2
+        assert "unrecognized arguments: --seed 3" in done.stderr
+        assert done.stdout == ""
+
+    def test_a_configuration_error(self, workspace):
+        done = self.run("decode", "--model", str(workspace["ckpt"]), "--tokens", "1",
+                        "--seed", "3")
+        assert done.returncode == 2
+        assert "error: --seed seeds a --synthetic model" in done.stderr
+        assert done.stdout == ""

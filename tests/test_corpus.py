@@ -260,6 +260,41 @@ class TestIntensityGrid:
             load_corpus(path, kind="synthetic_pattern")
 
 
+class TestSaveWritesOnlyWhatLoadsBack:
+    """save_corpus refuses, before the file is opened, a corpus whose saved
+    form would load back with another vocabulary, pairs or target length."""
+
+    @staticmethod
+    def refused(corpus, tmp_path, match):
+        path = tmp_path / "c.out"
+        with pytest.raises(CorpusError, match=match):
+            save_corpus(corpus, path)
+        assert not path.exists()
+
+    def test_a_grid_corpus_without_its_shape(self, tmp_path):
+        vocab = Vocab(size=257, sep_token=256, eos_token=None, intensity=True)
+        corpus = Corpus(kind="intensity_grid", vocab=vocab, pairs=(((1,), (2, 3)),),
+                        fixed_target_len=2)
+        self.refused(corpus, tmp_path, "'width' must be an integer, got null")
+
+    @pytest.mark.parametrize("token, read", [(255, "(97, 239, 191, 189)"), (256, "(97,)")],
+                             ids=["byte_255", "separator"])
+    def test_a_text_pair_that_is_not_utf8_text(self, tmp_path, token, read):
+        corpus = Corpus(kind="text_char", vocab=Vocab(size=258, sep_token=256, eos_token=257),
+                        pairs=((encode_text("a"), encode_text("b")), ((97, token), (98,))))
+        self.refused(corpus, tmp_path,
+                     re.escape(f"pair 1 ((97, {token}), (98,)) would read ({read}, (98,))"))
+
+    @pytest.mark.parametrize("changes, what", [
+        ({"vocab": Vocab(size=7, sep_token=5, eos_token=None)}, "vocabulary"),
+        ({"fixed_target_len": 2}, "fixed target length 2 would read None"),
+    ], ids=["no_end_token", "fixed_target_len"])
+    def test_a_pattern_corpus_the_format_cannot_hold(self, tmp_path, changes, what):
+        fields = {"vocab": Vocab(size=7, sep_token=5, eos_token=6), **changes}
+        corpus = Corpus(kind="synthetic_pattern", pairs=(((1, 4), (4, 1)),), **fields)
+        self.refused(corpus, tmp_path, what)
+
+
 class TestCorpusValidation:
     def test_out_of_vocab_token(self):
         with pytest.raises(CorpusError, match=r"token id 12 in the target of pair 0 "

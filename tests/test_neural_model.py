@@ -9,6 +9,7 @@ from blockdec.models.base import log_softmax
 from blockdec.models.neural import (
     LN_EPS,
     MASK_VALUE,
+    PARTITIONS,
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
@@ -104,15 +105,12 @@ class TestConfigAndParams:
 
     def test_partition_assignment(self):
         model = TinyBlockModel(small_config(), seed=0)
-        parts = model.partition_names()
-        assert "ext.w1" in parts["head_extension"]
-        assert parts["vocab_projection"] == ["proj.w"]
-        assert "tok_emb" in parts["base"]
-        assert "l1.attn.wq" in parts["base"]
-        total = sum(len(v) for v in parts.values())
-        assert total == len(model.params)
-        assert partition_of("ext.b2") == "head_extension"
-        assert partition_of("lnf.g") == "base"
+        parts = {name: partition_of(name) for name in model.params}
+        assert set(parts.values()) == set(PARTITIONS)
+        assert [n for n, part in parts.items() if part == "vocab_projection"] == ["proj.w"]
+        assert {n for n, part in parts.items() if part == "head_extension"} == {
+            "ext.w1", "ext.b1", "ext.w2", "ext.b2"}
+        assert parts["tok_emb"] == parts["l1.attn.wq"] == parts["lnf.g"] == "base"
 
     def test_same_seed_same_params(self):
         a = TinyBlockModel(small_config(), seed=4)
@@ -310,8 +308,8 @@ class TestDecodingWithNeuralModel:
         grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
         tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
         for head in (1, 2, 3):
-            logits, _ = model.extension_forward(hf, slice(head - 1, head))
-            rows = log_softmax(logits[0, len(inp) : len(inp) + len(grid), 0])
+            logits, _ = model.extension_forward(hf, head)
+            rows = log_softmax(logits[0, len(inp) : len(inp) + len(grid)])
             np.testing.assert_allclose(rows, grid[:, head - 1], rtol=tol, atol=tol)
             picked = [grid[i, head - 1, tgt[i + head - 1]] for i in range(len(tgt) - head + 1)]
             assert sub_loss(model, one, head) == pytest.approx(-np.mean(picked), rel=tol)
