@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import AcceptanceCriterion, EXACT, accepted, apply_min_block
-from .errors import ConfigurationError, ModelContractError
+from .errors import ConfigurationError, LengthError, ModelContractError
 
 NORMALIZATION_TOL = 1e-5
 SCHEMES = ("greedy", "standard", "combined")
@@ -170,7 +170,8 @@ class DecodeResult:
         return len(self.output) / self.iterations
 
 
-def _check_model(model, config: DecodeConfig):
+def check_model(model, config: DecodeConfig):
+    """Raise ConfigurationError if `model` cannot run a decode under `config`."""
     if config.block_size > model.num_heads:
         raise ConfigurationError(
             f"block_size {config.block_size} exceeds model heads {model.num_heads}"
@@ -222,14 +223,23 @@ def _top2_margin(scores: BlockScores, row: int) -> float:
 
 class DecodeState:
     """One decode's predict / verify / accept state, advanced one score_grid
-    call at a time until ``done``."""
+    call at a time until ``done``.
 
-    def __init__(self, input_tokens, config: DecodeConfig, scheme: str):
+    So that blockwise decoding finishes wherever greedy decoding does within
+    the model's ``max_context`` (None: no limit), proposals are cut to the
+    room left plus one and at most the room is passed as candidates, as
+    verifying n proposals reads grid rows 0..n-1 only. Combined decoding
+    raises LengthError where row n, which its next proposals read, was not
+    computed and the decode is not done: greedy decoding overruns there."""
+
+    def __init__(self, input_tokens, config: DecodeConfig, scheme: str,
+                 max_context: Optional[int] = None):
         if scheme not in SCHEMES:
             raise ConfigurationError(f"unknown decode scheme {scheme!r}, pick from {SCHEMES}")
         self.input_tokens = tuple(input_tokens)
         self.config = config
         self.scheme = scheme
+        self.max_context = max_context
         self.k = 1 if scheme == "greedy" else config.block_size
         self.output = []
         self.accepted_sizes = []
@@ -241,7 +251,14 @@ class DecodeState:
     def next_call(self) -> tuple:
         """The (prefix, candidates, k) of the score_grid call to make next; a
         predict call has no candidates."""
-        return tuple(self.output), self.proposals or (), self.k
+        candidates = self.proposals[: self._room()] if self.proposals else ()
+        return tuple(self.output), candidates, self.k
+
+    def _room(self) -> Optional[int]:
+        """Candidates the context holds after the output so far, or None."""
+        if self.max_context is None:
+            return None
+        return self.max_context - len(self.input_tokens) - 1 - len(self.output)
 
     def feed(self, scores: BlockScores) -> None:
         """Take the grid of the call ``next_call()`` named and advance."""
@@ -274,21 +291,29 @@ class DecodeState:
         self.accepted_sizes.append(len(block))
         self.done = eos or len(self.output) >= config.max_len
         self.proposals = None
-        if self.scheme == "combined" and not eos:
+        if self.scheme == "combined" and not self.done:
             self._propose(scores, len(block))
 
     def _propose(self, scores: BlockScores, row: int) -> None:
+        room = self._room()
+        if room is not None and room < 0:
+            raise LengthError(
+                f"sequence of {self.max_context - room} tokens exceeds context {self.max_context}"
+            )
         self.source = (scores, row)
-        remaining = self.config.max_len - len(self.output)
-        self.proposals = _grid_proposals(scores, row, self.k)[:remaining]
+        limit = self.config.max_len - len(self.output)
+        if room is not None:
+            limit = min(limit, room + 1)
+        self.proposals = _grid_proposals(scores, row, self.k)[:limit]
 
 
 def decode(model, input_tokens, config: DecodeConfig, scheme: str) -> DecodeResult:
     """Decode `input_tokens` with the scheme named, one of ``SCHEMES`` (see
     the module docstring), by making the score_grid calls a
-    :class:`DecodeState` names. A bad scheme or model fails before any call."""
-    state = DecodeState(input_tokens, config, scheme)
-    _check_model(model, config)
+    :class:`DecodeState` names, within the model's ``max_context``. A bad
+    scheme or model fails before any call."""
+    state = DecodeState(input_tokens, config, scheme, getattr(model, "max_context", None))
+    check_model(model, config)
     input_tokens = state.input_tokens
     start = time.perf_counter_ns()
     with model.session(input_tokens):

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ..criteria import EXACT
-from ..engine import SCHEMES, DecodeConfig, decode
+from ..engine import SCHEMES, DecodeConfig, check_model, decode
 from ..errors import BlockdecError, ConfigurationError, CorpusError
 from .corpus import Corpus, exact_match, mean_absolute_error, strip_eos, token_accuracy
 
@@ -128,43 +128,53 @@ def run_bench(model, corpus: Corpus, bench: BenchConfig = BenchConfig()) -> Benc
     eos = corpus.vocab.eos_token
     max_len = bench.max_len if bench.max_len is not None else corpus.decode_budget()
 
+    # every row's configuration is checked against the model before any call
+    configs = []
+    for k in bench.block_sizes:
+        for criterion in bench.criteria:
+            try:
+                config = DecodeConfig(
+                    block_size=k, max_len=max_len, criterion=criterion, eos_token=eos
+                )
+                check_model(model, config)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"row k={k}, {criterion.describe()}: {exc}") from exc
+            configs.append(config)
+
     greedy_cfg = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
     _decode_pass(model, inputs, greedy_cfg, "greedy")  # warm-up, untimed
     greedy_results, greedy_ns = _median_time(model, inputs, greedy_cfg, "greedy", bench.repeats)
     greedy_outputs = [r.output for r in greedy_results]
 
     rows = []
-    for k in bench.block_sizes:
-        for criterion in bench.criteria:
-            is_baseline = k == 1 and criterion == EXACT
-            if is_baseline:
-                results, total_ns = greedy_results, greedy_ns
-            else:
-                config = DecodeConfig(
-                    block_size=k, max_len=max_len, criterion=criterion, eos_token=eos
-                )
-                results, total_ns = _median_time(model, inputs, config, bench.scheme, bench.repeats)
-            tokens = sum(len(r.output) for r in results)
-            iterations = sum(r.iterations for r in results)
-            invocations = sum(r.model_invocations for r in results)
-            matches = sum(r.output == g for r, g in zip(results, greedy_outputs))
-            quality, exact_rate = _quality(
-                [r.output for r in results], golds, eos, corpus.quality_metric
-            )
-            rows.append({
-                "k": k,
-                "criterion": criterion.describe(),
-                "mean_accepted_block_size": tokens / iterations if iterations else 0.0,
-                "iterations_total": iterations,
-                "invocations_total": invocations,
-                "wall_clock_speedup_vs_greedy": greedy_ns / total_ns if total_ns else 0.0,
-                "greedy_match_rate": matches / len(results),
-                "task_quality_metric": quality,
-                "exact_match_rate": exact_rate,
-                "wall_clock_ns_total": total_ns,
-                "baseline_wall_clock_ns": greedy_ns,
-                "scheme": "greedy" if is_baseline else bench.scheme,
-            })
+    for config in configs:
+        k, criterion = config.block_size, config.criterion
+        is_baseline = k == 1 and criterion == EXACT
+        if is_baseline:
+            results, total_ns = greedy_results, greedy_ns
+        else:
+            results, total_ns = _median_time(model, inputs, config, bench.scheme, bench.repeats)
+        tokens = sum(len(r.output) for r in results)
+        iterations = sum(r.iterations for r in results)
+        invocations = sum(r.model_invocations for r in results)
+        matches = sum(r.output == g for r, g in zip(results, greedy_outputs))
+        quality, exact_rate = _quality(
+            [r.output for r in results], golds, eos, corpus.quality_metric
+        )
+        rows.append({
+            "k": k,
+            "criterion": criterion.describe(),
+            "mean_accepted_block_size": tokens / iterations if iterations else 0.0,
+            "iterations_total": iterations,
+            "invocations_total": invocations,
+            "wall_clock_speedup_vs_greedy": greedy_ns / total_ns if total_ns else 0.0,
+            "greedy_match_rate": matches / len(results),
+            "task_quality_metric": quality,
+            "exact_match_rate": exact_rate,
+            "wall_clock_ns_total": total_ns,
+            "baseline_wall_clock_ns": greedy_ns,
+            "scheme": "greedy" if is_baseline else bench.scheme,
+        })
     meta = {
         "pairs": len(pairs),
         "repeats": bench.repeats,

@@ -12,6 +12,7 @@ reuses the work of earlier calls on the same tokens.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from typing import Optional
 
 import numpy as np
 
@@ -46,11 +47,14 @@ class ScoringModel:
     vocab_size:      size of the shared vocabulary
     intensity_vocab: True when token ids are integer intensities, which
                      makes the distance acceptance criterion meaningful
+    max_context:     longest sequence (input, separator, prefix and
+                     candidates) score_grid takes, or None for no limit
     """
 
     num_heads: int
     vocab_size: int
     intensity_vocab: bool = False
+    max_context: Optional[int] = None
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         """Score `k` heads at every candidate offset.

@@ -28,20 +28,20 @@ depend only on the tokens at positions <= p and the same conditioning
 context reproduces bit-identical distributions whatever was cached. The
 decode engine relies on this to re-read grid rows across invocations.
 
-Scoring has its own decode step, apart from training's forward pass. A
-call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's layernorm
-is twelve numpy calls of under a microsecond each. So when a session opens,
-its `_KVCache` binds what every call reads: each layer's weights, the fused
-q/k/v weight, views of the key and value stores, and the constants of the
-model's dtype (d, 1/sqrt(d), LN_EPS, 1 and 0) as 0-d arrays. A step then
-makes no parameter lookups, keeps nothing for a backward pass, and passes
-numpy no Python scalar, which numpy converts on every call: on numpy 2.4.6
-`s + 1e-5` on a (1, 1, 64) float32 slab took 0.67 us, against 0.55 us with
-a float32 scalar and 0.36 us with a 0-d float32 array. Binding per session
+Training's trunk and the decode step share one `_Weights` binding, its
+layernorm and its attention-and-MLP body; they differ only in where keys
+come from (training's own q/k/v product, or the session's store once the
+step has written its new keys and values) and in which intermediates they
+keep. A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
+layernorm is twelve numpy calls of under a microsecond each. So the binding
+is made once per `trunk_forward` call or per session, and holds the
+weights, the fused q/k/v weights and the dtype's constants (d, 1/sqrt(d),
+LN_EPS, 1 and 0) as 0-d arrays: numpy converts a Python scalar on every
+call, and on numpy 2.4.6 `s + 1e-5` on a (1, 1, 64) float32 slab took
+0.67 us, against 0.36 us with a 0-d float32 array. Binding per session
 rather than per model means a train step between two decodes is always
-seen. Every operation keeps the operands, order and shapes of training's
-`_layer` and `extension_forward`, so the grids are bitwise those of the
-unbound code.
+seen. The head window stays apart from `extension_forward`, which projects
+one head's columns at a time: in float64 those miss the window's bits.
 
 Training optimizes the cross-entropy of one head per step. Sampling that
 head uniformly at random makes the per-step loss an unbiased estimator of
@@ -136,24 +136,14 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e
 
 
-class _KVCache:
-    """A decode session's state: each layer's keys and values side by side,
-    (max_context, 2D); the final hidden state of every position, num_heads
-    rows longer so the head window of the last position fits; and the token
-    each position was computed from (-1: not cached). Cached positions always
-    form a prefix of the context.
-
-    It also binds what the decode step reads (see the module docstring).
-    The weights are the model's own arrays, which a train step updates in
-    place, and the fused q/k/v weight is a copy, so each session binds them
-    again."""
+class _Weights:
+    """What a forward pass reads, bound once (see the module docstring).
+    Each layer's weights are a dict under their parameter names less the
+    layer prefix, plus "qkv": the query, key and value weights side by side,
+    (D, 3D). That is a copy, so a binding holds only until a train step."""
 
     def __init__(self, model: "TinyBlockModel"):
-        cfg, p = model.config, model.params
-        c, d = cfg.max_context, cfg.d_model
-        self.ids = np.full(c, -1, dtype=np.int64)
-        self.kv = np.zeros((cfg.num_layers, c, 2 * d), dtype=model.dtype)
-        self.hidden = np.zeros((c + cfg.num_heads, d), dtype=model.dtype)
+        p, d = model.params, model.config.d_model
 
         def const(value):
             return np.array(value, dtype=model.dtype)
@@ -161,25 +151,55 @@ class _KVCache:
         self.d, self.eps, self.one, self.zero = const(d), const(LN_EPS), const(1.0), const(0.0)
         self.scale = const(1.0 / np.sqrt(d))
         self.mask, self.tok_emb, self.pos_emb = model._mask, p["tok_emb"], p["pos_emb"]
-
-        def weights(layer, *names):
-            return tuple(p[f"l{layer}.{name}"] for name in names)
-
-        # in the order `_positions_forward` unpacks them
-        self.layers = [
-            (*weights(layer, "ln1.g", "ln1.b"), wqkv, store, store[:, :d].T, store[:, d:],
-             *weights(layer, "attn.wo", "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2"))
-            for layer, (wqkv, store) in enumerate(zip(model._qkv_weights(), self.kv))
-        ]
+        self.layers = []
+        for pre in (f"l{layer}." for layer in range(model.config.num_layers)):
+            w = {name[len(pre):]: arr for name, arr in p.items() if name.startswith(pre)}
+            w["qkv"] = np.concatenate([w["attn.wq"], w["attn.wk"], w["attn.wv"]], axis=1)
+            self.layers.append(w)
         self.lnf = p["lnf.g"], p["lnf.b"]
         self.head = p["ext.w1"], p["ext.b1"], p["ext.w2"], p["ext.b2"], p["proj.w"]
 
     def layernorm(self, x, g, b):
-        """`_layernorm`'s output, bitwise, without the intermediates the
-        backward pass reads."""
+        """Layernorm over the last axis; returns the output and the
+        intermediates the backward pass reads."""
+        # np.add.reduce sums as ndarray.mean does, without its Python wrapper;
+        # np.vecdot is faster but sums in another order, which changes training
         xc = x - np.add.reduce(x, axis=-1, keepdims=True) / self.d
         var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / self.d
-        return xc * (self.one / np.sqrt(var + self.eps)) * g + b
+        inv = self.one / np.sqrt(var + self.eps)
+        xhat = xc * inv
+        return xhat * g + b, (xhat, inv)
+
+    def attend_mlp(self, x, w: dict, q, keys_t, values, mask):
+        """The rest of a layer once its queries, keys and values are known:
+        attention of `q` over `keys_t` (keys transposed) and `values` under
+        `mask`, then the feedforward block. Returns the layer output and the
+        intermediates the backward pass reads."""
+        attn = _softmax(q @ keys_t * self.scale + mask)
+        ctx = attn @ values
+        x2 = x + ctx @ w["attn.wo"]
+        b, ln2 = self.layernorm(x2, w["ln2.g"], w["ln2.b"])
+        u = np.maximum(b @ w["mlp.w1"] + w["mlp.b1"], self.zero)
+        x3 = x2 + u @ w["mlp.w2"] + w["mlp.b2"]
+        return x3, {"attn": attn, "ctx": ctx, "b": b, "ln2": ln2, "u": u}
+
+
+class _KVCache:
+    """A decode session's state: each layer's keys and values side by side,
+    (max_context, 2D), and the views of them the decode step attends over;
+    the final hidden state of every position, num_heads rows longer so the
+    head window of the last position fits; the token each position was
+    computed from (-1: not cached), and the session's `_Weights`. Cached
+    positions always form a prefix of the context."""
+
+    def __init__(self, model: "TinyBlockModel"):
+        cfg = model.config
+        c, d = cfg.max_context, cfg.d_model
+        self.ids = np.full(c, -1, dtype=np.int64)
+        self.kv = np.zeros((cfg.num_layers, c, 2 * d), dtype=model.dtype)
+        self.views = [(store, store[:, :d].T, store[:, d:]) for store in self.kv]
+        self.hidden = np.zeros((c + cfg.num_heads, d), dtype=model.dtype)
+        self.weights = _Weights(model)
 
 
 class TinyBlockModel(ScoringModel):
@@ -193,6 +213,7 @@ class TinyBlockModel(ScoringModel):
         self.num_heads = config.num_heads
         self.vocab_size = config.vocab_size
         self.intensity_vocab = config.intensity_vocab
+        self.max_context = config.max_context
         if params is not None:
             shapes = self._param_shapes()
             if set(params) != set(shapes):
@@ -275,79 +296,46 @@ class TinyBlockModel(ScoringModel):
         check_token_ids(candidates, self.vocab_size, "candidates")
         return input_tokens + (self.config.sep_token,) + prefix + candidates
 
-    def _qkv_weights(self) -> list:
-        """Each layer's query, key and value weights side by side, (D, 3D)."""
-        p = self.params
-        return [
-            np.concatenate([p[f"l{layer}.attn.w{w}"] for w in "qkv"], axis=1)
-            for layer in range(self.config.num_layers)
-        ]
-
-    def _layer(self, layer: int, x: np.ndarray, wqkv: np.ndarray):
-        """One transformer layer over x (B, C, D), attending over the keys
-        and values computed from x itself; returns the layer output and the
-        intermediates the backward pass reads. `wqkv` is the layer's fused
-        (D, 3D) q/k/v weight."""
-        p = self.params
-        pre = f"l{layer}."
-        d = self.config.d_model
-        a, ln1c = _layernorm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-        qkv = a @ wqkv
-        q, keys, values = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-        scale = self.dtype.type(1.0 / np.sqrt(d))
-        scores = q @ keys.swapaxes(-1, -2) * scale + self._mask
-        attn = _softmax(scores)
-        ctx = attn @ values
-        x2 = x + ctx @ p[pre + "attn.wo"]
-        b, ln2c = _layernorm(x2, p[pre + "ln2.g"], p[pre + "ln2.b"])
-        upre = b @ p[pre + "mlp.w1"] + p[pre + "mlp.b1"]
-        u = np.maximum(upre, 0)
-        x3 = x2 + u @ p[pre + "mlp.w2"] + p[pre + "mlp.b2"]
-        return x3, {
-            "a": a, "ln1": ln1c, "q": q, "k": keys, "v": values,
-            "attn": attn, "ctx": ctx, "b": b, "ln2": ln2c, "u": u,
-        }
-
     def trunk_forward(self, ids_batch: np.ndarray):
         """Training's transformer trunk over padded id batches of shape
-        (B, max_context).
+        (B, max_context), attending over the keys and values of its own
+        positions.
 
         Returns the final layernormed hidden states (B, C, D) and the
         intermediates the backward pass reads.
         """
-        p = self.params
-        x = p["tok_emb"][ids_batch] + p["pos_emb"][None, :, :]
+        w = _Weights(self)
+        d = self.config.d_model
+        x = w.tok_emb[ids_batch] + w.pos_emb[None, :, :]
         cache = {"ids": ids_batch}
-        for layer, wqkv in enumerate(self._qkv_weights()):
-            x, cache[f"layer{layer}"] = self._layer(layer, x, wqkv)
-        hf, cache["lnf"] = _layernorm(x, p["lnf.g"], p["lnf.b"])
+        for layer, lw in enumerate(w.layers):
+            a, ln1 = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])
+            qkv = a @ lw["qkv"]
+            q, keys, values = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
+            x, saved = w.attend_mlp(x, lw, q, keys.swapaxes(-1, -2), values, w.mask)
+            cache[f"layer{layer}"] = dict(saved, a=a, ln1=ln1, q=q, k=keys, v=values)
+        hf, cache["lnf"] = w.layernorm(x, *w.lnf)
         return hf, cache
 
     def _positions_forward(self, tokens: np.ndarray, first: int, cache: _KVCache):
         """The decode step's trunk over the positions from `first` on, whose
         tokens are `tokens`, each as row 0 of its own (1, D) slab, batched as
         (n, 1, D); positions before `first` must hold valid keys and values
-        in `cache`. Writes this call's keys, values and final hidden states
-        into `cache` and marks every later position uncached, as it saw the
-        old tokens.
-
-        It makes `_layer`'s operations in `_layer`'s order, each one numpy
-        call on the weights and constants `cache` binds.
+        in `cache`. Writes this call's keys and values into `cache`, attends
+        over its stores, writes the final hidden states, and marks every
+        later position uncached, as it saw the old tokens.
         """
-        d = self.config.d_model
+        w, d = cache.weights, self.config.d_model
         rows = slice(first, first + len(tokens))
-        x = (cache.tok_emb[tokens] + cache.pos_emb[rows])[:, None, :]
-        mask = cache.mask[rows, None, :]
+        x = (w.tok_emb[tokens] + w.pos_emb[rows])[:, None, :]
+        mask = w.mask[rows, None, :]
         cache.ids[first:] = -1  # this call's rows until every layer is written
-        for g1, b1, wqkv, store, keys_t, values, wo, g2, b2, w1, c1, w2, c2 in cache.layers:
-            qkv = cache.layernorm(x, g1, b1) @ wqkv
+        for lw, (store, keys_t, values) in zip(w.layers, cache.views):
+            qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])[0] @ lw["qkv"]
             store[rows] = qkv[:, 0, d:]
-            attn = _softmax(qkv[..., :d] @ keys_t * cache.scale + mask)
-            x2 = x + attn @ values @ wo
-            u = np.maximum(cache.layernorm(x2, g2, b2) @ w1 + c1, cache.zero)
-            x = x2 + u @ w2 + c2
+            x = w.attend_mlp(x, lw, qkv[..., :d], keys_t, values, mask)[0]
         cache.ids[rows] = tokens
-        cache.hidden[rows] = cache.layernorm(x, *cache.lnf)[:, 0]
+        cache.hidden[rows] = w.layernorm(x, *w.lnf)[0][:, 0]
 
     @contextmanager
     def session(self, input_tokens):
@@ -404,25 +392,14 @@ class TinyBlockModel(ScoringModel):
         base = len(ids) - len(candidates) - 1  # position of grid row 0
         window = cache.hidden[base : base + self.num_heads + 1]
         # extension_forward's operations on every head, on bound weights
-        w1, b1, w2, b2, proj = cache.head
-        u = np.maximum(window @ w1 + b1, cache.zero)
+        w1, b1, w2, b2, proj = cache.weights.head
+        u = np.maximum(window @ w1 + b1, cache.weights.zero)
         y = (u @ w2 + b2).reshape(len(window), self.num_heads, -1) + window[:, None, :]
         logits = (y.reshape(-1, y.shape[-1]) @ proj).reshape(*y.shape[:2], -1)
         # log_softmax is row-wise, so normalizing only the rows and heads
         # the grid returns gives them bitwise as the whole window would
         grid = log_softmax(logits[: len(candidates) + 1, :k])
         return BlockScores(grid=grid, base_len=len(tuple(prefix)))
-
-
-def _layernorm(x, g, b):
-    n = x.shape[-1]
-    # np.add.reduce sums as ndarray.mean does, without its Python wrapper;
-    # np.vecdot is faster but sums in another order, which changes training
-    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv)
 
 
 def _layernorm_backward(dy, g, cache):

@@ -1,10 +1,11 @@
 """Benchmark runner: row contents, baseline semantics, determinism."""
 
 import math
+import re
 
 import pytest
 
-from blockdec.criteria import EXACT, top_k
+from blockdec.criteria import EXACT, distance, exact, top_k
 from blockdec.engine import DecodeConfig, blockwise_decode_combined, greedy_decode
 from blockdec.errors import ConfigurationError
 from blockdec.harness.bench import BenchConfig, BenchReport, run_bench
@@ -253,6 +254,29 @@ class TestVocabularyMatch:
         with pytest.raises(ConfigurationError,
                            match=r"\(16 tokens, separator None\) .* \(12 tokens"):
             run_bench(model, pattern_corpus(2), BenchConfig(block_sizes=(1,), repeats=1))
+        assert model.calls == 0
+
+
+class TestRowsCheckedBeforeDecoding:
+    """run_bench refuses a row the engine would refuse before any call, and
+    names the row."""
+
+    @pytest.mark.parametrize("bench, message", [
+        # the default block sizes (1, 2, 4, 8) on a default 4-head model
+        (BenchConfig(), "row k=8, kind=exact: block_size 8 exceeds model heads 4"),
+        (BenchConfig(block_sizes=(1,), criteria=(exact(min_block=2),)),
+         "row k=1, kind=exact,min_block=2: criterion.min_block exceeds block_size"),
+        (BenchConfig(block_sizes=(1, 2), criteria=(EXACT, distance(2))),
+         "row k=1, kind=distance,eps=2: distance criterion requires"),
+    ], ids=["block-size", "min-block", "distance"])
+    def test_a_bad_row_fails_before_any_call(self, bench, message):
+        from blockdec.harness.training import default_model_config
+        from blockdec.models.neural import TinyBlockModel
+
+        corpus = pattern_corpus()
+        model = counted(TinyBlockModel(default_model_config(corpus)))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            run_bench(model, corpus, bench)
         assert model.calls == 0
 
 

@@ -13,8 +13,7 @@ from blockdec.models.neural import (
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
-    _KVCache,
-    _layernorm,
+    _Weights,
     _softmax,
     partition_of,
     sub_loss,
@@ -65,17 +64,19 @@ class TestKernels:
     def test_layernorm_matches_float64_reference(self, dtype):
         tol = KERNEL_TOL[dtype]
         rng = np.random.default_rng(0)
-        x = rng.normal(0.5, 2.0, size=(3, 12, 64)).astype(dtype)
+        batch = rng.normal(0.5, 2.0, size=(3, 12, 64)).astype(dtype)
         g = rng.normal(1.0, 0.1, size=64).astype(dtype)
         b = rng.normal(0.0, 0.1, size=64).astype(dtype)
-        y, (xhat, inv) = _layernorm(x, g, b)
-        assert y.dtype == xhat.dtype == inv.dtype == np.dtype(dtype)
-        assert y.shape == x.shape and inv.shape == (3, 12, 1)
-        np.testing.assert_allclose(y, reference_layernorm(x, g, b), **tol)
-        np.testing.assert_allclose(xhat, reference_layernorm(x, np.ones(64), np.zeros(64)), **tol)
-        # the decode step's layernorm keeps no intermediates and is bitwise training's
-        step = _KVCache(TinyBlockModel(small_config(d_model=64), dtype=dtype))
-        np.testing.assert_array_equal(step.layernorm(x, g, b), y)
+        slabs = rng.normal(0.5, 2.0, size=(5, 1, 64)).astype(dtype)
+        layernorm = _Weights(TinyBlockModel(small_config(d_model=64), dtype=dtype)).layernorm
+        # a training batch, and the decode step's (n, 1, D) slabs
+        for x in (batch, slabs):
+            y, (xhat, inv) = layernorm(x, g, b)
+            assert y.dtype == xhat.dtype == inv.dtype == np.dtype(dtype)
+            assert y.shape == x.shape and inv.shape == x.shape[:-1] + (1,)
+            np.testing.assert_allclose(y, reference_layernorm(x, g, b), **tol)
+            np.testing.assert_allclose(xhat, reference_layernorm(x, np.ones(64), np.zeros(64)),
+                                       **tol)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_softmax_matches_float64_reference(self, dtype):
