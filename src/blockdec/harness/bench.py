@@ -28,7 +28,7 @@ import numpy as np
 from ..criteria import EXACT
 from ..engine import SCHEMES, DecodeConfig, check_model, decode
 from ..errors import BlockdecError, ConfigurationError, CorpusError
-from .corpus import Corpus, exact_match, mean_absolute_error, strip_eos, token_accuracy
+from .corpus import Corpus, exact_match, is_text, mean_absolute_error, strip_eos, token_accuracy
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -73,14 +73,20 @@ class BenchReport:
     meta: dict = field(default_factory=dict)
 
 
-def _decode_pass(model, inputs, config, scheme):
-    """Decode every input once; returns (results, total wall clock ns)."""
-    results = []
+def _decodes(model, inputs, config, scheme):
+    """Decode each input in turn, each only when the one before it has been
+    taken; an error names its pair."""
     for i, inp in enumerate(inputs):
         try:
-            results.append(decode(model, inp, config, scheme))
+            result = decode(model, inp, config, scheme)
         except BlockdecError as exc:
             raise type(exc)(f"pair {i}: {exc}") from exc
+        yield result
+
+
+def _decode_pass(model, inputs, config, scheme):
+    """Decode every input once; returns (results, total wall clock ns)."""
+    results = list(_decodes(model, inputs, config, scheme))
     return results, sum(r.wall_clock_ns for r in results)
 
 
@@ -197,7 +203,9 @@ def distill_corpus(teacher, corpus: Corpus, max_len: Optional[int] = None) -> Co
     the corpus's decode budget. The end token is stripped and pairs whose
     decode is empty are dropped; the vocabulary, fixed target length and
     meta carry over, so the result saves like the original. A fixed-length
-    corpus keeps its length, so there `max_len` may only be that length.
+    corpus keeps its length, so there `max_len` may only be that length. A
+    text_char corpus holds only UTF-8 text, so a decode that is not raises
+    CorpusError naming its pair before the next pair is decoded.
     """
     corpus.check_model(teacher)
     eos = corpus.vocab.eos_token
@@ -210,10 +218,14 @@ def distill_corpus(teacher, corpus: Corpus, max_len: Optional[int] = None) -> Co
         )
     inputs = [inp for inp, _ in corpus.pairs]
     config = DecodeConfig(block_size=1, max_len=max_len, eos_token=eos)
-    results, _ = _decode_pass(teacher, inputs, config, "greedy")
     pairs = []
-    for inp, result in zip(inputs, results):
+    for i, (inp, result) in enumerate(zip(inputs, _decodes(teacher, inputs, config, "greedy"))):
         target = strip_eos(result.output, eos)
+        if corpus.kind == "text_char" and not is_text(target):
+            raise CorpusError(
+                f"pair {i}: the teacher's decode {target} is not UTF-8 text, "
+                "which a text_char corpus cannot hold"
+            )
         if target:
             pairs.append((inp, target))
     if not pairs:

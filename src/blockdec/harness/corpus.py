@@ -187,6 +187,12 @@ def decode_text(tokens) -> str:
     return bytes(t for t in tokens if t < 256).decode("utf-8", errors="replace")
 
 
+def is_text(tokens) -> bool:
+    """True when `tokens` are the UTF-8 bytes of some text: the only token
+    sequences a text_char field saves and loads back as themselves."""
+    return encode_text(decode_text(tokens)) == tuple(tokens)
+
+
 def _text_vocab() -> Vocab:
     return Vocab(size=258, sep_token=BYTE_SEP, eos_token=BYTE_EOS)
 

@@ -1,12 +1,13 @@
 """Training loop for the k-head model on a task corpus.
 
 The corpus is composed into padded rows and checked against the model once,
-before the first step, so a pair past the model's context fails, naming the
-pair, before any training. Each step draws a random batch of those rows,
-draws one head uniformly at random, and takes one SGD step on that head's
-sub-loss. The uniform draw keeps the expected step equal to training on the
-mean of all head losses at a fraction of the cost. Freezing partitions turns
-the same loop into head-only fine-tuning on top of a fixed trunk.
+before the first step, so a pair past the model's context, or a head that no
+target is long enough to train, fails before any training. Each step draws a
+random batch of those rows, draws one head uniformly at random, and takes one
+SGD step on that head's sub-loss. The uniform draw keeps the expected step
+equal to training on the mean of all head losses at a fraction of the cost.
+Freezing partitions turns the same loop into head-only fine-tuning on top of
+a fixed trunk.
 """
 
 from __future__ import annotations
@@ -106,6 +107,12 @@ def train_model(
     fine-tuning combine it with a freeze mask); it keeps its own config, so
     a `model_config` with it is refused. Otherwise a fresh model is built
     from `model_config` or corpus-derived defaults.
+
+    Head h trains on targets of at least h tokens (counting the end token),
+    so a corpus whose longest target is shorter than num_heads is refused
+    before the first step. A step whose drawn head is longer than every
+    target in its batch trains the furthest head the batch can train, its
+    longest target's length, instead, and the log names the head trained.
     """
     if model is not None and model_config is not None:
         raise ConfigurationError(
@@ -117,12 +124,18 @@ def train_model(
     corpus.check_model(model)
     cfg = model.config
     composed = TrainBatch.from_pairs(training_pairs(corpus), cfg)
+    longest = int(composed.target_lens.max())
+    if longest < cfg.num_heads:
+        raise ConfigurationError(
+            f"no training positions for head {longest + 1}: the longest target has "
+            f"{longest} tokens, counting any end token, and head h needs h"
+        )
     rng = np.random.default_rng(training.seed)
     losses = []
     for step in range(training.steps):
         idx = rng.integers(0, len(composed.ids), size=training.batch_size)
         batch = TrainBatch(composed.ids[idx], composed.input_lens[idx], composed.target_lens[idx])
-        head = int(rng.integers(1, cfg.num_heads + 1))
+        head = min(int(rng.integers(1, cfg.num_heads + 1)), int(batch.target_lens.max()))
         lr = training.learning_rate * (1.0 - training.lr_decay * step / training.steps)
         loss = train_step(
             model, batch, head, lr,

@@ -16,8 +16,10 @@ as (n, 1, D). When no position is new the trunk does not run at all. The
 head extension and vocabulary projection then run on a fixed window of
 num_heads + 1 rows starting at grid row 0, read from a buffer of final
 hidden states that extends num_heads rows past the context, so a window
-near the end of the context never runs short; log-softmax normalizes only
-the rows and heads the grid returns. Within a decode session
+near the end of the context never runs short, and for every head whatever
+k is: in float64 projecting fewer heads changes head 1's bits, which greedy
+equivalence compares across k. Log-softmax normalizes only the rows and
+heads the grid returns. Within a decode session
 (`TinyBlockModel.session`) each layer's keys and values are kept for
 positions whose tokens have not changed since the previous call; outside
 one every call starts from an empty cache. Every position is always
@@ -40,8 +42,8 @@ LN_EPS, 1 and 0) as 0-d arrays: numpy converts a Python scalar on every
 call, and on numpy 2.4.6 `s + 1e-5` on a (1, 1, 64) float32 slab took
 0.67 us, against 0.36 us with a 0-d float32 array. Binding per session
 rather than per model means a train step between two decodes is always
-seen. The head window stays apart from `extension_forward`, which projects
-one head's columns at a time: in float64 those miss the window's bits.
+seen. `_Weights.heads` is the one head extension and vocabulary projection:
+scoring asks it for every head, training for the one head a step trains.
 
 Training optimizes the cross-entropy of one head per step. Sampling that
 head uniformly at random makes the per-step loss an unbiased estimator of
@@ -169,6 +171,20 @@ class _Weights:
         inv = self.one / np.sqrt(var + self.eps)
         xhat = xc * inv
         return xhat * g + b, (xhat, inv)
+
+    def heads(self, hf, first: int, last: int):
+        """Logits of heads first+1..last at every row of hf (..., T, D), as
+        (..., T, last - first, V), and the u and y the backward pass reads.
+        The projection is one (T * (last - first), D) @ (D, V) product per
+        leading index of hf; that fixed shape keeps the bits reproducible."""
+        w1, b1, w2, b2, proj = self.head
+        rows, d = hf.shape[:-1], hf.shape[-1]
+        cols = slice(first * d, last * d)
+        u = np.maximum(hf @ w1 + b1, self.zero)
+        y = (u @ w2[:, cols] + b2[cols]).reshape(rows + (last - first, d))
+        y += hf[..., None, :]
+        logits = y.reshape(rows[:-1] + (-1, d)) @ proj
+        return logits.reshape(y.shape[:-1] + (-1,)), u, y
 
     def attend_mlp(self, x, w: dict, q, keys_t, values, mask):
         """The rest of a layer once its queries, keys and values are known:
@@ -302,12 +318,12 @@ class TinyBlockModel(ScoringModel):
         positions.
 
         Returns the final layernormed hidden states (B, C, D) and the
-        intermediates the backward pass reads.
+        intermediates the backward pass reads, the binding under "weights".
         """
         w = _Weights(self)
         d = self.config.d_model
         x = w.tok_emb[ids_batch] + w.pos_emb[None, :, :]
-        cache = {"ids": ids_batch}
+        cache = {"ids": ids_batch, "weights": w}
         for layer, lw in enumerate(w.layers):
             a, ln1 = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])
             qkv = a @ lw["qkv"]
@@ -349,23 +365,6 @@ class TinyBlockModel(ScoringModel):
         finally:
             self._cache = outer
 
-    def extension_forward(self, hf: np.ndarray, head: int):
-        """Logits of head `head` (1-indexed) at every position: hf (..., T, D)
-        gives (..., T, V), and the intermediates the backward pass reads.
-
-        Training runs it on padded rows (T = max_context); score_grid makes
-        the same operations on every head of its window of num_heads + 1
-        rows. The vocabulary projection is one (T, D) @ (D, V) product per
-        leading index of hf; that fixed shape keeps the result bitwise
-        reproducible.
-        """
-        p = self.params
-        lo = (head - 1) * self.config.d_model
-        hi = lo + self.config.d_model
-        u = np.maximum(hf @ p["ext.w1"] + p["ext.b1"], 0)
-        y = u @ p["ext.w2"][:, lo:hi] + p["ext.b2"][lo:hi] + hf
-        return y @ p["proj.w"], {"u": u, "y": y, "lo": lo}
-
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         """Score k heads at every candidate offset: the trunk on the positions
         not cached, one (1, D) slab each, and the heads on a window of
@@ -391,11 +390,8 @@ class TinyBlockModel(ScoringModel):
             self._positions_forward(tokens[changed[0] :], int(changed[0]), cache)
         base = len(ids) - len(candidates) - 1  # position of grid row 0
         window = cache.hidden[base : base + self.num_heads + 1]
-        # extension_forward's operations on every head, on bound weights
-        w1, b1, w2, b2, proj = cache.weights.head
-        u = np.maximum(window @ w1 + b1, cache.weights.zero)
-        y = (u @ w2 + b2).reshape(len(window), self.num_heads, -1) + window[:, None, :]
-        logits = (y.reshape(-1, y.shape[-1]) @ proj).reshape(*y.shape[:2], -1)
+        # every head, whatever k is: head 1's bits must not depend on k
+        logits = cache.weights.heads(window, 0, self.num_heads)[0]
         # log_softmax is row-wise, so normalizing only the rows and heads
         # the grid returns gives them bitwise as the whole window would
         grid = log_softmax(logits[: len(candidates) + 1, :k])
@@ -481,19 +477,20 @@ def _loss_positions(batch: TrainBatch, head: int):
 def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
     if not 1 <= head <= model.num_heads:
         raise ConfigurationError(f"head must be in [1, {model.num_heads}]")
-    hf, trunk_cache = model.trunk_forward(batch.ids)
-    logits, ext_cache = model.extension_forward(hf, head)
     mask = _loss_positions(batch, head)
     count = int(mask.sum())
     if count == 0:
         raise ConfigurationError(
             f"no training positions for head {head}; targets are shorter than the head offset"
         )
+    hf, trunk_cache = model.trunk_forward(batch.ids)
+    logits, u, y = trunk_cache["weights"].heads(hf, head - 1, head)
+    logits, y = logits[..., 0, :], y[..., 0, :]
     rows, cols = np.nonzero(mask)
     targets = batch.ids[rows, cols + head]
     logprobs = log_softmax(logits[rows, cols])
     loss = float(-logprobs[np.arange(count), targets].mean())
-    aux = (hf, trunk_cache, logits, ext_cache, rows, cols, targets, count)
+    aux = (hf, trunk_cache, logits, u, y, rows, cols, targets, count)
     return loss, aux
 
 
@@ -509,9 +506,10 @@ def sub_loss(model: TinyBlockModel, batch: TrainBatch, head: int) -> float:
 def loss_and_gradients(model: TinyBlockModel, batch: TrainBatch, head: int):
     """Sub-loss of one head and its gradient for every parameter."""
     loss, aux = _head_loss(model, batch, head)
-    hf, cache, logits, ext_cache, rows, cols, targets, count = aux
+    hf, cache, logits, u, y, rows, cols, targets, count = aux
     p = model.params
     cfg = model.config
+    w1, _, w2, _, proj = cache["weights"].head
     grads = {}
 
     # cross-entropy at the masked positions, averaged
@@ -520,21 +518,20 @@ def loss_and_gradients(model: TinyBlockModel, batch: TrainBatch, head: int):
     probs[np.arange(count), targets] -= 1.0
     dlogits[rows, cols] = (probs / count).astype(model.dtype)
 
-    # vocabulary projection and head extension
-    y, u, lo = ext_cache["y"], ext_cache["u"], ext_cache["lo"]
+    # vocabulary projection and the trained head's columns of the extension
+    cols_of_head = slice((head - 1) * cfg.d_model, head * cfg.d_model)
     grads["proj.w"] = _flat_grad(y, dlogits)
-    dy = dlogits @ p["proj.w"].T
+    dy = dlogits @ proj.T
     dhf = dy.copy()  # residual into the head output
-    w2_slice = p["ext.w2"][:, lo : lo + cfg.d_model]
-    grads["ext.w2"] = np.zeros_like(p["ext.w2"])
-    grads["ext.w2"][:, lo : lo + cfg.d_model] = _flat_grad(u, dy)
+    grads["ext.w2"] = np.zeros_like(w2)
+    grads["ext.w2"][:, cols_of_head] = _flat_grad(u, dy)
     grads["ext.b2"] = np.zeros_like(p["ext.b2"])
-    grads["ext.b2"][lo : lo + cfg.d_model] = dy.sum(axis=(0, 1))
-    du = dy @ w2_slice.T
+    grads["ext.b2"][cols_of_head] = dy.sum(axis=(0, 1))
+    du = dy @ w2[:, cols_of_head].T
     du *= u > 0
     grads["ext.w1"] = _flat_grad(hf, du)
     grads["ext.b1"] = du.sum(axis=(0, 1))
-    dhf += du @ p["ext.w1"].T
+    dhf += du @ w1.T
 
     # trunk
     dx, dg, db = _layernorm_backward(dhf, p["lnf.g"], cache["lnf"])

@@ -26,7 +26,7 @@ the only variable.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict
 
 import numpy as np
 
@@ -48,13 +48,13 @@ _UINT32_MAX = (1 << 32) - 1
 CACHE_ENTRIES = 1 << 15
 
 
-def _remember(cache: dict, order: deque, key, value) -> None:
+def _remember(cache: OrderedDict, key, value) -> None:
     """Insert into a bounded cache, first evicting its oldest entry when it
-    is full. A lookup stays a plain dict lookup."""
+    is full. A lookup does not reorder entries, so the oldest is the first
+    inserted; a plain dict would find it by scanning its deleted slots."""
     if len(cache) >= CACHE_ENTRIES:
-        del cache[order.popleft()]
+        cache.popitem(last=False)
     cache[key] = value
-    order.append(key)
 
 
 def _uint32_words(n: int) -> list:
@@ -85,10 +85,8 @@ class SyntheticTableModel(TableBackedModel):
         self._seed_words = _uint32_words(self.seed)
         self.vocab_size = int(vocab_size)
         self.num_heads = int(num_heads)
-        self._row_cache: dict = {}
-        self._row_order: deque = deque()
-        self._greedy_cache: dict = {}
-        self._greedy_order: deque = deque()
+        self._row_cache: OrderedDict = OrderedDict()
+        self._greedy_cache: OrderedDict = OrderedDict()
 
     def _raw_logits(self, salt: int, input_tokens, context, shape) -> np.ndarray:
         entropy = np.array(
@@ -111,7 +109,7 @@ class SyntheticTableModel(TableBackedModel):
         if step is None:
             logits = self._base_logits(input_tokens, context)
             step = (int(np.argmax(logits)), logits)
-            _remember(self._greedy_cache, self._greedy_order, key, step)
+            _remember(self._greedy_cache, key, step)
         return step
 
     def _greedy_rollout(self, input_tokens, context, steps: int) -> list:
@@ -153,7 +151,7 @@ class SyntheticTableModel(TableBackedModel):
                     np.maximum.reduce(extra, axis=1) + 1.0
                 )
         table = log_softmax(logits)
-        _remember(self._row_cache, self._row_order, key, table)
+        _remember(self._row_cache, key, table)
         return table
 
 

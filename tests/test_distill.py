@@ -1,5 +1,7 @@
 """Corpus distillation equals per-input greedy decoding."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from blockdec.harness.bench import distill_corpus
 from blockdec.harness.corpus import (
     Corpus,
     Vocab,
+    _text_vocab,
+    encode_text,
     load_corpus,
     make_pattern_corpus,
     save_corpus,
@@ -188,3 +192,59 @@ class TestDistilledCorpusSaves:
         path = tmp_path / "distilled.json"
         save_corpus(distilled, path)
         assert load_corpus(path).pairs == distilled.pairs
+
+
+class ByteTeacher(TableBackedModel):
+    """On the text vocabulary, decodes input "bad" to `bad_output` and any
+    other input to "ok", each followed by the end token."""
+
+    vocab_size = 258
+    num_heads = 1
+
+    def __init__(self, bad_output):
+        self.bad_output = tuple(bad_output)
+
+    def head_logprobs(self, input_tokens, context):
+        bad = tuple(input_tokens) == encode_text("bad")
+        output = self.bad_output if bad else encode_text("ok")
+        token = output[len(context)] if len(context) < len(output) else 257
+        return one_hot_logprobs(token, self.vocab_size)
+
+
+def recording(teacher):
+    """Record in `teacher.inputs` the input of every score_grid call."""
+    teacher.inputs = []
+    score_grid = teacher.score_grid
+
+    def spy(input_tokens, *args):
+        teacher.inputs.append(tuple(input_tokens))
+        return score_grid(input_tokens, *args)
+
+    teacher.score_grid = spy
+    return teacher
+
+
+def text_corpus(*inputs):
+    return Corpus(kind="text_char", vocab=_text_vocab(),
+                  pairs=tuple((encode_text(i), encode_text("target")) for i in inputs))
+
+
+class TestTextTargets:
+    # a lone continuation byte, a cut two-byte sequence, the separator id
+    @pytest.mark.parametrize("bad_output", [(0x80,), (0x6F, 0xC3), (0x6F, 256)])
+    def test_a_decode_that_is_not_text_fails_before_the_next_decode(self, bad_output):
+        teacher = recording(ByteTeacher(bad_output))
+        corpus = text_corpus("first", "bad", "last")
+        with pytest.raises(CorpusError, match=rf"pair 1: the teacher's decode "
+                                              rf"{re.escape(str(bad_output))} is not UTF-8"):
+            distill_corpus(teacher, corpus)
+        assert teacher.inputs[-1] == encode_text("bad")
+        assert encode_text("last") not in teacher.inputs
+
+    def test_text_decodes_distill_and_save(self, tmp_path):
+        teacher = recording(ByteTeacher(encode_text("é")))
+        distilled = distill_corpus(teacher, text_corpus("first", "bad", "last"))
+        assert [t for _, t in distilled.pairs] == [encode_text(t) for t in ("ok", "é", "ok")]
+        path = tmp_path / "distilled.tsv"
+        save_corpus(distilled, path)
+        assert load_corpus(path) == distilled

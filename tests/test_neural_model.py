@@ -305,11 +305,11 @@ class TestDecodingWithNeuralModel:
         inp, tgt = (1, 2), (3, 4, 5, 11)
         batch = TrainBatch.from_pairs([(inp, tgt), ((6,), (7, 8))], cfg)
         one = TrainBatch.from_pairs([(inp, tgt)], cfg)
-        hf, _ = model.trunk_forward(batch.ids)
+        hf, cache = model.trunk_forward(batch.ids)
         grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
         tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
         for head in (1, 2, 3):
-            logits, _ = model.extension_forward(hf, head)
+            logits = cache["weights"].heads(hf, head - 1, head)[0][..., 0, :]
             rows = log_softmax(logits[0, len(inp) : len(inp) + len(grid)])
             np.testing.assert_allclose(rows, grid[:, head - 1], rtol=tol, atol=tol)
             picked = [grid[i, head - 1, tgt[i + head - 1]] for i in range(len(tgt) - head + 1)]

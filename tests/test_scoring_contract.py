@@ -4,7 +4,9 @@ session, and the engine's use of the session through a proxy.
 Within `model.session(...)`, after any history of calls (rejected
 candidates, shorter prefixes), grid row i must be bitwise row 0 of a fresh
 stateless call on prefix + candidates[:i], so later candidates never change
-earlier rows, and a repeated call must return the same grid.
+earlier rows, and a repeated call must return the same grid. Each call asks
+for its own number of heads k, and a head's scores must not depend on it:
+greedy equivalence compares head 1 of calls that ask for 1 and for k heads.
 """
 
 import json
@@ -30,17 +32,21 @@ CHECKPOINT_RECORD = CHECKPOINT.with_suffix(".json")
 
 # the tiny models differ in dtype and context length; at every length a grid
 # row near the end of the context reads a head window that runs past the last
-# position, into the spare rows of the model's buffer of hidden states
+# position, into the spare rows of the model's buffer of hidden states. At the
+# checkpoint's width, in float64, projecting fewer heads changes head 1's bits
 CONTRACT_MODELS = (
     "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30",
-    "tiny-float32-12", "tiny-float64-12", "tiny-float32-24", "tiny-float64-24", "checkpoint",
+    "tiny-float32-12", "tiny-float64-12", "tiny-float32-24", "tiny-float64-24",
+    "checkpoint", "checkpoint-float64",
 ) + SYNTHETIC_KINDS
 
 
 def contract_model(name):
     """(model, longest composed sequence it scores)."""
-    if name == "checkpoint":
+    if name.startswith("checkpoint"):
         model = load_checkpoint(CHECKPOINT)
+        if name == "checkpoint-float64":
+            model = TinyBlockModel(model.config, dtype=np.float64, params=model.params)
         return model, model.config.max_context
     if name.startswith("tiny-"):
         _, dtype, context = name.split("-")
@@ -72,18 +78,25 @@ def test_rows_in_a_session_are_stateless_row_zero(name, seed):
     rng = np.random.default_rng(seed)
     inp = tuple(int(t) for t in rng.integers(0, model.vocab_size, size=int(rng.integers(1, 5))))
     room = context - len(inp) - 1
-    k = model.num_heads
+
+    def any_k():
+        return int(rng.integers(1, model.num_heads + 1))
+
+    def assert_shared_heads_equal(a, b):
+        shared = min(a.shape[-2], b.shape[-2])
+        np.testing.assert_array_equal(a[..., :shared, :], b[..., :shared, :])
+
     seen = []
     with model.session(inp):
         for prefix, candidates in call_history(rng, model, room, calls=12):
-            grid = model.score_grid(inp, prefix, candidates, k).grid
-            again = model.score_grid(inp, prefix, candidates, k).grid
-            np.testing.assert_array_equal(grid, again)
+            grid = model.score_grid(inp, prefix, candidates, any_k()).grid
+            again = model.score_grid(inp, prefix, candidates, any_k()).grid
+            assert_shared_heads_equal(grid, again)
             seen.append((prefix, candidates, grid))
     for prefix, candidates, grid in seen:
         for i in range(len(candidates) + 1):
-            fresh = model.score_grid(inp, prefix + candidates[:i], (), k).grid
-            np.testing.assert_array_equal(grid[i], fresh[0])
+            fresh = model.score_grid(inp, prefix + candidates[:i], (), any_k()).grid
+            assert_shared_heads_equal(grid[i], fresh[0])
 
 
 # the third call's prefix, from the first call's (24 tokens from 1-9); the

@@ -163,13 +163,23 @@ class TestCaches:
         model = make_synthetic_model(kind, seed=6, vocab_size=8, num_heads=4)
         config = DecodeConfig(block_size=4, max_len=200)
         result = blockwise_decode_combined(model, (2,), config)
-        assert len(model._row_cache) == len(model._row_order) <= 16
-        assert len(model._greedy_cache) == len(model._greedy_order) <= 16
+        assert len(model._row_cache) <= 16
+        assert len(model._greedy_cache) <= 16
         assert ((2,), ()) not in model._row_cache  # evicted long ago
         assert model.head_logprobs((2,), ()).tobytes() == first.tobytes()
         unbounded = blockwise_decode_combined(fresh, (2,), config)
         assert result.output == unbounded.output
         assert result.accepted_sizes == unbounded.accepted_sizes
+
+    def test_the_first_inserted_entry_is_evicted_first(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "CACHE_ENTRIES", 4)
+        model = make_synthetic_model("random_table", seed=6, vocab_size=8, num_heads=2)
+        contexts = [(t,) for t in range(5)]
+        for context in contexts[:4]:
+            model.head_logprobs((2,), context)
+        model.head_logprobs((2,), contexts[0])  # a hit does not make an entry newer
+        model.head_logprobs((2,), contexts[4])
+        assert list(model._row_cache) == [((2,), c) for c in contexts[1:5]]
 
     def test_bound_is_well_above_the_benchmark_working_set(self):
         # perfbench's synthetic-engine workload keeps up to 4,454 rows a model

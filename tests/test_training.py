@@ -96,7 +96,9 @@ class TestDefaults:
         model = TinyBlockModel(config, seed=seed)
         report = run_bench(model, corpus, BenchConfig(block_sizes=(1, 2, 4), repeats=1))
         assert report.meta["pairs"] == 2
-        distill_corpus(model, corpus)
+        # the same pairs and vocabulary as a pattern corpus, which holds any
+        # id: an untrained model's decodes are seldom UTF-8 text
+        distill_corpus(model, dataclasses.replace(corpus, kind="synthetic_pattern"))
         assert config.max_context == 24  # 10 input + SEP + 10 target + EOS, rounded up
 
     def test_training_pairs_append_eos(self):
@@ -222,6 +224,51 @@ class TestComposedOnce:
                                               "exceeds context 16"):
             train_model(long_corpus, config, tiny_training(steps=steps, seed=seed))
         assert calls == []
+
+
+def skewed_corpus():
+    """15 pairs with one-token targets and one with a six-token target: with
+    the end token, heads 3 and 4 train only on the long pair."""
+    pairs = tuple(((i % 6, 1), (2,)) for i in range(15)) + (((3, 4), (1, 2, 3, 4, 5, 0)),)
+    return Corpus(kind="synthetic_pattern", vocab=Vocab(size=8, sep_token=6, eos_token=7),
+                  pairs=pairs)
+
+
+class TestHeadsPastTheTargets:
+    def test_a_head_no_target_reaches_fails_before_the_first_step(self, monkeypatch):
+        corpus = skewed_corpus()
+        config = default_model_config(corpus, num_heads=8, d_model=8, d_hidden=8)
+        calls = []
+        monkeypatch.setattr(training_module, "train_step",
+                            lambda *args, **kwargs: calls.append(args) or 0.0)
+        with pytest.raises(ConfigurationError, match="no training positions for head 8: "
+                                                     "the longest target has 7 tokens"):
+            train_model(corpus, config, tiny_training(steps=5))
+        assert calls == []
+
+    def test_a_batch_short_of_its_head_trains_its_furthest_head(self, monkeypatch):
+        """The drawn head, lowered to the batch's longest target: batches
+        without the long pair train head 2 where 3 or 4 was drawn."""
+        corpus = skewed_corpus()
+        config = default_model_config(corpus, num_heads=4, d_model=8, d_hidden=8)
+        training = TrainingConfig(steps=200, batch_size=16)
+        trained = []
+
+        def spy(model, batch, head, *args, **kwargs):
+            trained.append((head, int(batch.target_lens.max())))
+            return train_step(model, batch, head, *args, **kwargs)
+
+        monkeypatch.setattr(training_module, "train_step", spy)
+        _, losses = train_model(corpus, config, training)
+        assert len(losses) == 200 and np.isfinite(losses).all()
+        rng = np.random.default_rng(training.seed)
+        drawn = []
+        for _ in range(training.steps):
+            rng.integers(0, len(corpus), size=training.batch_size)
+            drawn.append(int(rng.integers(1, 5)))
+        assert [head for head, _ in trained] == [min(h, n) for h, (_, n) in zip(drawn, trained)]
+        assert {(h, n) for h, (_, n) in zip(drawn, trained) if h > n} == {(3, 2), (4, 2)}
+        assert any(head == 4 for head, _ in trained)
 
 
 class TestSubLossEstimator:
