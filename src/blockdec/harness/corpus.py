@@ -150,8 +150,10 @@ def training_pairs(corpus: Corpus) -> list:
 
 # ---- text_char ----
 
-_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n"}
-_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n"}
+# a bare carriage return would not survive reading the file back: Python's
+# text mode reads it as a line break
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {"\\\\": "\\", "\\t": "\t", "\\n": "\n", "\\r": "\r"}
 
 
 def _escape(text: str) -> str:

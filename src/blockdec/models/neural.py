@@ -14,21 +14,25 @@ position whose token differs from what was cached to the end of the
 context, each position as row 0 of its own (1, D) slab, the slabs batched
 as (n, 1, D). When no position is new the trunk does not run at all. The
 head extension and vocabulary projection then run on a fixed window of
-num_heads + 1 rows starting at grid row 0, read from a buffer of final
+num_heads + 1 rows starting at grid row 0, and on as many consecutive
+windows as a call with more candidates needs. They read a buffer of final
 hidden states that extends num_heads rows past the context, so a window
-near the end of the context never runs short, and for every head whatever
-k is: in float64 projecting fewer heads changes head 1's bits, which greedy
-equivalence compares across k. Log-softmax normalizes only the rows and
-heads the grid returns. Within a decode session
+near the end of the context never runs short, and compute every head
+whatever k is: in float64 projecting fewer heads changes head 1's bits,
+which greedy equivalence compares across k. Log-softmax normalizes the
+call's rows, for every head. Within a decode session
 (`TinyBlockModel.session`) each layer's keys and values are kept for
-positions whose tokens have not changed since the previous call; outside
-one every call starts from an empty cache. Every position is always
-computed at the same index of arrays of the same shape, attention always
-spans the whole context under the causal mask training uses, and the
-window's shape is fixed by the config, so the activations at position p
-depend only on the tokens at positions <= p and the same conditioning
-context reproduces bit-identical distributions whatever was cached. The
-decode engine relies on this to re-read grid rows across invocations.
+positions whose tokens have not changed since the previous call, and so
+are the last call's normalized rows until the trunk next runs: a call whose
+rows all lie among them, as a standard-scheme predict call's row lies among
+its verify call's, copies them and runs no head window. Outside a session
+every call starts from an empty cache. Every position is always computed
+at the same index of arrays of the same shape, attention always spans the
+whole context under the causal mask training uses, and the window's shape
+is fixed by the config, so the activations at position p depend only on
+the tokens at positions <= p and the same conditioning context reproduces
+bit-identical distributions whatever was cached. The decode engine relies
+on this to re-read grid rows across invocations.
 
 Training's trunk and the decode step share one `_Weights` binding, its
 layernorm and its attention-and-MLP body; they differ only in where keys
@@ -206,7 +210,12 @@ class _KVCache:
     the final hidden state of every position, num_heads rows longer so the
     head window of the last position fits; the token each position was
     computed from (-1: not cached), and the session's `_Weights`. Cached
-    positions always form a prefix of the context."""
+    positions always form a prefix of the context.
+
+    `scored` holds the float64 log-probs of every head at the rows the last
+    head window computed for its call, the first of them at position
+    `scored_from`. Running the trunk empties it, so its rows are always
+    those of the hidden states now cached."""
 
     def __init__(self, model: "TinyBlockModel"):
         cfg = model.config
@@ -215,6 +224,7 @@ class _KVCache:
         self.kv = np.zeros((cfg.num_layers, c, 2 * d), dtype=model.dtype)
         self.views = [(store, store[:, :d].T, store[:, d:]) for store in self.kv]
         self.hidden = np.zeros((c + cfg.num_heads, d), dtype=model.dtype)
+        self.scored_from, self.scored = 0, np.zeros((0, cfg.num_heads, cfg.vocab_size))
         self.weights = _Weights(model)
 
 
@@ -339,13 +349,15 @@ class TinyBlockModel(ScoringModel):
         (n, 1, D); positions before `first` must hold valid keys and values
         in `cache`. Writes this call's keys and values into `cache`, attends
         over its stores, writes the final hidden states, and marks every
-        later position uncached, as it saw the old tokens.
+        later position uncached, as it saw the old tokens. Drops the scored
+        rows, which may have read the hidden states it replaces.
         """
         w, d = cache.weights, self.config.d_model
         rows = slice(first, first + len(tokens))
         x = (w.tok_emb[tokens] + w.pos_emb[rows])[:, None, :]
         mask = w.mask[rows, None, :]
         cache.ids[first:] = -1  # this call's rows until every layer is written
+        cache.scored = cache.scored[:0]
         for lw, (store, keys_t, values) in zip(w.layers, cache.views):
             qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])[0] @ lw["qkv"]
             store[rows] = qkv[:, 0, d:]
@@ -367,8 +379,11 @@ class TinyBlockModel(ScoringModel):
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         """Score k heads at every candidate offset: the trunk on the positions
-        not cached, one (1, D) slab each, and the heads on a window of
-        num_heads + 1 rows from grid row 0 (see the module docstring).
+        not cached, one (1, D) slab each, and the heads on consecutive
+        windows of num_heads + 1 rows from grid row 0, unless the session's
+        last scored rows hold every row of this call (see the module
+        docstring). The grid has len(candidates) + 1 rows, a copy the
+        session does not keep.
 
         Each position is computed as a (1, D) slab attending over
         max_context keys, and the window's shape is fixed by the config, so
@@ -388,13 +403,21 @@ class TinyBlockModel(ScoringModel):
         changed = np.flatnonzero(cache.ids[: len(ids)] != tokens)
         if changed.size:
             self._positions_forward(tokens[changed[0] :], int(changed[0]), cache)
-        base = len(ids) - len(candidates) - 1  # position of grid row 0
-        window = cache.hidden[base : base + self.num_heads + 1]
-        # every head, whatever k is: head 1's bits must not depend on k
-        logits = cache.weights.heads(window, 0, self.num_heads)[0]
-        # log_softmax is row-wise, so normalizing only the rows and heads
-        # the grid returns gives them bitwise as the whole window would
-        grid = log_softmax(logits[: len(candidates) + 1, :k])
+        rows = len(candidates) + 1
+        base = len(ids) - rows  # position of grid row 0
+        start = base - cache.scored_from
+        if start < 0 or start + rows > len(cache.scored):
+            # every head, whatever k is: head 1's bits must not depend on k
+            n = self.num_heads + 1
+            logits = cache.weights.heads(cache.hidden[base : base + n], 0, self.num_heads)[0]
+            for s in range(base + n, base + rows, n):  # rows past the first window
+                more = cache.weights.heads(cache.hidden[s : s + n], 0, self.num_heads)[0]
+                logits = np.concatenate([logits, more])
+            # log_softmax is row-wise, so normalizing only the call's rows
+            # gives them bitwise as the whole window would
+            cache.scored = log_softmax(logits[:rows])
+            cache.scored_from, start = base, 0
+        grid = cache.scored[start : start + rows, :k].copy()
         return BlockScores(grid=grid, base_len=len(tuple(prefix)))
 
 

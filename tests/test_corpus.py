@@ -37,6 +37,17 @@ class TestTextChar:
         save_corpus(corpus, out)
         assert load_corpus(out).pairs == corpus.pairs
 
+    def test_carriage_returns_round_trip(self, tmp_path):
+        """A file read in text mode turns a bare \\r into a line break, so
+        save_corpus must escape it in either field."""
+        pair = ("a\rb", "c\r\nd")
+        corpus = Corpus(kind="text_char", vocab=Vocab(size=258, sep_token=256, eos_token=257),
+                        pairs=(tuple(map(encode_text, pair)), tuple(map(encode_text, pair[::-1]))))
+        path = tmp_path / "c.tsv"
+        save_corpus(corpus, path)
+        assert "\r" not in path.read_bytes().decode("utf-8")
+        assert load_corpus(path).pairs == corpus.pairs
+
     def test_vocab_layout(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("a\tb\n")

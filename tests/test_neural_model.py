@@ -256,6 +256,54 @@ class TestTrunkWork:
         assert sum(n for _, n in runs) == len(inp) + len(result.output)
 
 
+class TestHeadWork:
+    """Which score_grid calls compute a head window."""
+
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        """Count every call of `_Weights.heads`."""
+        calls = []
+        heads = _Weights.heads
+
+        def spy(weights, hf, first, last):
+            calls.append(hf.shape)
+            return heads(weights, hf, first, last)
+
+        monkeypatch.setattr(_Weights, "heads", spy)
+        return calls
+
+    def test_repeated_and_predict_calls_compute_no_window(self, windows):
+        model = TinyBlockModel(small_config(), seed=1)
+        inp = (1, 2)
+        with model.session(inp):
+            model.score_grid(inp, (3,), (4, 5, 6), 3)
+            assert len(windows) == 1
+            model.score_grid(inp, (3,), (4, 5, 6), 2)
+            model.score_grid(inp, (3, 4, 5), (), 3)  # the next predict call of a standard decode
+            model.score_grid(inp, (3, 4), (5,), 1)
+            assert len(windows) == 1
+            model.score_grid(inp, (3, 4, 5, 7), (), 3)  # a new token: the trunk runs
+            assert len(windows) == 2
+
+    @pytest.mark.parametrize("decode", [greedy_decode, blockwise_decode_combined])
+    def test_greedy_and_combined_compute_one_window_per_call(self, windows, decode):
+        model = TinyBlockModel(small_config(eos_token=None), seed=5)
+        result = decode(model, (1, 2, 3), DecodeConfig(block_size=3, max_len=10))
+        assert len(windows) == result.model_invocations
+
+    def test_a_returned_grid_is_not_the_sessions(self):
+        model = TinyBlockModel(small_config(), seed=1)
+        inp = (1, 2)
+        with model.session(inp):
+            first = model.score_grid(inp, (3,), (4, 5), 3).grid
+            want = first.copy()
+            first[:] = 0.0
+            again = model.score_grid(inp, (3,), (4, 5), 3).grid
+            np.testing.assert_array_equal(again, want)
+            again[:] = 0.0
+            np.testing.assert_array_equal(model.score_grid(inp, (3, 4), (), 3).grid, want[1:2])
+
+
 def decode_grids(model, inp, config):
     """The grid of every score_grid call of a combined decode."""
     grids = []

@@ -7,6 +7,7 @@ stateless call on prefix + candidates[:i], so later candidates never change
 earlier rows, and a repeated call must return the same grid. Each call asks
 for its own number of heads k, and a head's scores must not depend on it:
 greedy equivalence compares head 1 of calls that ask for 1 and for k heads.
+A grid has a row for every candidate and one more, however many there are.
 """
 
 import json
@@ -24,7 +25,7 @@ from blockdec.engine import (
     greedy_decode,
 )
 from blockdec.models.checkpoint import load_checkpoint
-from blockdec.models.neural import ModelConfig, TinyBlockModel
+from blockdec.models.neural import ModelConfig, TinyBlockModel, _Weights
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
@@ -70,6 +71,24 @@ def call_history(rng, model, room, calls):
         prefix += candidates[: int(rng.integers(0, count + 1))]
 
 
+def tokens(rng, model, count):
+    return tuple(int(t) for t in rng.integers(0, model.vocab_size, size=count))
+
+
+def any_k(rng, model):
+    return int(rng.integers(1, model.num_heads + 1))
+
+
+def assert_rows_are_stateless_row_zero(model, inp, prefix, candidates, grid, rng):
+    """Row i of `grid` is bitwise row 0 of a fresh call on prefix +
+    candidates[:i], for every head both ask for."""
+    assert len(grid) == len(candidates) + 1
+    for i in range(len(candidates) + 1):
+        fresh = model.score_grid(inp, prefix + candidates[:i], (), any_k(rng, model)).grid[0]
+        shared = min(grid.shape[1], fresh.shape[0])
+        np.testing.assert_array_equal(grid[i, :shared], fresh[:shared])
+
+
 @pytest.mark.parametrize("name", CONTRACT_MODELS)
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -79,9 +98,6 @@ def test_rows_in_a_session_are_stateless_row_zero(name, seed):
     inp = tuple(int(t) for t in rng.integers(0, model.vocab_size, size=int(rng.integers(1, 5))))
     room = context - len(inp) - 1
 
-    def any_k():
-        return int(rng.integers(1, model.num_heads + 1))
-
     def assert_shared_heads_equal(a, b):
         shared = min(a.shape[-2], b.shape[-2])
         np.testing.assert_array_equal(a[..., :shared, :], b[..., :shared, :])
@@ -89,14 +105,77 @@ def test_rows_in_a_session_are_stateless_row_zero(name, seed):
     seen = []
     with model.session(inp):
         for prefix, candidates in call_history(rng, model, room, calls=12):
-            grid = model.score_grid(inp, prefix, candidates, any_k()).grid
-            again = model.score_grid(inp, prefix, candidates, any_k()).grid
+            grid = model.score_grid(inp, prefix, candidates, any_k(rng, model)).grid
+            again = model.score_grid(inp, prefix, candidates, any_k(rng, model)).grid
             assert_shared_heads_equal(grid, again)
             seen.append((prefix, candidates, grid))
     for prefix, candidates, grid in seen:
-        for i in range(len(candidates) + 1):
-            fresh = model.score_grid(inp, prefix + candidates[:i], (), any_k()).grid
-            assert_shared_heads_equal(grid[i], fresh[0])
+        assert_rows_are_stateless_row_zero(model, inp, prefix, candidates, grid, rng)
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+@pytest.mark.parametrize("count", [5, 7, 10])
+def test_more_candidates_than_heads_score_every_row(name, count):
+    """A grid has a row for every candidate and one more, however many
+    candidates there are; the neural model covers them with consecutive
+    head windows."""
+    model, context = contract_model(name)
+    rng = np.random.default_rng(count)
+    inp = tokens(rng, model, 1)
+    prefix = tokens(rng, model, int(rng.integers(0, context - len(inp) - count)))
+    candidates = tokens(rng, model, count)
+    k = any_k(rng, model)
+    with model.session(inp):
+        grid = model.score_grid(inp, prefix, candidates, k).grid
+    assert grid.shape == (count + 1, k, model.vocab_size)
+    assert_rows_are_stateless_row_zero(model, inp, prefix, candidates, grid, rng)
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_reread_before_and_after_the_trunk_reruns(name, seed):
+    """The history the neural model's scored rows are kept for: a call with
+    candidates, a call on each of its rows with none (a standard-scheme
+    predict call after its verify call), a shorter context that reruns the
+    trunk from at or before those rows' first position, and the same rows
+    read again."""
+    model, context = contract_model(name)
+    rng = np.random.default_rng(seed)
+    inp = tokens(rng, model, int(rng.integers(1, 4)))
+    room = context - len(inp) - 1
+    candidates = tokens(rng, model, int(rng.integers(1, min(model.num_heads, room - 1) + 1)))
+    prefix = tokens(rng, model, int(rng.integers(1, room - len(candidates) + 1)))
+    m = int(rng.integers(0, len(prefix)))
+    other = (prefix[m] + 1) % model.vocab_size
+
+    calls = [(prefix, candidates)]
+    calls += [(prefix + candidates[:j], ()) for j in range(len(candidates) + 1)]
+    calls += [(prefix[:m], (other,))]
+    calls += [(prefix + candidates[:j], ()) for j in range(len(candidates) + 1)]
+    with model.session(inp):
+        seen = [(p, c, model.score_grid(inp, p, c, any_k(rng, model)).grid) for p, c in calls]
+    for p, c, grid in seen:
+        assert_rows_are_stateless_row_zero(model, inp, p, c, grid, rng)
+
+
+@pytest.mark.parametrize("name", [n for n in CONTRACT_MODELS if n not in SYNTHETIC_KINDS])
+def test_a_head_window_row_depends_only_on_its_hidden_state(name):
+    """The property a re-read grid row rests on: a row of `_Weights.heads`
+    on a window of num_heads + 1 rows is bitwise the same at every row
+    index, whatever the other rows hold."""
+    model, _ = contract_model(name)
+    weights = _Weights(model)
+    n, d = model.num_heads + 1, model.config.d_model
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        row = rng.normal(size=d).astype(model.dtype)
+        got = []
+        for index in range(n):
+            window = rng.normal(size=(n, d)).astype(model.dtype)
+            window[index] = row
+            got.append(weights.heads(window, 0, model.num_heads)[0][index])
+        for other in got[1:]:
+            np.testing.assert_array_equal(other, got[0])
 
 
 # the third call's prefix, from the first call's (24 tokens from 1-9); the
