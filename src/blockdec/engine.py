@@ -23,8 +23,8 @@ decoding token for token; the payoff is fewer model invocations.
 
 Each decode runs inside ``model.session(input_tokens)``, so a model may
 keep state across the calls of one decode (TinyBlockModel keeps each
-layer's keys and values there). Every call still goes through
-``model.score_grid`` on the object ``decode`` was given.
+layer's keys and values, and each position's scores, there). Every call
+still goes through ``model.score_grid`` on the object ``decode`` was given.
 
 ``decode`` and its three one-scheme wrappers return a :class:`DecodeResult`
 whose accounting satisfies sum(accepted_sizes) == len(output); its

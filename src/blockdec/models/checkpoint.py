@@ -17,8 +17,8 @@ Layout, all little-endian:
 
 Parameters are stored as float32, so `save_checkpoint` refuses a model of
 another dtype rather than round its parameters. A malformed file (bad
-magic, unknown version, truncation, mismatched names or shapes) raises
-CheckpointFormatError without constructing a partial model.
+magic, unknown version, truncation, a repeated name, mismatched names or
+shapes) raises CheckpointFormatError without constructing a partial model.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def load_checkpoint(path) -> TinyBlockModel:
             name = reader.take(nlen).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError("corrupt parameter name") from exc
+        if name in params:
+            raise CheckpointFormatError(f"parameter {name!r} appears more than once")
         (ndim,) = reader.unpack("<B")
         shape = tuple(reader.unpack(f"<{ndim}I")) if ndim else ()
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1

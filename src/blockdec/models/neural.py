@@ -13,26 +13,26 @@ Scoring runs the trunk only on the positions a call needs: from the first
 position whose token differs from what was cached to the end of the
 context, each position as row 0 of its own (1, D) slab, the slabs batched
 as (n, 1, D). When no position is new the trunk does not run at all. The
-head extension and vocabulary projection then run on a fixed window of
-num_heads + 1 rows starting at grid row 0, and on as many consecutive
-windows as a call with more candidates needs. They read a buffer of final
-hidden states that extends num_heads rows past the context, so a window
-near the end of the context never runs short, and compute every head
-whatever k is: in float64 projecting fewer heads changes head 1's bits,
-which greedy equivalence compares across k. Log-softmax normalizes the
-call's rows, for every head. Within a decode session
-(`TinyBlockModel.session`) each layer's keys and values are kept for
-positions whose tokens have not changed since the previous call, and so
-are the last call's normalized rows until the trunk next runs: a call whose
-rows all lie among them, as a standard-scheme predict call's row lies among
-its verify call's, copies them and runs no head window. Outside a session
-every call starts from an empty cache. Every position is always computed
-at the same index of arrays of the same shape, attention always spans the
-whole context under the causal mask training uses, and the window's shape
-is fixed by the config, so the activations at position p depend only on
-the tokens at positions <= p and the same conditioning context reproduces
-bit-identical distributions whatever was cached. The decode engine relies
-on this to re-read grid rows across invocations.
+same step scores the heads of every position it computes from the
+separator on: the head extension and vocabulary projection run on
+consecutive windows of num_heads + 1 rows from the first such position,
+over a buffer of final hidden states that extends num_heads rows past the
+context, so the last window never runs short. They compute every head
+whatever k is (in float64 projecting fewer heads changes head 1's bits,
+which greedy equivalence compares across k), and log-softmax normalizes the
+computed positions' rows into a float64 buffer of every position's
+log-probs. A call's grid is a copy of its rows of that buffer. A decode
+session (`TinyBlockModel.session`) is bound to the input it decodes and
+keeps each layer's keys and values, hidden states and log-probs for
+positions whose tokens have not changed since the previous call; a call
+with another input, or outside a session, starts from an empty cache. Every
+position is always computed at the same index of arrays of the same shape,
+attention always spans the whole context under the causal mask training
+uses, and the window's shape is fixed by the config, so the rows at
+position p depend only on the tokens at positions <= p and the same
+conditioning context reproduces bit-identical distributions whatever was
+cached. The decode engine relies on this to re-read grid rows across
+invocations.
 
 Training's trunk and the decode step share one `_Weights` binding, its
 layernorm and its attention-and-MLP body; they differ only in where keys
@@ -205,26 +205,24 @@ class _Weights:
 
 
 class _KVCache:
-    """A decode session's state: each layer's keys and values side by side,
-    (max_context, 2D), and the views of them the decode step attends over;
-    the final hidden state of every position, num_heads rows longer so the
-    head window of the last position fits; the token each position was
-    computed from (-1: not cached), and the session's `_Weights`. Cached
-    positions always form a prefix of the context.
+    """A decode session's state, bound to the input it decodes: each
+    layer's keys and values side by side, (max_context, 2D), and the views
+    of them the decode step attends over; the final hidden state of every
+    position, num_heads rows longer so the last head window fits; the
+    float64 log-probs of every head at every position from the separator
+    `sep` on; the token each position was computed from (-1: not cached),
+    and the session's `_Weights`. Cached positions always form a prefix of
+    the context, and every one from `sep` on has its log-probs."""
 
-    `scored` holds the float64 log-probs of every head at the rows the last
-    head window computed for its call, the first of them at position
-    `scored_from`. Running the trunk empties it, so its rows are always
-    those of the hidden states now cached."""
-
-    def __init__(self, model: "TinyBlockModel"):
+    def __init__(self, model: "TinyBlockModel", input_tokens: tuple):
         cfg = model.config
         c, d = cfg.max_context, cfg.d_model
+        self.input, self.sep = input_tokens, len(input_tokens)
         self.ids = np.full(c, -1, dtype=np.int64)
         self.kv = np.zeros((cfg.num_layers, c, 2 * d), dtype=model.dtype)
         self.views = [(store, store[:, :d].T, store[:, d:]) for store in self.kv]
         self.hidden = np.zeros((c + cfg.num_heads, d), dtype=model.dtype)
-        self.scored_from, self.scored = 0, np.zeros((0, cfg.num_heads, cfg.vocab_size))
+        self.logprobs = np.zeros((c, cfg.num_heads, cfg.vocab_size))
         self.weights = _Weights(model)
 
 
@@ -315,8 +313,7 @@ class TinyBlockModel(ScoringModel):
 
     # ---- forward passes ----
 
-    def _compose(self, input_tokens, prefix, candidates) -> tuple:
-        input_tokens, prefix, candidates = tuple(input_tokens), tuple(prefix), tuple(candidates)
+    def _compose(self, input_tokens: tuple, prefix: tuple, candidates: tuple) -> tuple:
         check_token_ids(input_tokens, self.vocab_size, "input")
         check_token_ids(prefix, self.vocab_size, "prefix")
         check_token_ids(candidates, self.vocab_size, "candidates")
@@ -344,81 +341,74 @@ class TinyBlockModel(ScoringModel):
         return hf, cache
 
     def _positions_forward(self, tokens: np.ndarray, first: int, cache: _KVCache):
-        """The decode step's trunk over the positions from `first` on, whose
-        tokens are `tokens`, each as row 0 of its own (1, D) slab, batched as
+        """The decode step over the positions from `first` on, whose tokens
+        are `tokens`, each as row 0 of its own (1, D) slab, batched as
         (n, 1, D); positions before `first` must hold valid keys and values
         in `cache`. Writes this call's keys and values into `cache`, attends
         over its stores, writes the final hidden states, and marks every
-        later position uncached, as it saw the old tokens. Drops the scored
-        rows, which may have read the hidden states it replaces.
+        later position uncached, as it saw the old tokens. Then scores the
+        heads of the positions it computed from the separator on, one
+        num_heads + 1-row window at a time, into `cache.logprobs`.
         """
         w, d = cache.weights, self.config.d_model
         rows = slice(first, first + len(tokens))
         x = (w.tok_emb[tokens] + w.pos_emb[rows])[:, None, :]
         mask = w.mask[rows, None, :]
         cache.ids[first:] = -1  # this call's rows until every layer is written
-        cache.scored = cache.scored[:0]
         for lw, (store, keys_t, values) in zip(w.layers, cache.views):
             qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])[0] @ lw["qkv"]
             store[rows] = qkv[:, 0, d:]
             x = w.attend_mlp(x, lw, qkv[..., :d], keys_t, values, mask)[0]
         cache.ids[rows] = tokens
         cache.hidden[rows] = w.layernorm(x, *w.lnf)[0][:, 0]
+        n = self.num_heads + 1
+        for s in range(max(first, cache.sep), rows.stop, n):
+            # every head, whatever k is: head 1's bits must not depend on k
+            logits = w.heads(cache.hidden[s : s + n], 0, self.num_heads)[0][: rows.stop - s]
+            # log_softmax is row-wise, so normalizing only the computed
+            # positions gives them bitwise as the whole window would
+            cache.logprobs[s : s + len(logits)] = log_softmax(logits)
 
     @contextmanager
     def session(self, input_tokens):
-        """Keep each layer's keys and values across the score_grid calls of
-        one decode. A call reuses them for positions whose tokens match the
-        previous calls' and recomputes the rest; results are bitwise those
+        """Keep each layer's keys and values, and each position's head
+        log-probs, across the score_grid calls of one decode of
+        `input_tokens`. A call on that input reuses them for positions whose
+        tokens match the previous calls' and recomputes the rest; a call on
+        another input starts from an empty cache. Results are bitwise those
         of a call outside the session."""
-        outer, self._cache = self._cache, _KVCache(self)
+        outer, self._cache = self._cache, _KVCache(self, tuple(input_tokens))
         try:
             yield
         finally:
             self._cache = outer
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
-        """Score k heads at every candidate offset: the trunk on the positions
-        not cached, one (1, D) slab each, and the heads on consecutive
-        windows of num_heads + 1 rows from grid row 0, unless the session's
-        last scored rows hold every row of this call (see the module
-        docstring). The grid has len(candidates) + 1 rows, a copy the
-        session does not keep.
-
-        Each position is computed as a (1, D) slab attending over
-        max_context keys, and the window's shape is fixed by the config, so
-        no product a row depends on changes shape with the argument lengths:
-        identical conditioning contexts always reproduce bit-identical rows
-        no matter how the grid is sliced or what the session has cached.
+        """Score k heads at every candidate offset: the decode step on the
+        positions not cached, then a copy of the call's rows of the
+        per-position log-probs. The grid has len(candidates) + 1 rows, a copy
+        the session does not keep. No product a row depends on changes shape
+        with the argument lengths, so identical conditioning contexts
+        reproduce bit-identical rows however the grid is sliced and whatever
+        the session has cached (see the module docstring).
         """
         self._check_heads(k)
-        candidates = tuple(candidates)
+        input_tokens, prefix, candidates = tuple(input_tokens), tuple(prefix), tuple(candidates)
         ids = self._compose(input_tokens, prefix, candidates)
         if len(ids) > self.config.max_context:
             raise LengthError(
                 f"sequence of {len(ids)} tokens exceeds context {self.config.max_context}"
             )
-        cache = self._cache if self._cache is not None else _KVCache(self)
+        cache = self._cache
+        if cache is None or cache.input != input_tokens:
+            cache = _KVCache(self, input_tokens)
         tokens = np.array(ids, dtype=np.int64)
         changed = np.flatnonzero(cache.ids[: len(ids)] != tokens)
         if changed.size:
             self._positions_forward(tokens[changed[0] :], int(changed[0]), cache)
-        rows = len(candidates) + 1
-        base = len(ids) - rows  # position of grid row 0
-        start = base - cache.scored_from
-        if start < 0 or start + rows > len(cache.scored):
-            # every head, whatever k is: head 1's bits must not depend on k
-            n = self.num_heads + 1
-            logits = cache.weights.heads(cache.hidden[base : base + n], 0, self.num_heads)[0]
-            for s in range(base + n, base + rows, n):  # rows past the first window
-                more = cache.weights.heads(cache.hidden[s : s + n], 0, self.num_heads)[0]
-                logits = np.concatenate([logits, more])
-            # log_softmax is row-wise, so normalizing only the call's rows
-            # gives them bitwise as the whole window would
-            cache.scored = log_softmax(logits[:rows])
-            cache.scored_from, start = base, 0
-        grid = cache.scored[start : start + rows, :k].copy()
-        return BlockScores(grid=grid, base_len=len(tuple(prefix)))
+        base = len(input_tokens) + len(prefix)  # position of grid row 0
+        grid = cache.logprobs[base : base + len(candidates) + 1, :k].copy()
+        return BlockScores(grid=grid, base_len=len(prefix))
 
 
 def _layernorm_backward(dy, g, cache):

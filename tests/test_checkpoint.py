@@ -125,5 +125,20 @@ class TestMalformedFiles:
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
+    def test_repeated_parameter_rejected(self, tmp_path):
+        """One more entry than the model has, repeating proj.w as zeros: the
+        repeat is refused, not loaded over the first entry."""
+        path = self.write_good(tmp_path)
+        data = bytearray(path.read_bytes())
+        count_off = 4 + 4 + 9 * 4
+        (count,) = struct.unpack_from("<I", data, count_off)
+        struct.pack_into("<I", data, count_off, count + 1)
+        shape = model_for_test().params["proj.w"].shape
+        data += struct.pack("<H", len(b"proj.w")) + b"proj.w" + struct.pack("<B", len(shape))
+        data += struct.pack(f"<{len(shape)}I", *shape) + np.zeros(shape, dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError, match="'proj.w' appears more than once"):
+            load_checkpoint(path)
+
     def test_magic_constant(self):
         assert MAGIC == b"BDKC"

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from blockdec.engine import DecodeConfig, blockwise_decode_combined, greedy_decode
+from blockdec.engine import (
+    SCHEMES,
+    DecodeConfig,
+    blockwise_decode_combined,
+    decode,
+    greedy_decode,
+)
 from blockdec.errors import ConfigurationError, LengthError
 from blockdec.models.base import log_softmax
 from blockdec.models.neural import (
@@ -257,39 +263,88 @@ class TestTrunkWork:
 
 
 class TestHeadWork:
-    """Which score_grid calls compute a head window."""
+    """Where score_grid computes head windows: only in the trunk step, one
+    window per num_heads + 1 positions it computes from the separator on."""
 
     @pytest.fixture
-    def windows(self, monkeypatch):
-        """Count every call of `_Weights.heads`."""
-        calls = []
-        heads = _Weights.heads
+    def work(self, monkeypatch):
+        """Per score_grid call, its candidates and its trunk runs as (first
+        position, end, separator, first row of each head window the run
+        computed); windows computed outside a trunk run go to "outside"."""
+        log = {"calls": [], "outside": 0}
+        running = []  # the trunk run in progress, if any
+        forward, heads, score_grid = (
+            TinyBlockModel._positions_forward, _Weights.heads, TinyBlockModel.score_grid)
 
-        def spy(weights, hf, first, last):
-            calls.append(hf.shape)
+        def spy_score_grid(model, input_tokens, prefix, candidates, k):
+            log["calls"].append((tuple(candidates), []))
+            return score_grid(model, input_tokens, prefix, candidates, k)
+
+        def spy_forward(model, tokens, first, cache):
+            run = (first, first + len(tokens), cache.sep, [])
+            log["calls"][-1][1].append(run)
+            running.append((run, cache.hidden))
+            try:
+                return forward(model, tokens, first, cache)
+            finally:
+                running.pop()
+
+        def spy_heads(weights, hf, first, last):
+            if running:
+                (run, hidden), = running
+                # the window's first row, from its offset into the buffer
+                offset = hf.__array_interface__["data"][0] - hidden.__array_interface__["data"][0]
+                run[3].append(offset // hidden.strides[0])
+            else:
+                log["outside"] += 1
             return heads(weights, hf, first, last)
 
-        monkeypatch.setattr(_Weights, "heads", spy)
-        return calls
+        monkeypatch.setattr(TinyBlockModel, "score_grid", spy_score_grid)
+        monkeypatch.setattr(TinyBlockModel, "_positions_forward", spy_forward)
+        monkeypatch.setattr(_Weights, "heads", spy_heads)
+        return log
 
-    def test_repeated_and_predict_calls_compute_no_window(self, windows):
+    def test_repeated_and_predict_calls_compute_no_window(self, work):
         model = TinyBlockModel(small_config(), seed=1)
         inp = (1, 2)
+
+        def windows():
+            return sum(len(run[3]) for _, runs in work["calls"] for run in runs)
+
         with model.session(inp):
+            # 1 2 SEP 3 4 5 6: positions 2-6 from the separator, two windows
             model.score_grid(inp, (3,), (4, 5, 6), 3)
-            assert len(windows) == 1
+            assert windows() == 2
             model.score_grid(inp, (3,), (4, 5, 6), 2)
             model.score_grid(inp, (3, 4, 5), (), 3)  # the next predict call of a standard decode
             model.score_grid(inp, (3, 4), (5,), 1)
-            assert len(windows) == 1
+            assert windows() == 2
             model.score_grid(inp, (3, 4, 5, 7), (), 3)  # a new token: the trunk runs
-            assert len(windows) == 2
+            assert windows() == 3
 
-    @pytest.mark.parametrize("decode", [greedy_decode, blockwise_decode_combined])
-    def test_greedy_and_combined_compute_one_window_per_call(self, windows, decode):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_each_computed_position_passes_through_the_heads_once(self, work, scheme):
+        """Only a call whose trunk ran computes a head window, and each run
+        scores every position it computes from the separator on in one of
+        consecutive windows from the first of them."""
         model = TinyBlockModel(small_config(eos_token=None), seed=5)
-        result = decode(model, (1, 2, 3), DecodeConfig(block_size=3, max_len=10))
-        assert len(windows) == result.model_invocations
+        result = decode(model, (1, 2, 3), DecodeConfig(block_size=3, max_len=10), scheme)
+        assert len(result.output) == 10
+        assert len(work["calls"]) == result.model_invocations
+        assert work["outside"] == 0
+        n = model.num_heads + 1
+        for _, runs in work["calls"]:
+            for first, end, sep, windows in runs:
+                assert sep == 3
+                assert windows == list(range(max(first, sep), end, n))
+
+    def test_a_standard_predict_call_after_its_verify_call_computes_none(self, work):
+        model = TinyBlockModel(small_config(eos_token=None), seed=5)
+        decode(model, (1, 2, 3), DecodeConfig(block_size=3, max_len=10), "standard")
+        calls = work["calls"]
+        predicts = [runs for (before, _), (candidates, runs) in zip(calls, calls[1:])
+                    if before and not candidates]
+        assert predicts and all(runs == [] for runs in predicts)
 
     def test_a_returned_grid_is_not_the_sessions(self):
         model = TinyBlockModel(small_config(), seed=1)

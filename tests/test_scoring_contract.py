@@ -134,7 +134,7 @@ def test_more_candidates_than_heads_score_every_row(name, count):
 @pytest.mark.parametrize("name", CONTRACT_MODELS)
 @pytest.mark.parametrize("seed", range(3))
 def test_rows_reread_before_and_after_the_trunk_reruns(name, seed):
-    """The history the neural model's scored rows are kept for: a call with
+    """Rows re-read from the session's per-position scores: a call with
     candidates, a call on each of its rows with none (a standard-scheme
     predict call after its verify call), a shorter context that reruns the
     trunk from at or before those rows' first position, and the same rows
@@ -176,6 +176,50 @@ def test_a_head_window_row_depends_only_on_its_hidden_state(name):
             got.append(weights.heads(window, 0, model.num_heads)[0][index])
         for other in got[1:]:
             np.testing.assert_array_equal(other, got[0])
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+def test_arguments_are_read_once(name):
+    """Input, prefix and candidates may be iterators: each is read once, so
+    base_len counts the prefix the grid conditions on."""
+    model, _ = contract_model(name)
+    want = model.score_grid((1, 2), (3, 4), (5,), 2)
+    assert want.base_len == 2
+    got = model.score_grid(iter((1, 2)), iter((3, 4)), iter((5,)), 2)
+    with model.session(iter((1, 2))):
+        in_session = model.score_grid(iter((1, 2)), iter((3, 4)), iter((5,)), 2)
+    for scores in (got, in_session):
+        assert scores.base_len == 2
+        np.testing.assert_array_equal(scores.grid, want.grid)
+
+
+@pytest.mark.parametrize("name", CONTRACT_MODELS)
+def test_calls_on_another_input_in_a_session_are_stateless(name):
+    """A session is bound to the input it was opened on. Calls on other
+    inputs return the stateless grid, also when the composed tokens match
+    the session's cached stream with the separator one position away: the
+    input (a, b) with prefix (SEP, x, y) and the input (a, b, SEP) with
+    prefix (x, y) compose the same tokens."""
+    model, _ = contract_model(name)
+    sep = model.config.sep_token if hasattr(model, "config") else 0
+    rng = np.random.default_rng(0)
+    inp, tail, other = tokens(rng, model, 2), tokens(rng, model, 3), tokens(rng, model, 3)
+    calls = [
+        (inp, (sep,) + tail, tail[:2]),
+        (inp + (sep,), tail, tail[:2]),
+        (inp, (), (sep,) + tail[:2]),
+        (inp, (sep,) + tail[:1], tail[1:]),
+        (inp + (sep,), (), tail),
+        (other, tail, tail[:1]),
+        (inp, (sep,), tail),
+    ]
+    k = model.num_heads
+    for session_input in (inp, inp + (sep,)):
+        with model.session(session_input):
+            seen = [(i, p, c, model.score_grid(i, p, c, k)) for i, p, c in calls]
+        for i, p, c, scores in seen:
+            assert scores.base_len == len(p)
+            np.testing.assert_array_equal(scores.grid, model.score_grid(i, p, c, k).grid)
 
 
 # the third call's prefix, from the first call's (24 tokens from 1-9); the
