@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, CorpusError, ParseError
+from ..errors import ConfigurationError, CorpusError, LengthError, ParseError
 from ..models.base import check_token_ids
 
 KINDS = ("text_char", "synthetic_pattern", "intensity_grid")
@@ -130,13 +130,25 @@ class Corpus:
         return max(len(t) for _, t in training_pairs(self))
 
     def check_model(self, model) -> None:
-        """Raise ConfigurationError unless the corpus's vocabulary fits `model`."""
+        """Raise ConfigurationError unless the corpus's vocabulary fits
+        `model`, and LengthError, naming the pair, if an input and its
+        separator exceed the model's `max_context`. A decode may end before
+        it fills the context, so the decode budget is not checked."""
         if not self.vocab.fits(model):
             raise ConfigurationError(
                 f"model vocabulary ({model.vocab_size} tokens, separator {_model_sep(model)}) "
                 f"differs from the corpus's ({self.vocab.size} tokens, "
                 f"separator {self.vocab.sep_token})"
             )
+        limit = getattr(model, "max_context", None)
+        if limit is None:
+            return
+        for i, (inp, _) in enumerate(self.pairs):
+            if len(inp) + 1 > limit:
+                raise LengthError(
+                    f"pair {i}: input of {len(inp)} tokens and its separator exceed "
+                    f"context {limit}"
+                )
 
 
 def training_pairs(corpus: Corpus) -> list:

@@ -6,6 +6,8 @@ target is long enough to train, fails before any training. Each step draws a
 random batch of those rows, draws one head uniformly at random, and takes one
 SGD step on that head's sub-loss. The uniform draw keeps the expected step
 equal to training on the mean of all head losses at a fraction of the cost.
+The run binds the step's batch-sized arrays once (`TinyBlockModel.train_run`),
+so each step writes the arrays the last one wrote.
 Freezing partitions turns the same loop into head-only fine-tuning on top of
 a fixed trunk.
 """
@@ -132,16 +134,21 @@ def train_model(
         )
     rng = np.random.default_rng(training.seed)
     losses = []
-    for step in range(training.steps):
-        idx = rng.integers(0, len(composed.ids), size=training.batch_size)
-        batch = TrainBatch(composed.ids[idx], composed.input_lens[idx], composed.target_lens[idx])
-        head = min(int(rng.integers(1, cfg.num_heads + 1)), int(batch.target_lens.max()))
-        lr = training.learning_rate * (1.0 - training.lr_decay * step / training.steps)
-        loss = train_step(
-            model, batch, head, lr,
-            freeze=training.freeze, max_grad_norm=training.max_grad_norm,
-        )
-        losses.append(loss)
-        if training.log_every and (step % training.log_every == 0 or step == training.steps - 1):
-            print(f"step {step:6d}  head {head}  lr {lr:.4f}  loss {loss:.4f}")
+    with model.train_run(training.batch_size):
+        for step in range(training.steps):
+            idx = rng.integers(0, len(composed.ids), size=training.batch_size)
+            batch = TrainBatch(
+                composed.ids[idx], composed.input_lens[idx], composed.target_lens[idx]
+            )
+            head = min(int(rng.integers(1, cfg.num_heads + 1)), int(batch.target_lens.max()))
+            lr = training.learning_rate * (1.0 - training.lr_decay * step / training.steps)
+            loss = train_step(
+                model, batch, head, lr,
+                freeze=training.freeze, max_grad_norm=training.max_grad_norm,
+            )
+            losses.append(loss)
+            if training.log_every and (
+                step % training.log_every == 0 or step == training.steps - 1
+            ):
+                print(f"step {step:6d}  head {head}  lr {lr:.4f}  loss {loss:.4f}")
     return model, losses

@@ -56,7 +56,15 @@ the mean loss over all k heads, at one head's cost. Parameter partitions
 which supports bolting new heads onto a frozen pretrained trunk.
 
 All gradients are computed by hand; see `loss_and_gradients`. They are
-checked against central finite differences in the test suite.
+checked against central finite differences in the test suite. A train
+step writes its batch-sized arrays (each layer's saved intermediates, the
+backward pass's temporaries, the gradients) with out= into a
+`_StepMemory`, which a `train_model` run binds once for all its steps
+(`TinyBlockModel.train_run`), as a session binds its `_KVCache`: a step
+that allocates its own arrays gives them back to the OS when it returns,
+and the next step faults them in again. The layer body takes those
+destinations as arguments that default to new arrays, so the decode step
+passes none, and it does the rest of its work in place.
 """
 
 from __future__ import annotations
@@ -136,10 +144,15 @@ def partition_of(name: str) -> str:
     return "base"
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+def _softmax(x: np.ndarray, out=None) -> np.ndarray:
+    e = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out)
+    np.exp(e, e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
+
+
+# the destinations of a forward pass that makes every array it returns
+_NEW = dict.fromkeys(("attn", "ctx", "b", "ln2", "u", "x", "y", "logits"))
 
 
 class _Weights:
@@ -165,43 +178,100 @@ class _Weights:
         self.lnf = p["lnf.g"], p["lnf.b"]
         self.head = p["ext.w1"], p["ext.b1"], p["ext.w2"], p["ext.b2"], p["proj.w"]
 
-    def layernorm(self, x, g, b):
+    def layernorm(self, x, g, b, y=None, xhat=None):
         """Layernorm over the last axis; returns the output and the
-        intermediates the backward pass reads."""
+        intermediates the backward pass reads. The output and xhat are
+        written into `y` and `xhat` where given (`y` holds the squares
+        until then)."""
         # np.add.reduce sums as ndarray.mean does, without its Python wrapper;
         # np.vecdot is faster but sums in another order, which changes training
-        xc = x - np.add.reduce(x, axis=-1, keepdims=True) / self.d
-        var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / self.d
+        xc = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / self.d, xhat)
+        var = np.add.reduce(np.multiply(xc, xc, y), axis=-1, keepdims=True) / self.d
         inv = self.one / np.sqrt(var + self.eps)
-        xhat = xc * inv
-        return xhat * g + b, (xhat, inv)
+        xc *= inv
+        y = np.multiply(xc, g, y)
+        y += b
+        return y, (xc, inv)
 
-    def heads(self, hf, first: int, last: int):
+    def heads(self, hf, first: int, last: int, out=_NEW):
         """Logits of heads first+1..last at every row of hf (..., T, D), as
-        (..., T, last - first, V), and the u and y the backward pass reads.
-        The projection is one (T * (last - first), D) @ (D, V) product per
+        (..., T, last - first, V), and the u and y the backward pass reads,
+        written into the arrays `out` names (None: a new array). The
+        projection is one (T * (last - first), D) @ (D, V) product per
         leading index of hf; that fixed shape keeps the bits reproducible."""
         w1, b1, w2, b2, proj = self.head
         rows, d = hf.shape[:-1], hf.shape[-1]
         cols = slice(first * d, last * d)
-        u = np.maximum(hf @ w1 + b1, self.zero)
-        y = (u @ w2[:, cols] + b2[cols]).reshape(rows + (last - first, d))
+        u = np.matmul(hf, w1, out["u"])
+        u += b1
+        np.maximum(u, self.zero, out=u)
+        y = np.matmul(u, w2[:, cols], out["y"])
+        y += b2[cols]
+        y = y.reshape(rows + (last - first, d))
         y += hf[..., None, :]
-        logits = y.reshape(rows[:-1] + (-1, d)) @ proj
+        logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, out["logits"])
         return logits.reshape(y.shape[:-1] + (-1,)), u, y
 
-    def attend_mlp(self, x, w: dict, q, keys_t, values, mask):
+    def attend_mlp(self, x, w: dict, q, keys_t, values, mask, out=_NEW):
         """The rest of a layer once its queries, keys and values are known:
         attention of `q` over `keys_t` (keys transposed) and `values` under
-        `mask`, then the feedforward block. Returns the layer output and the
-        intermediates the backward pass reads."""
-        attn = _softmax(q @ keys_t * self.scale + mask)
-        ctx = attn @ values
-        x2 = x + ctx @ w["attn.wo"]
-        b, ln2 = self.layernorm(x2, w["ln2.g"], w["ln2.b"])
-        u = np.maximum(b @ w["mlp.w1"] + w["mlp.b1"], self.zero)
-        x3 = x2 + u @ w["mlp.w2"] + w["mlp.b2"]
+        `mask`, then the feedforward block. Returns the layer output ("x")
+        and the intermediates the backward pass reads, written into the
+        arrays `out` names (None: a new array)."""
+        attn = np.matmul(q, keys_t, out["attn"])
+        attn *= self.scale
+        attn += mask
+        _softmax(attn, attn)
+        ctx = np.matmul(attn, values, out["ctx"])
+        x2 = ctx @ w["attn.wo"]
+        x2 += x
+        b, ln2 = self.layernorm(x2, w["ln2.g"], w["ln2.b"], out["b"], out["ln2"])
+        u = np.matmul(b, w["mlp.w1"], out["u"])
+        u += w["mlp.b1"]
+        np.maximum(u, self.zero, out=u)
+        x3 = np.matmul(u, w["mlp.w2"], out["x"])
+        x3 += x2
+        x3 += w["mlp.b2"]
         return x3, {"attn": attn, "ctx": ctx, "b": b, "ln2": ln2, "u": u}
+
+
+class _StepMemory:
+    """A train step's batch-sized arrays for batches of `rows` padded rows:
+    each layer's saved intermediates and output, the final layernorm's, the
+    trained head's, the backward pass's activation-sized temporaries and
+    every parameter's gradient. A step writes them with out=, so a run that
+    keeps one across its steps (`TinyBlockModel.train_run`) allocates next to
+    nothing per step; a step outside a run makes its own."""
+
+    def __init__(self, model: "TinyBlockModel", rows: int):
+        cfg = model.config
+        c, d, h, k = cfg.max_context, cfg.d_model, cfg.d_hidden, cfg.num_heads
+
+        def new(width):
+            return np.empty((rows, c, width), dtype=model.dtype)
+
+        self.rows = rows
+        self.layers = [
+            {"a": new(d), "ln1": new(d), "qkv": new(3 * d), "attn": new(c), "ctx": new(d),
+             "b": new(d), "ln2": new(d), "u": new(h), "x": new(d)}
+            for _ in range(cfg.num_layers)
+        ]
+        self.hf, self.lnf = new(d), new(d)
+        self.head = {"u": new(k * h), "y": new(d), "logits": new(cfg.vocab_size)}
+        widths = dict.fromkeys(
+            ("dy", "dhf", "dx", "dxhat", "db", "dx2", "dctx", "dq", "dk", "dv", "da", "dln"), d
+        )
+        widths.update(dlogits=cfg.vocab_size, du=k * h, dupre=h, dattn=c, dscores=c)
+        self.back = {name: new(width) for name, width in widths.items()}
+        # in the order the backward pass computes them, which is the order
+        # the clip norm sums them in: another order changes training's bits
+        order = ["proj.w", "ext.w2", "ext.b2", "ext.w1", "ext.b1", "lnf.g", "lnf.b"]
+        for layer in reversed(range(cfg.num_layers)):
+            order += [f"l{layer}.{name}" for name in (
+                "mlp.w2", "mlp.b2", "mlp.w1", "mlp.b1", "ln2.g", "ln2.b",
+                "attn.wo", "attn.wq", "attn.wk", "attn.wv", "ln1.g", "ln1.b")]
+        order += ["pos_emb", "tok_emb"]
+        self.grads = {name: np.empty_like(model.params[name]) for name in order}
 
 
 class _KVCache:
@@ -257,6 +327,7 @@ class TinyBlockModel(ScoringModel):
         c = config.max_context
         self._mask = np.triu(np.full((c, c), MASK_VALUE, dtype=self.dtype), k=1)
         self._cache = None  # the open session's _KVCache
+        self._run = None  # the open train run's _StepMemory
 
     def _param_shapes(self) -> dict:
         cfg = self.config
@@ -322,23 +393,41 @@ class TinyBlockModel(ScoringModel):
     def trunk_forward(self, ids_batch: np.ndarray):
         """Training's transformer trunk over padded id batches of shape
         (B, max_context), attending over the keys and values of its own
-        positions.
+        positions, written into the open train run's `_StepMemory` when its
+        batches have B rows, else into a new one.
 
         Returns the final layernormed hidden states (B, C, D) and the
-        intermediates the backward pass reads, the binding under "weights".
+        intermediates the backward pass reads, the binding under "weights"
+        and the step memory under "memory".
         """
-        w = _Weights(self)
+        w, mem = _Weights(self), self._run
+        if mem is None or mem.rows != len(ids_batch):
+            mem = _StepMemory(self, len(ids_batch))
         d = self.config.d_model
-        x = w.tok_emb[ids_batch] + w.pos_emb[None, :, :]
-        cache = {"ids": ids_batch, "weights": w}
-        for layer, lw in enumerate(w.layers):
-            a, ln1 = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])
-            qkv = a @ lw["qkv"]
+        x = w.tok_emb[ids_batch]
+        x += w.pos_emb
+        cache = {"ids": ids_batch, "weights": w, "memory": mem}
+        for layer, (lw, out) in enumerate(zip(w.layers, mem.layers)):
+            a, ln1 = w.layernorm(x, lw["ln1.g"], lw["ln1.b"], out["a"], out["ln1"])
+            qkv = np.matmul(a, lw["qkv"], out["qkv"])
             q, keys, values = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-            x, saved = w.attend_mlp(x, lw, q, keys.swapaxes(-1, -2), values, w.mask)
+            x, saved = w.attend_mlp(x, lw, q, keys.swapaxes(-1, -2), values, w.mask, out)
             cache[f"layer{layer}"] = dict(saved, a=a, ln1=ln1, q=q, k=keys, v=values)
-        hf, cache["lnf"] = w.layernorm(x, *w.lnf)
+        hf, cache["lnf"] = w.layernorm(x, *w.lnf, mem.hf, mem.lnf)
         return hf, cache
+
+    @contextmanager
+    def train_run(self, batch_size: int):
+        """Keep one `_StepMemory` across the train steps of a run on batches
+        of `batch_size` rows, so each step writes the arrays the last one
+        wrote instead of allocating its own. Results are bitwise those of a
+        step outside the run; an array a step returns (hidden states,
+        gradients) holds until the run's next step."""
+        outer, self._run = self._run, _StepMemory(self, batch_size)
+        try:
+            yield
+        finally:
+            self._run = outer
 
     def _positions_forward(self, tokens: np.ndarray, first: int, cache: _KVCache):
         """The decode step over the positions from `first` on, whose tokens
@@ -411,25 +500,30 @@ class TinyBlockModel(ScoringModel):
         return BlockScores(grid=grid, base_len=len(prefix))
 
 
-def _layernorm_backward(dy, g, cache):
+def _layernorm_backward(dy, g, cache, dx, dxhat, dg, db):
+    """Layernorm's input gradient, written into `dx`, and its weight
+    gradients, into `dg` and `db`; `dxhat` is scratch."""
     xhat, inv = cache
     n = xhat.shape[-1]
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - np.add.reduce(dxhat, axis=-1, keepdims=True) / n
-        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n)
-    )
-    return dx, dg, db
+    axes = tuple(range(dy.ndim - 1))
+    np.add.reduce(np.multiply(dy, xhat, dxhat), axis=axes, out=dg)
+    np.add.reduce(dy, axis=axes, out=db)
+    dxhat = np.multiply(dy, g, dxhat)
+    mean = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+    proj = np.add.reduce(np.multiply(dxhat, xhat, dx), axis=-1, keepdims=True) / n
+    np.multiply(xhat, proj, dx)
+    dxhat -= mean
+    np.subtract(dxhat, dx, dx)
+    dx *= inv
+    return dx
 
 
-def _flat_grad(lhs, dy):
-    """Weight gradient for y = lhs @ w summed over batch and position."""
+def _flat_grad(lhs, dy, out):
+    """Weight gradient for y = lhs @ w summed over batch and position,
+    written into `out`."""
     l2 = lhs.reshape(-1, lhs.shape[-1])
     d2 = dy.reshape(-1, dy.shape[-1])
-    return l2.T @ d2
+    return np.matmul(l2.T, d2, out)
 
 
 @dataclass
@@ -497,7 +591,7 @@ def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
             f"no training positions for head {head}; targets are shorter than the head offset"
         )
     hf, trunk_cache = model.trunk_forward(batch.ids)
-    logits, u, y = trunk_cache["weights"].heads(hf, head - 1, head)
+    logits, u, y = trunk_cache["weights"].heads(hf, head - 1, head, trunk_cache["memory"].head)
     logits, y = logits[..., 0, :], y[..., 0, :]
     rows, cols = np.nonzero(mask)
     targets = batch.ids[rows, cols + head]
@@ -516,79 +610,92 @@ def sub_loss(model: TinyBlockModel, batch: TrainBatch, head: int) -> float:
     return _head_loss(model, batch, head)[0]
 
 
-def loss_and_gradients(model: TinyBlockModel, batch: TrainBatch, head: int):
-    """Sub-loss of one head and its gradient for every parameter."""
+def loss_and_gradients(
+    model: TinyBlockModel, batch: TrainBatch, head: int, freeze: FreezeMask = FreezeMask()
+):
+    """Sub-loss of one head and its gradient for every parameter outside
+    the partitions `freeze` freezes. With the base frozen, the backward pass
+    stops at the trunk. The gradients are the step memory's arrays (see
+    `TinyBlockModel.train_run`)."""
     loss, aux = _head_loss(model, batch, head)
     hf, cache, logits, u, y, rows, cols, targets, count = aux
-    p = model.params
-    cfg = model.config
     w1, _, w2, _, proj = cache["weights"].head
-    grads = {}
+    buf, grads = cache["memory"].back, cache["memory"].grads
 
     # cross-entropy at the masked positions, averaged
-    dlogits = np.zeros_like(logits)
+    dlogits = buf["dlogits"]
+    dlogits.fill(0)
     probs = _softmax(logits[rows, cols].astype(np.float64))
     probs[np.arange(count), targets] -= 1.0
     dlogits[rows, cols] = (probs / count).astype(model.dtype)
 
     # vocabulary projection and the trained head's columns of the extension
-    cols_of_head = slice((head - 1) * cfg.d_model, head * cfg.d_model)
-    grads["proj.w"] = _flat_grad(y, dlogits)
-    dy = dlogits @ proj.T
-    dhf = dy.copy()  # residual into the head output
-    grads["ext.w2"] = np.zeros_like(w2)
-    grads["ext.w2"][:, cols_of_head] = _flat_grad(u, dy)
-    grads["ext.b2"] = np.zeros_like(p["ext.b2"])
-    grads["ext.b2"][cols_of_head] = dy.sum(axis=(0, 1))
-    du = dy @ w2[:, cols_of_head].T
+    cols_of_head = slice((head - 1) * model.config.d_model, head * model.config.d_model)
+    _flat_grad(y, dlogits, grads["proj.w"])
+    dy = np.matmul(dlogits, proj.T, buf["dy"])
+    grads["ext.w2"].fill(0)
+    _flat_grad(u, dy, grads["ext.w2"][:, cols_of_head])
+    grads["ext.b2"].fill(0)
+    np.add.reduce(dy, axis=(0, 1), out=grads["ext.b2"][cols_of_head])
+    du = np.matmul(dy, w2[:, cols_of_head].T, buf["du"])
     du *= u > 0
-    grads["ext.w1"] = _flat_grad(hf, du)
-    grads["ext.b1"] = du.sum(axis=(0, 1))
-    dhf += du @ w1.T
+    _flat_grad(hf, du, grads["ext.w1"])
+    np.add.reduce(du, axis=(0, 1), out=grads["ext.b1"])
+    dhf = np.matmul(du, w1.T, buf["dhf"])
+    dhf += dy  # residual into the head output
 
-    # trunk
-    dx, dg, db = _layernorm_backward(dhf, p["lnf.g"], cache["lnf"])
-    grads["lnf.g"], grads["lnf.b"] = dg, db
-    scale = model.dtype.type(1.0 / np.sqrt(cfg.d_model))
-    for layer in reversed(range(cfg.num_layers)):
-        pre = f"l{layer}."
-        lc = cache[f"layer{layer}"]
+    if not freeze.base:
+        _trunk_backward(cache, dhf)
+    return loss, {name: g for name, g in grads.items() if not freeze.frozen(partition_of(name))}
+
+
+def _trunk_backward(cache, dhf) -> None:
+    """The trunk's and the embeddings' gradients, from the gradient `dhf` of
+    the final hidden states, into the step memory; the weights are read from
+    the layer binding."""
+    w, buf, grads = cache["weights"], cache["memory"].back, cache["memory"].grads
+    dx = _layernorm_backward(dhf, w.lnf[0], cache["lnf"], buf["dx"], buf["dxhat"],
+                             grads["lnf.g"], grads["lnf.b"])
+    for layer in reversed(range(len(w.layers))):
+        pre, lw, lc = f"l{layer}.", w.layers[layer], cache[f"layer{layer}"]
         # feedforward: x3 = x2 + relu(ln2(x2) @ w1 + b1) @ w2 + b2
-        dmo = dx
-        grads[pre + "mlp.w2"] = _flat_grad(lc["u"], dmo)
-        grads[pre + "mlp.b2"] = dmo.sum(axis=(0, 1))
-        dupre = dmo @ p[pre + "mlp.w2"].T
+        _flat_grad(lc["u"], dx, grads[pre + "mlp.w2"])
+        np.add.reduce(dx, axis=(0, 1), out=grads[pre + "mlp.b2"])
+        dupre = np.matmul(dx, lw["mlp.w2"].T, buf["dupre"])
         dupre *= lc["u"] > 0
-        grads[pre + "mlp.w1"] = _flat_grad(lc["b"], dupre)
-        grads[pre + "mlp.b1"] = dupre.sum(axis=(0, 1))
-        db_ = dupre @ p[pre + "mlp.w1"].T
-        dx2, dg, db = _layernorm_backward(db_, p[pre + "ln2.g"], lc["ln2"])
-        grads[pre + "ln2.g"], grads[pre + "ln2.b"] = dg, db
+        _flat_grad(lc["b"], dupre, grads[pre + "mlp.w1"])
+        np.add.reduce(dupre, axis=(0, 1), out=grads[pre + "mlp.b1"])
+        db = np.matmul(dupre, lw["mlp.w1"].T, buf["db"])
+        dx2 = _layernorm_backward(db, lw["ln2.g"], lc["ln2"], buf["dx2"], buf["dxhat"],
+                                  grads[pre + "ln2.g"], grads[pre + "ln2.b"])
         dx2 += dx
         # attention: x2 = x + softmax(q k^T scale + mask) v wo
-        dattn_out = dx2
-        grads[pre + "attn.wo"] = _flat_grad(lc["ctx"], dattn_out)
-        dctx = dattn_out @ p[pre + "attn.wo"].T
-        dattn = dctx @ lc["v"].transpose(0, 2, 1)
-        dv = lc["attn"].transpose(0, 2, 1) @ dctx
+        _flat_grad(lc["ctx"], dx2, grads[pre + "attn.wo"])
+        dctx = np.matmul(dx2, lw["attn.wo"].T, buf["dctx"])
+        dattn = np.matmul(dctx, lc["v"].transpose(0, 2, 1), buf["dattn"])
+        dv = np.matmul(lc["attn"].transpose(0, 2, 1), dctx, buf["dv"])
         a_ = lc["attn"]
-        dscores = a_ * (dattn - (dattn * a_).sum(axis=-1, keepdims=True))
-        dq = dscores @ lc["k"] * scale
-        dk = dscores.transpose(0, 2, 1) @ lc["q"] * scale
-        grads[pre + "attn.wq"] = _flat_grad(lc["a"], dq)
-        grads[pre + "attn.wk"] = _flat_grad(lc["a"], dk)
-        grads[pre + "attn.wv"] = _flat_grad(lc["a"], dv)
-        da = dq @ p[pre + "attn.wq"].T + dk @ p[pre + "attn.wk"].T + dv @ p[pre + "attn.wv"].T
-        dx_ln, dg, db = _layernorm_backward(da, p[pre + "ln1.g"], lc["ln1"])
-        grads[pre + "ln1.g"], grads[pre + "ln1.b"] = dg, db
-        dx = dx2 + dx_ln
+        dscores = np.multiply(dattn, a_, buf["dscores"])
+        dscores = np.subtract(dattn, np.add.reduce(dscores, axis=-1, keepdims=True), dscores)
+        dscores *= a_
+        dq = np.matmul(dscores, lc["k"], buf["dq"])
+        dq *= w.scale
+        dk = np.matmul(dscores.transpose(0, 2, 1), lc["q"], buf["dk"])
+        dk *= w.scale
+        _flat_grad(lc["a"], dq, grads[pre + "attn.wq"])
+        _flat_grad(lc["a"], dk, grads[pre + "attn.wk"])
+        _flat_grad(lc["a"], dv, grads[pre + "attn.wv"])
+        da = np.matmul(dq, lw["attn.wq"].T, buf["da"])
+        da += np.matmul(dk, lw["attn.wk"].T, buf["dln"])
+        da += np.matmul(dv, lw["attn.wv"].T, buf["dln"])
+        dln = _layernorm_backward(da, lw["ln1.g"], lc["ln1"], buf["dln"], buf["dxhat"],
+                                  grads[pre + "ln1.g"], grads[pre + "ln1.b"])
+        dx = np.add(dx2, dln, buf["dx"])
 
     # embeddings
-    grads["pos_emb"] = dx.sum(axis=0)
-    dtok = np.zeros_like(p["tok_emb"])
-    np.add.at(dtok, cache["ids"].reshape(-1), dx.reshape(-1, cfg.d_model))
-    grads["tok_emb"] = dtok
-    return loss, grads
+    np.add.reduce(dx, axis=0, out=grads["pos_emb"])
+    grads["tok_emb"].fill(0)
+    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), dx.reshape(-1, dx.shape[-1]))
 
 
 def train_step(
@@ -609,16 +716,17 @@ def train_step(
     """
     if learning_rate <= 0:
         raise ConfigurationError("learning_rate must be positive")
-    loss, grads = loss_and_gradients(model, batch, head)
+    loss, grads = loss_and_gradients(model, batch, head, freeze)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")
-    grads = {name: g for name, g in grads.items() if not freeze.frozen(partition_of(name))}
     if max_grad_norm is not None:
         total = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
         if total > max_grad_norm:
             factor = model.dtype.type(max_grad_norm / total)
-            grads = {name: g * factor for name, g in grads.items()}
+            for g in grads.values():
+                g *= factor
     lr = model.dtype.type(learning_rate)
     for name, grad in grads.items():
-        model.params[name] -= lr * grad
+        grad *= lr
+        model.params[name] -= grad
     return loss

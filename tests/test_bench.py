@@ -1,5 +1,6 @@
 """Benchmark runner: row contents, baseline semantics, determinism."""
 
+import dataclasses
 import math
 import re
 
@@ -7,8 +8,8 @@ import pytest
 
 from blockdec.criteria import EXACT, distance, exact, top_k
 from blockdec.engine import DecodeConfig, blockwise_decode_combined, greedy_decode
-from blockdec.errors import ConfigurationError
-from blockdec.harness.bench import BenchConfig, BenchReport, run_bench
+from blockdec.errors import ConfigurationError, LengthError
+from blockdec.harness.bench import BenchConfig, BenchReport, distill_corpus, run_bench
 from blockdec.harness.corpus import Corpus, Vocab, make_pattern_corpus
 from blockdec.models.synthetic import make_synthetic_model
 
@@ -254,6 +255,44 @@ class TestVocabularyMatch:
         with pytest.raises(ConfigurationError,
                            match=r"\(16 tokens, separator None\) .* \(12 tokens"):
             run_bench(model, pattern_corpus(2), BenchConfig(block_sizes=(1,), repeats=1))
+        assert model.calls == 0
+
+
+class TestContextCheckedBeforeDecoding:
+    """A corpus input longer than the model's context, with its separator,
+    fails at every corpus entry point before any model call."""
+
+    @staticmethod
+    def long_input_case():
+        from blockdec.models.neural import ModelConfig, TinyBlockModel
+
+        model = counted(TinyBlockModel(ModelConfig(
+            vocab_size=6, d_model=4, d_hidden=4, num_heads=2, num_layers=1,
+            max_context=8, sep_token=4, eos_token=5)))
+        # pair 2's 8 tokens and the separator need 9 positions
+        pairs = (((0,), (1,)), ((1, 2), (3,)), ((0,) * 8, (1,)), ((2,), (2,)))
+        return model, Corpus(kind="synthetic_pattern",
+                             vocab=Vocab(size=6, sep_token=4, eos_token=5), pairs=pairs)
+
+    @pytest.mark.parametrize("entry", [
+        lambda model, corpus: run_bench(model, corpus, BenchConfig(block_sizes=(1, 2),
+                                                                   repeats=1)),
+        lambda model, corpus: distill_corpus(model, corpus),
+    ], ids=["run_bench", "distill_corpus"])
+    def test_a_long_input_fails_before_any_call(self, entry):
+        model, corpus = self.long_input_case()
+        with pytest.raises(LengthError, match="pair 2: input of 8 tokens and its separator "
+                                              "exceed context 8"):
+            entry(model, corpus)
+        assert model.calls == 0
+
+    def test_the_decode_budget_is_not_checked(self):
+        """An input that fits with its separator passes, however long the
+        decode budget: a decode may end before it fills the context."""
+        model, corpus = self.long_input_case()
+        fits = dataclasses.replace(corpus, pairs=corpus.pairs[:2] + (((0,) * 7, (1,) * 20),))
+        assert fits.decode_budget() == 21
+        fits.check_model(model)
         assert model.calls == 0
 
 

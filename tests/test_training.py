@@ -1,6 +1,7 @@
 """Training loop behavior: loss trends, estimator bias, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from blockdec.models.neural import (
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
+    loss_and_gradients,
     sub_loss,
     train_step,
 )
@@ -224,6 +226,60 @@ class TestComposedOnce:
                                               "exceeds context 16"):
             train_model(long_corpus, config, tiny_training(steps=steps, seed=seed))
         assert calls == []
+
+
+class TestStepMemory:
+    """A train_model run keeps one set of batch-sized arrays across its
+    steps (`TinyBlockModel.train_run`)."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_reused_memory_leaks_nothing_between_steps(self, dtype):
+        """Step B on a run's memory, after step A on another head and other
+        rows, gives B's loss and every gradient bitwise as on new memory:
+        A's positions in dlogits, its tokens' rows of the embedding gradient
+        and its head's columns of ext.w2 and ext.b2 are all cleared."""
+        config = ModelConfig(vocab_size=10, d_model=8, d_hidden=8, num_heads=3,
+                             num_layers=2, max_context=16, sep_token=8, eos_token=9)
+        model = TinyBlockModel(config, seed=4, dtype=dtype)
+        # X holds every symbol and long targets; Y only symbols 0 and 1, and
+        # targets too short for head 3
+        x = TrainBatch.from_pairs([((i, 7 - i, i), (i, 2, 3, 4, 5, 6, 9)) for i in range(8)],
+                                  config)
+        y = TrainBatch.from_pairs([((i % 2,), (1, 0, 9)) for i in range(8)], config)
+        loss, fresh = loss_and_gradients(model, y, 1)
+        with model.train_run(8):
+            _, after_x = loss_and_gradients(model, x, 3)
+            run_loss, after_y = loss_and_gradients(model, y, 1)
+        assert all(after_y[name] is after_x[name] for name in after_x)  # the same arrays
+        assert run_loss == loss and after_y.keys() == fresh.keys()
+        for name, grad in fresh.items():
+            np.testing.assert_array_equal(after_y[name], grad, err_msg=name)
+
+    def test_a_steady_state_step_allocates_under_3_mb(self, monkeypatch):
+        """At the benchmark's train shapes (batch 16, context 64, d=64, k=4,
+        2 layers) every step after the first allocates under 3 MB above
+        what it started with; a step making its own arrays took 13 MB."""
+        corpus = make_pattern_corpus("repeat", alphabet=8, n_pairs=64, min_len=2, max_len=4,
+                                     copies=14, seed=1)
+        config = default_model_config(corpus, num_heads=4, d_model=64, d_hidden=64,
+                                      num_layers=2)
+        assert config.max_context == 64
+        peaks = []
+
+        def measured(*args, **kwargs):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss = train_step(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return loss
+
+        monkeypatch.setattr(training_module, "train_step", measured)
+        tracemalloc.start()
+        try:
+            train_model(corpus, config, TrainingConfig(steps=4, batch_size=16))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 4 and max(peaks[1:]) < 3e6, peaks
 
 
 def skewed_corpus():
