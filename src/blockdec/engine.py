@@ -176,6 +176,11 @@ def check_model(model, config: DecodeConfig):
         raise ConfigurationError(
             f"block_size {config.block_size} exceeds model heads {model.num_heads}"
         )
+    if config.eos_token is not None and config.eos_token >= model.vocab_size:
+        raise ConfigurationError(
+            f"eos_token {config.eos_token} is outside the model's vocabulary "
+            f"[0, {model.vocab_size})"
+        )
     if config.criterion.kind == "distance" and not getattr(model, "intensity_vocab", False):
         raise ConfigurationError(
             "distance criterion requires a model over an integer intensity vocabulary"

@@ -25,6 +25,7 @@ from ..models.neural import (
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
+    check_step_settings,
     train_step,
 )
 from .corpus import Corpus, training_pairs
@@ -52,8 +53,7 @@ class TrainingConfig:
             raise ConfigurationError("steps must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        check_step_settings(self.learning_rate, self.max_grad_norm)
         if not 0.0 <= self.lr_decay <= 1.0:
             raise ConfigurationError("lr_decay must be in [0, 1]")
         if self.seed < 0:

@@ -37,8 +37,8 @@ invocations.
 Training's trunk and the decode step share one `_Weights` binding, its
 layernorm and its attention-and-MLP body; they differ only in where keys
 come from (training's own q/k/v product, or the session's store once the
-step has written its new keys and values) and in which intermediates they
-keep. A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
+step has written its new keys and values) and in where intermediates go.
+A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
 layernorm is twelve numpy calls of under a microsecond each. So the binding
 is made once per `trunk_forward` call or per session, and holds the
 weights, the fused q/k/v weights and the dtype's constants (d, 1/sqrt(d),
@@ -57,14 +57,16 @@ which supports bolting new heads onto a frozen pretrained trunk.
 
 All gradients are computed by hand; see `loss_and_gradients`. They are
 checked against central finite differences in the test suite. A train
-step writes its batch-sized arrays (each layer's saved intermediates, the
-backward pass's temporaries, the gradients) with out= into a
-`_StepMemory`, which a `train_model` run binds once for all its steps
-(`TinyBlockModel.train_run`), as a session binds its `_KVCache`: a step
-that allocates its own arrays gives them back to the OS when it returns,
-and the next step faults them in again. The layer body takes those
-destinations as arguments that default to new arrays, so the decode step
-passes none, and it does the rest of its work in place.
+step's intermediates live only in its `_StepMemory`: the forward pass writes
+every array the backward pass reads into the memory's named slots with out=,
+and the backward reads them there and writes its temporaries and the
+gradients beside them. A `train_model` run binds one memory for all its
+steps (`TinyBlockModel.train_run`), as a session binds its `_KVCache`: a step
+that allocates its own arrays gives them back to the OS when it returns, and
+the next step faults them in again. The shared layernorm, attention-and-MLP
+body and heads each return one array and write intermediates only into
+destinations a caller passes, so the decode step, which passes none, builds
+nothing that it then discards.
 """
 
 from __future__ import annotations
@@ -151,10 +153,6 @@ def _softmax(x: np.ndarray, out=None) -> np.ndarray:
     return e
 
 
-# the destinations of a forward pass that makes every array it returns
-_NEW = dict.fromkeys(("attn", "ctx", "b", "ln2", "u", "x", "y", "logits"))
-
-
 class _Weights:
     """What a forward pass reads, bound once (see the module docstring).
     Each layer's weights are a dict under their parameter names less the
@@ -178,70 +176,76 @@ class _Weights:
         self.lnf = p["lnf.g"], p["lnf.b"]
         self.head = p["ext.w1"], p["ext.b1"], p["ext.w2"], p["ext.b2"], p["proj.w"]
 
-    def layernorm(self, x, g, b, y=None, xhat=None):
-        """Layernorm over the last axis; returns the output and the
-        intermediates the backward pass reads. The output and xhat are
-        written into `y` and `xhat` where given (`y` holds the squares
-        until then)."""
+    def layernorm(self, x, g, b, y=None, xhat=None, inv=None):
+        """Layernorm over the last axis. The output goes into `y` (which
+        holds the squares until then), and the normalized input and inverse
+        deviation the backward pass reads into `xhat` and `inv`, where
+        given; returns the output."""
         # np.add.reduce sums as ndarray.mean does, without its Python wrapper;
         # np.vecdot is faster but sums in another order, which changes training
         xc = np.subtract(x, np.add.reduce(x, axis=-1, keepdims=True) / self.d, xhat)
         var = np.add.reduce(np.multiply(xc, xc, y), axis=-1, keepdims=True) / self.d
-        inv = self.one / np.sqrt(var + self.eps)
+        var += self.eps
+        inv = np.divide(self.one, np.sqrt(var, var), inv)
         xc *= inv
         y = np.multiply(xc, g, y)
         y += b
-        return y, (xc, inv)
+        return y
 
-    def heads(self, hf, first: int, last: int, out=_NEW):
+    def heads(self, hf, first: int, last: int, u=None, y=None, logits=None):
         """Logits of heads first+1..last at every row of hf (..., T, D), as
-        (..., T, last - first, V), and the u and y the backward pass reads,
-        written into the arrays `out` names (None: a new array). The
+        (..., T, last - first, V). The logits, and the u and y the backward
+        pass reads, go into `logits`, `u` and `y` where given. The
         projection is one (T * (last - first), D) @ (D, V) product per
         leading index of hf; that fixed shape keeps the bits reproducible."""
         w1, b1, w2, b2, proj = self.head
         rows, d = hf.shape[:-1], hf.shape[-1]
         cols = slice(first * d, last * d)
-        u = np.matmul(hf, w1, out["u"])
+        u = np.matmul(hf, w1, u)
         u += b1
         np.maximum(u, self.zero, out=u)
-        y = np.matmul(u, w2[:, cols], out["y"])
+        y = np.matmul(u, w2[:, cols], y)
         y += b2[cols]
         y = y.reshape(rows + (last - first, d))
         y += hf[..., None, :]
-        logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, out["logits"])
-        return logits.reshape(y.shape[:-1] + (-1,)), u, y
+        logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, logits)
+        return logits.reshape(y.shape[:-1] + (-1,))
 
-    def attend_mlp(self, x, w: dict, q, keys_t, values, mask, out=_NEW):
+    def attend_mlp(self, x, w: dict, q, keys_t, values, mask, out=None):
         """The rest of a layer once its queries, keys and values are known:
         attention of `q` over `keys_t` (keys transposed) and `values` under
-        `mask`, then the feedforward block. Returns the layer output ("x")
-        and the intermediates the backward pass reads, written into the
-        arrays `out` names (None: a new array)."""
-        attn = np.matmul(q, keys_t, out["attn"])
+        `mask`, then the feedforward block. Returns the layer output; it and
+        the intermediates the backward pass reads go into the arrays of the
+        step memory's layer record `out`, where given."""
+        out = out or {}
+        attn = np.matmul(q, keys_t, out.get("attn"))
         attn *= self.scale
         attn += mask
         _softmax(attn, attn)
-        ctx = np.matmul(attn, values, out["ctx"])
-        x2 = ctx @ w["attn.wo"]
+        x2 = np.matmul(attn, values, out.get("ctx")) @ w["attn.wo"]
         x2 += x
-        b, ln2 = self.layernorm(x2, w["ln2.g"], w["ln2.b"], out["b"], out["ln2"])
-        u = np.matmul(b, w["mlp.w1"], out["u"])
+        b = self.layernorm(x2, w["ln2.g"], w["ln2.b"], out.get("b"), out.get("xhat2"),
+                           out.get("inv2"))
+        u = np.matmul(b, w["mlp.w1"], out.get("u"))
         u += w["mlp.b1"]
         np.maximum(u, self.zero, out=u)
-        x3 = np.matmul(u, w["mlp.w2"], out["x"])
+        x3 = np.matmul(u, w["mlp.w2"], out.get("x"))
         x3 += x2
         x3 += w["mlp.b2"]
-        return x3, {"attn": attn, "ctx": ctx, "b": b, "ln2": ln2, "u": u}
+        return x3
 
 
 class _StepMemory:
-    """A train step's batch-sized arrays for batches of `rows` padded rows:
-    each layer's saved intermediates and output, the final layernorm's, the
-    trained head's, the backward pass's activation-sized temporaries and
-    every parameter's gradient. A step writes them with out=, so a run that
-    keeps one across its steps (`TinyBlockModel.train_run`) allocates next to
-    nothing per step; a step outside a run makes its own."""
+    """The one record of a train step on batches of `rows` padded rows. The
+    forward pass writes into its named slots, with out=, every array the
+    backward pass reads: each layer's layernorm outputs (a, b), normalized
+    inputs (xhat1, xhat2) and inverse deviations (inv1, inv2), fused q/k/v
+    product, attention weights and context, feedforward hidden units (u) and
+    output (x); the final layernorm's; the trained head's; the ids, target
+    positions and `_Weights` binding. The backward writes its temporaries and
+    every gradient beside them. A run that keeps one across its steps
+    (`TinyBlockModel.train_run`) allocates next to nothing per step; a step
+    outside a run makes its own."""
 
     def __init__(self, model: "TinyBlockModel", rows: int):
         cfg = model.config
@@ -250,14 +254,14 @@ class _StepMemory:
         def new(width):
             return np.empty((rows, c, width), dtype=model.dtype)
 
-        self.rows = rows
         self.layers = [
-            {"a": new(d), "ln1": new(d), "qkv": new(3 * d), "attn": new(c), "ctx": new(d),
-             "b": new(d), "ln2": new(d), "u": new(h), "x": new(d)}
+            {"a": new(d), "xhat1": new(d), "inv1": new(1), "qkv": new(3 * d), "attn": new(c),
+             "ctx": new(d), "b": new(d), "xhat2": new(d), "inv2": new(1), "u": new(h), "x": new(d)}
             for _ in range(cfg.num_layers)
         ]
-        self.hf, self.lnf = new(d), new(d)
+        self.hf, self.xhatf, self.invf = new(d), new(d), new(1)
         self.head = {"u": new(k * h), "y": new(d), "logits": new(cfg.vocab_size)}
+        self.ids = self.weights = self.positions = self.targets = None
         widths = dict.fromkeys(
             ("dy", "dhf", "dx", "dxhat", "db", "dx2", "dctx", "dq", "dk", "dv", "da", "dln"), d
         )
@@ -393,28 +397,24 @@ class TinyBlockModel(ScoringModel):
     def trunk_forward(self, ids_batch: np.ndarray):
         """Training's transformer trunk over padded id batches of shape
         (B, max_context), attending over the keys and values of its own
-        positions, written into the open train run's `_StepMemory` when its
-        batches have B rows, else into a new one.
+        positions. It writes the ids, its `_Weights` binding and every
+        intermediate the backward pass reads into the open train run's
+        `_StepMemory` when its batches have B rows, else into a new one.
 
-        Returns the final layernormed hidden states (B, C, D) and the
-        intermediates the backward pass reads, the binding under "weights"
-        and the step memory under "memory".
+        Returns the final layernormed hidden states (B, C, D) and the memory.
         """
         w, mem = _Weights(self), self._run
-        if mem is None or mem.rows != len(ids_batch):
+        if mem is None or len(mem.hf) != len(ids_batch):
             mem = _StepMemory(self, len(ids_batch))
-        d = self.config.d_model
+        mem.ids, mem.weights, d = ids_batch, w, self.config.d_model
         x = w.tok_emb[ids_batch]
         x += w.pos_emb
-        cache = {"ids": ids_batch, "weights": w, "memory": mem}
-        for layer, (lw, out) in enumerate(zip(w.layers, mem.layers)):
-            a, ln1 = w.layernorm(x, lw["ln1.g"], lw["ln1.b"], out["a"], out["ln1"])
+        for lw, out in zip(w.layers, mem.layers):
+            a = w.layernorm(x, lw["ln1.g"], lw["ln1.b"], out["a"], out["xhat1"], out["inv1"])
             qkv = np.matmul(a, lw["qkv"], out["qkv"])
-            q, keys, values = qkv[..., :d], qkv[..., d : 2 * d], qkv[..., 2 * d :]
-            x, saved = w.attend_mlp(x, lw, q, keys.swapaxes(-1, -2), values, w.mask, out)
-            cache[f"layer{layer}"] = dict(saved, a=a, ln1=ln1, q=q, k=keys, v=values)
-        hf, cache["lnf"] = w.layernorm(x, *w.lnf, mem.hf, mem.lnf)
-        return hf, cache
+            keys_t = qkv[..., d : 2 * d].swapaxes(-1, -2)
+            x = w.attend_mlp(x, lw, qkv[..., :d], keys_t, qkv[..., 2 * d :], w.mask, out)
+        return w.layernorm(x, *w.lnf, mem.hf, mem.xhatf, mem.invf), mem
 
     @contextmanager
     def train_run(self, batch_size: int):
@@ -445,15 +445,15 @@ class TinyBlockModel(ScoringModel):
         mask = w.mask[rows, None, :]
         cache.ids[first:] = -1  # this call's rows until every layer is written
         for lw, (store, keys_t, values) in zip(w.layers, cache.views):
-            qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"])[0] @ lw["qkv"]
+            qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"]) @ lw["qkv"]
             store[rows] = qkv[:, 0, d:]
-            x = w.attend_mlp(x, lw, qkv[..., :d], keys_t, values, mask)[0]
+            x = w.attend_mlp(x, lw, qkv[..., :d], keys_t, values, mask)
         cache.ids[rows] = tokens
-        cache.hidden[rows] = w.layernorm(x, *w.lnf)[0][:, 0]
+        cache.hidden[rows] = w.layernorm(x, *w.lnf)[:, 0]
         n = self.num_heads + 1
         for s in range(max(first, cache.sep), rows.stop, n):
             # every head, whatever k is: head 1's bits must not depend on k
-            logits = w.heads(cache.hidden[s : s + n], 0, self.num_heads)[0][: rows.stop - s]
+            logits = w.heads(cache.hidden[s : s + n], 0, self.num_heads)[: rows.stop - s]
             # log_softmax is row-wise, so normalizing only the computed
             # positions gives them bitwise as the whole window would
             cache.logprobs[s : s + len(logits)] = log_softmax(logits)
@@ -500,10 +500,10 @@ class TinyBlockModel(ScoringModel):
         return BlockScores(grid=grid, base_len=len(prefix))
 
 
-def _layernorm_backward(dy, g, cache, dx, dxhat, dg, db):
+def _layernorm_backward(dy, g, xhat, inv, dx, dxhat, dg, db):
     """Layernorm's input gradient, written into `dx`, and its weight
-    gradients, into `dg` and `db`; `dxhat` is scratch."""
-    xhat, inv = cache
+    gradients, into `dg` and `db`, from the normalized input `xhat` and
+    inverse deviation `inv` its forward saved; `dxhat` is scratch."""
     n = xhat.shape[-1]
     axes = tuple(range(dy.ndim - 1))
     np.add.reduce(np.multiply(dy, xhat, dxhat), axis=axes, out=dg)
@@ -582,23 +582,20 @@ def _loss_positions(batch: TrainBatch, head: int):
 
 
 def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
+    """The sub-loss of head `head` and the step memory its forward pass
+    wrote, with the target positions and tokens."""
     if not 1 <= head <= model.num_heads:
         raise ConfigurationError(f"head must be in [1, {model.num_heads}]")
-    mask = _loss_positions(batch, head)
-    count = int(mask.sum())
-    if count == 0:
+    rows, cols = np.nonzero(_loss_positions(batch, head))
+    if len(rows) == 0:
         raise ConfigurationError(
             f"no training positions for head {head}; targets are shorter than the head offset"
         )
-    hf, trunk_cache = model.trunk_forward(batch.ids)
-    logits, u, y = trunk_cache["weights"].heads(hf, head - 1, head, trunk_cache["memory"].head)
-    logits, y = logits[..., 0, :], y[..., 0, :]
-    rows, cols = np.nonzero(mask)
-    targets = batch.ids[rows, cols + head]
-    logprobs = log_softmax(logits[rows, cols])
-    loss = float(-logprobs[np.arange(count), targets].mean())
-    aux = (hf, trunk_cache, logits, u, y, rows, cols, targets, count)
-    return loss, aux
+    hf, mem = model.trunk_forward(batch.ids)
+    mem.weights.heads(hf, head - 1, head, **mem.head)
+    mem.positions, mem.targets = (rows, cols), batch.ids[rows, cols + head]
+    logprobs = log_softmax(mem.head["logits"][rows, cols])
+    return float(-logprobs[np.arange(len(rows)), mem.targets].mean()), mem
 
 
 def sub_loss(model: TinyBlockModel, batch: TrainBatch, head: int) -> float:
@@ -617,17 +614,17 @@ def loss_and_gradients(
     the partitions `freeze` freezes. With the base frozen, the backward pass
     stops at the trunk. The gradients are the step memory's arrays (see
     `TinyBlockModel.train_run`)."""
-    loss, aux = _head_loss(model, batch, head)
-    hf, cache, logits, u, y, rows, cols, targets, count = aux
-    w1, _, w2, _, proj = cache["weights"].head
-    buf, grads = cache["memory"].back, cache["memory"].grads
+    loss, mem = _head_loss(model, batch, head)
+    w1, _, w2, _, proj = mem.weights.head
+    buf, grads, (rows, cols) = mem.back, mem.grads, mem.positions
+    u, y, logits = mem.head["u"], mem.head["y"], mem.head["logits"]
 
     # cross-entropy at the masked positions, averaged
     dlogits = buf["dlogits"]
     dlogits.fill(0)
     probs = _softmax(logits[rows, cols].astype(np.float64))
-    probs[np.arange(count), targets] -= 1.0
-    dlogits[rows, cols] = (probs / count).astype(model.dtype)
+    probs[np.arange(len(rows)), mem.targets] -= 1.0
+    dlogits[rows, cols] = (probs / len(rows)).astype(model.dtype)
 
     # vocabulary projection and the trained head's columns of the extension
     cols_of_head = slice((head - 1) * model.config.d_model, head * model.config.d_model)
@@ -639,25 +636,25 @@ def loss_and_gradients(
     np.add.reduce(dy, axis=(0, 1), out=grads["ext.b2"][cols_of_head])
     du = np.matmul(dy, w2[:, cols_of_head].T, buf["du"])
     du *= u > 0
-    _flat_grad(hf, du, grads["ext.w1"])
+    _flat_grad(mem.hf, du, grads["ext.w1"])
     np.add.reduce(du, axis=(0, 1), out=grads["ext.b1"])
     dhf = np.matmul(du, w1.T, buf["dhf"])
     dhf += dy  # residual into the head output
 
     if not freeze.base:
-        _trunk_backward(cache, dhf)
+        _trunk_backward(mem, dhf)
     return loss, {name: g for name, g in grads.items() if not freeze.frozen(partition_of(name))}
 
 
-def _trunk_backward(cache, dhf) -> None:
+def _trunk_backward(mem: _StepMemory, dhf) -> None:
     """The trunk's and the embeddings' gradients, from the gradient `dhf` of
     the final hidden states, into the step memory; the weights are read from
-    the layer binding."""
-    w, buf, grads = cache["weights"], cache["memory"].back, cache["memory"].grads
-    dx = _layernorm_backward(dhf, w.lnf[0], cache["lnf"], buf["dx"], buf["dxhat"],
+    the step's binding."""
+    w, buf, grads = mem.weights, mem.back, mem.grads
+    dx = _layernorm_backward(dhf, w.lnf[0], mem.xhatf, mem.invf, buf["dx"], buf["dxhat"],
                              grads["lnf.g"], grads["lnf.b"])
     for layer in reversed(range(len(w.layers))):
-        pre, lw, lc = f"l{layer}.", w.layers[layer], cache[f"layer{layer}"]
+        pre, lw, lc = f"l{layer}.", w.layers[layer], mem.layers[layer]
         # feedforward: x3 = x2 + relu(ln2(x2) @ w1 + b1) @ w2 + b2
         _flat_grad(lc["u"], dx, grads[pre + "mlp.w2"])
         np.add.reduce(dx, axis=(0, 1), out=grads[pre + "mlp.b2"])
@@ -666,21 +663,22 @@ def _trunk_backward(cache, dhf) -> None:
         _flat_grad(lc["b"], dupre, grads[pre + "mlp.w1"])
         np.add.reduce(dupre, axis=(0, 1), out=grads[pre + "mlp.b1"])
         db = np.matmul(dupre, lw["mlp.w1"].T, buf["db"])
-        dx2 = _layernorm_backward(db, lw["ln2.g"], lc["ln2"], buf["dx2"], buf["dxhat"],
-                                  grads[pre + "ln2.g"], grads[pre + "ln2.b"])
+        dx2 = _layernorm_backward(db, lw["ln2.g"], lc["xhat2"], lc["inv2"], buf["dx2"],
+                                  buf["dxhat"], grads[pre + "ln2.g"], grads[pre + "ln2.b"])
         dx2 += dx
         # attention: x2 = x + softmax(q k^T scale + mask) v wo
+        q, k, v = np.split(lc["qkv"], 3, axis=-1)
+        attn = lc["attn"]
         _flat_grad(lc["ctx"], dx2, grads[pre + "attn.wo"])
         dctx = np.matmul(dx2, lw["attn.wo"].T, buf["dctx"])
-        dattn = np.matmul(dctx, lc["v"].transpose(0, 2, 1), buf["dattn"])
-        dv = np.matmul(lc["attn"].transpose(0, 2, 1), dctx, buf["dv"])
-        a_ = lc["attn"]
-        dscores = np.multiply(dattn, a_, buf["dscores"])
+        dattn = np.matmul(dctx, v.transpose(0, 2, 1), buf["dattn"])
+        dv = np.matmul(attn.transpose(0, 2, 1), dctx, buf["dv"])
+        dscores = np.multiply(dattn, attn, buf["dscores"])
         dscores = np.subtract(dattn, np.add.reduce(dscores, axis=-1, keepdims=True), dscores)
-        dscores *= a_
-        dq = np.matmul(dscores, lc["k"], buf["dq"])
+        dscores *= attn
+        dq = np.matmul(dscores, k, buf["dq"])
         dq *= w.scale
-        dk = np.matmul(dscores.transpose(0, 2, 1), lc["q"], buf["dk"])
+        dk = np.matmul(dscores.transpose(0, 2, 1), q, buf["dk"])
         dk *= w.scale
         _flat_grad(lc["a"], dq, grads[pre + "attn.wq"])
         _flat_grad(lc["a"], dk, grads[pre + "attn.wk"])
@@ -688,14 +686,24 @@ def _trunk_backward(cache, dhf) -> None:
         da = np.matmul(dq, lw["attn.wq"].T, buf["da"])
         da += np.matmul(dk, lw["attn.wk"].T, buf["dln"])
         da += np.matmul(dv, lw["attn.wv"].T, buf["dln"])
-        dln = _layernorm_backward(da, lw["ln1.g"], lc["ln1"], buf["dln"], buf["dxhat"],
-                                  grads[pre + "ln1.g"], grads[pre + "ln1.b"])
+        dln = _layernorm_backward(da, lw["ln1.g"], lc["xhat1"], lc["inv1"], buf["dln"],
+                                  buf["dxhat"], grads[pre + "ln1.g"], grads[pre + "ln1.b"])
         dx = np.add(dx2, dln, buf["dx"])
 
     # embeddings
     np.add.reduce(dx, axis=0, out=grads["pos_emb"])
     grads["tok_emb"].fill(0)
-    np.add.at(grads["tok_emb"], cache["ids"].reshape(-1), dx.reshape(-1, dx.shape[-1]))
+    np.add.at(grads["tok_emb"], mem.ids.reshape(-1), dx.reshape(-1, dx.shape[-1]))
+
+
+def check_step_settings(learning_rate: float, max_grad_norm: Optional[float]) -> None:
+    """Raise ConfigurationError unless the learning rate is positive and
+    finite and the clip norm is positive or None (no clip): other values
+    train the wrong way, not at all, or to NaN parameters."""
+    if not 0 < learning_rate < np.inf:
+        raise ConfigurationError(f"learning_rate must be positive and finite, not {learning_rate}")
+    if max_grad_norm is not None and not max_grad_norm > 0:
+        raise ConfigurationError(f"max_grad_norm must be positive or None, not {max_grad_norm}")
 
 
 def train_step(
@@ -714,8 +722,7 @@ def train_step(
     Raises NumericError before applying any update if the loss is not
     finite.
     """
-    if learning_rate <= 0:
-        raise ConfigurationError("learning_rate must be positive")
+    check_step_settings(learning_rate, max_grad_norm)
     loss, grads = loss_and_gradients(model, batch, head, freeze)
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")

@@ -441,6 +441,19 @@ class TestModelChecks:
         model.intensity_vocab = True
         blockwise_decode_combined(model, (1,), config)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_an_end_token_outside_the_vocabulary_fails_before_any_call(self, scheme):
+        """An end token the model cannot emit would let a decode run silently
+        to max_len."""
+        model, calls = spied(make_synthetic_model("random_table", seed=0, vocab_size=16,
+                                                  num_heads=4))
+        with pytest.raises(ConfigurationError,
+                           match=r"eos_token 99 is outside the model's vocabulary \[0, 16\)"):
+            decode(model, (1, 2), DecodeConfig(block_size=4, max_len=32, eos_token=99), scheme)
+        assert calls == []
+        decode(model, (1, 2), DecodeConfig(block_size=4, max_len=32, eos_token=15), scheme)
+        assert calls
+
     def test_unknown_scheme_fails_before_any_model_call(self):
         model = make_synthetic_model("random_table", seed=0, vocab_size=8, num_heads=4)
         calls = []

@@ -77,7 +77,8 @@ class TestKernels:
         layernorm = _Weights(TinyBlockModel(small_config(d_model=64), dtype=dtype)).layernorm
         # a training batch, and the decode step's (n, 1, D) slabs
         for x in (batch, slabs):
-            y, (xhat, inv) = layernorm(x, g, b)
+            xhat, inv = np.empty_like(x), np.empty(x.shape[:-1] + (1,), dtype=dtype)
+            y = layernorm(x, g, b, xhat=xhat, inv=inv)
             assert y.dtype == xhat.dtype == inv.dtype == np.dtype(dtype)
             assert y.shape == x.shape and inv.shape == x.shape[:-1] + (1,)
             np.testing.assert_allclose(y, reference_layernorm(x, g, b), **tol)
@@ -408,11 +409,11 @@ class TestDecodingWithNeuralModel:
         inp, tgt = (1, 2), (3, 4, 5, 11)
         batch = TrainBatch.from_pairs([(inp, tgt), ((6,), (7, 8))], cfg)
         one = TrainBatch.from_pairs([(inp, tgt)], cfg)
-        hf, cache = model.trunk_forward(batch.ids)
+        hf, memory = model.trunk_forward(batch.ids)
         grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
         tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
         for head in (1, 2, 3):
-            logits = cache["weights"].heads(hf, head - 1, head)[0][..., 0, :]
+            logits = memory.weights.heads(hf, head - 1, head)[..., 0, :]
             rows = log_softmax(logits[0, len(inp) : len(inp) + len(grid)])
             np.testing.assert_allclose(rows, grid[:, head - 1], rtol=tol, atol=tol)
             picked = [grid[i, head - 1, tgt[i + head - 1]] for i in range(len(tgt) - head + 1)]

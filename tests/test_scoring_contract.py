@@ -173,7 +173,7 @@ def test_a_head_window_row_depends_only_on_its_hidden_state(name):
         for index in range(n):
             window = rng.normal(size=(n, d)).astype(model.dtype)
             window[index] = row
-            got.append(weights.heads(window, 0, model.num_heads)[0][index])
+            got.append(weights.heads(window, 0, model.num_heads)[index])
         for other in got[1:]:
             np.testing.assert_array_equal(other, got[0])
 

@@ -122,6 +122,31 @@ class TestDefaults:
         with pytest.raises(ConfigurationError, match="log_every"):
             TrainingConfig(log_every=-1)
 
+    @pytest.mark.parametrize("setting", [
+        dict(max_grad_norm=-1.0), dict(max_grad_norm=0.0), dict(max_grad_norm=float("nan")),
+        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+    ], ids=["negative-clip", "zero-clip", "nan-clip", "nan-rate", "inf-rate"])
+    def test_a_bad_clip_norm_or_learning_rate_fails_before_the_first_step(self, setting):
+        """A negative clip norm climbs the gradient, zero stops training, NaN
+        skips the clip, and a NaN or infinite rate makes every parameter NaN:
+        the config and the step both refuse them before any update."""
+        name = next(iter(setting))
+        with pytest.raises(ConfigurationError, match=name):
+            TrainingConfig(**setting)
+        corpus = tiny_corpus()
+        model = TinyBlockModel(tiny_model_config(corpus), seed=0)
+        before = {name: p.copy() for name, p in model.params.items()}
+        batch = TrainBatch.from_pairs(training_pairs(corpus)[:4], model.config)
+        step = dict(learning_rate=0.3, max_grad_norm=1.0) | setting
+        with pytest.raises(ConfigurationError, match=name):
+            train_step(model, batch, 1, **step)
+        for name, param in model.params.items():
+            np.testing.assert_array_equal(param, before[name])
+
+    def test_no_clip_norm_means_no_clip(self):
+        assert TrainingConfig(max_grad_norm=None).max_grad_norm is None
+        assert TrainingConfig(max_grad_norm=float("inf"), learning_rate=1e-9)
+
 
 class TestTrainModel:
     def test_loss_decreases(self):
@@ -255,6 +280,29 @@ class TestStepMemory:
         for name, grad in fresh.items():
             np.testing.assert_array_equal(after_y[name], grad, err_msg=name)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("freeze", [FreezeMask(), FreezeMask(base=True)],
+                             ids=["unfrozen", "frozen-base"])
+    def test_every_slot_the_backward_reads_is_written_by_its_step(self, dtype, freeze):
+        """A step on a run's memory with every array NaN gives its loss and
+        every gradient bitwise as on new memory: the step memory is the one
+        record of a step, and its forward writes every slot its backward
+        reads."""
+        config = ModelConfig(vocab_size=10, d_model=8, d_hidden=8, num_heads=3,
+                             num_layers=2, max_context=16, sep_token=8, eos_token=9)
+        model = TinyBlockModel(config, seed=4, dtype=dtype)
+        batch = TrainBatch.from_pairs([((i, 7 - i), (i, 2, 3, 4, 9)) for i in range(6)], config)
+        for head in (1, 2, 3):
+            loss, fresh = loss_and_gradients(model, batch, head, freeze)
+            fresh = {name: grad.copy() for name, grad in fresh.items()}
+            with model.train_run(len(batch.ids)):
+                _, memory = model.trunk_forward(batch.ids)
+                filled = fill_floats(vars(memory), np.nan)
+                run_loss, grads = loss_and_gradients(model, batch, head, freeze)
+            assert filled > 40 and run_loss == loss and grads.keys() == fresh.keys()
+            for name, grad in fresh.items():
+                np.testing.assert_array_equal(grads[name], grad, err_msg=f"head {head}: {name}")
+
     def test_a_steady_state_step_allocates_under_3_mb(self, monkeypatch):
         """At the benchmark's train shapes (batch 16, context 64, d=64, k=4,
         2 layers) every step after the first allocates under 3 MB above
@@ -280,6 +328,19 @@ class TestStepMemory:
         finally:
             tracemalloc.stop()
         assert len(peaks) == 4 and max(peaks[1:]) < 3e6, peaks
+
+
+def fill_floats(value, fill) -> int:
+    """Fill every floating-point array in `value`, looking into dicts and
+    lists; returns how many arrays it filled."""
+    if isinstance(value, np.ndarray) and value.dtype.kind == "f":
+        value.fill(fill)
+        return 1
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return sum(fill_floats(item, fill) for item in value)
+    return 0
 
 
 def skewed_corpus():
