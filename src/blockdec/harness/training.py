@@ -21,6 +21,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..models.neural import (
+    PARTITIONS,
     FreezeMask,
     ModelConfig,
     TinyBlockModel,
@@ -60,6 +61,10 @@ class TrainingConfig:
             raise ConfigurationError("seed must be >= 0")
         if self.log_every < 0:
             raise ConfigurationError("log_every must be >= 0 (0: no log)")
+        if all(self.freeze.frozen(partition) for partition in PARTITIONS):
+            raise ConfigurationError(
+                "freeze leaves no partition to train: every step would change nothing"
+            )
 
 
 def _round_up(value: int, multiple: int = 8) -> int:

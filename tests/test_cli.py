@@ -116,6 +116,17 @@ class TestTrain:
         assert not out.exists()
 
 
+    def test_freezing_every_partition_exits_2_before_any_step(self, workspace, tmp_path,
+                                                               capsys, monkeypatch):
+        calls = spy(monkeypatch, "train_model", returns=(None, []))
+        out = tmp_path / "model.ckpt"
+        code = cli(["train", "--corpus", str(workspace["corpus"]), "--steps", "2",
+                    "--freeze", "base,head_extension,vocab_projection", "--out", str(out)])
+        assert code == 2
+        assert "no partition to train" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
+
 def spy(monkeypatch, name, returns=None):
     """Replace `cli_module.<name>` with a recorder of its bound arguments; it
     calls through to the real function unless `returns` is given."""

@@ -1,7 +1,8 @@
 """Backpropagation against central finite differences.
 
-The micro-model stays under 2000 parameters so the oracle can sweep every
-single one. float64 parameters keep the finite-difference quotient accurate
+The micro-model stays under 2000 parameters with one layer or two, so the
+oracle can sweep every single one; the two-layer sweep checks the gradient
+one layer hands to the layer below. float64 parameters keep the finite-difference quotient accurate
 enough for a 1e-4 relative tolerance.
 """
 
@@ -24,9 +25,9 @@ FD_STEP = 1e-5
 REL_TOL = 1e-4
 
 
-def micro_model(seed=3):
+def micro_model(seed=3, layers=1):
     config = ModelConfig(vocab_size=11, d_model=6, d_hidden=8, num_heads=3,
-                         num_layers=1, max_context=12, sep_token=9, eos_token=10)
+                         num_layers=layers, max_context=12, sep_token=9, eos_token=10)
     return TinyBlockModel(config, seed=seed, dtype=np.float64)
 
 
@@ -41,31 +42,45 @@ def relative_error(a, b):
     return abs(a - b) / max(abs(a) + abs(b), 1e-8)
 
 
+def sweep(model, head):
+    """Compare every parameter's gradient with its central difference;
+    returns the worst relative error per partition."""
+    batch = micro_batch(model.config)
+    _, grads = loss_and_gradients(model, batch, head)
+    assert set(grads) == set(model.params)
+    worst = {}
+    for name, grad in grads.items():
+        flat_p = model.params[name].reshape(-1)
+        flat_g = grad.reshape(-1)
+        for idx in range(flat_p.size):
+            orig = flat_p[idx]
+            flat_p[idx] = orig + FD_STEP
+            up = sub_loss(model, batch, head)
+            flat_p[idx] = orig - FD_STEP
+            down = sub_loss(model, batch, head)
+            flat_p[idx] = orig
+            fd = (up - down) / (2 * FD_STEP)
+            err = relative_error(fd, flat_g[idx])
+            part = partition_of(name)
+            worst[part] = max(worst.get(part, 0.0), err)
+    return worst
+
+
 class TestFiniteDifferences:
     def test_micro_model_is_small_enough_to_sweep(self):
-        assert micro_model().param_count() <= 2000
+        assert micro_model(layers=2).param_count() <= 2000
 
     @pytest.mark.parametrize("head", [1, 2, 3])
     def test_every_parameter_every_partition(self, head):
-        model = micro_model()
-        batch = micro_batch(model.config)
-        _, grads = loss_and_gradients(model, batch, head)
-        assert set(grads) == set(model.params)
-        worst = {}
-        for name, grad in grads.items():
-            flat_p = model.params[name].reshape(-1)
-            flat_g = grad.reshape(-1)
-            for idx in range(flat_p.size):
-                orig = flat_p[idx]
-                flat_p[idx] = orig + FD_STEP
-                up = sub_loss(model, batch, head)
-                flat_p[idx] = orig - FD_STEP
-                down = sub_loss(model, batch, head)
-                flat_p[idx] = orig
-                fd = (up - down) / (2 * FD_STEP)
-                err = relative_error(fd, flat_g[idx])
-                part = partition_of(name)
-                worst[part] = max(worst.get(part, 0.0), err)
+        worst = sweep(micro_model(), head)
+        assert set(worst) == {"base", "head_extension", "vocab_projection"}
+        for part, err in worst.items():
+            assert err <= REL_TOL, f"{part}: {err}"
+
+    @pytest.mark.parametrize("head", [1, 2, 3])
+    def test_every_parameter_of_a_two_layer_model(self, head):
+        """The gradient that layer 1 hands down to layer 0 is checked too."""
+        worst = sweep(micro_model(layers=2), head)
         assert set(worst) == {"base", "head_extension", "vocab_projection"}
         for part, err in worst.items():
             assert err <= REL_TOL, f"{part}: {err}"

@@ -122,6 +122,15 @@ class TestDefaults:
         with pytest.raises(ConfigurationError, match="log_every"):
             TrainingConfig(log_every=-1)
 
+    def test_a_freeze_mask_that_freezes_every_partition_is_refused(self):
+        """A run under it would take every step and change no parameter."""
+        everything = FreezeMask(base=True, head_extension=True, vocab_projection=True)
+        with pytest.raises(ConfigurationError, match="no partition to train"):
+            TrainingConfig(freeze=everything)
+        for partition in ("base", "head_extension", "vocab_projection"):
+            mask = dataclasses.replace(everything, **{partition: False})
+            assert TrainingConfig(freeze=mask).freeze == mask
+
     @pytest.mark.parametrize("setting", [
         dict(max_grad_norm=-1.0), dict(max_grad_norm=0.0), dict(max_grad_norm=float("nan")),
         dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
