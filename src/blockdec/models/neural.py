@@ -35,9 +35,10 @@ cached. The decode engine relies on this to re-read grid rows across
 invocations.
 
 Training's trunk and the decode step share one `_Weights` binding, its
-layernorm and its attention-and-MLP body; they differ only in where keys
-come from (training's own q/k/v product, or the session's store once the
-step has written its new keys and values) and in where intermediates go.
+layernorm, attention and MLP; they differ only in where keys come from
+(training's own q/k/v product, or the session's store once the step has
+written its new keys and values), in where intermediates go, and in
+training's layout (below).
 A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
 layernorm is twelve numpy calls of under a microsecond each. So the binding
 is made once per `trunk_forward` call or per session, and holds the
@@ -63,18 +64,25 @@ and the backward reads them there and writes its temporaries and the
 gradients beside them. A `train_model` run binds one memory for all its
 steps (`TinyBlockModel.train_run`), as a session binds its `_KVCache`: a step
 that allocates its own arrays gives them back to the OS when it returns, and
-the next step faults them in again. The shared layernorm, attention-and-MLP
-body and heads each return one array and write intermediates only into
+the next step faults them in again. The shared layernorm, attention, MLP
+and heads each return one array and write intermediates only into
 destinations a caller passes, so the decode step, which passes none, builds
 nothing that it then discards.
 
-A step does only the work its loss reads. The trained head runs, forward
-and backward, only at the positions that carry its loss (a third to a half
-of a padded batch has none), gathered from the final hidden states, and the
-gradient of those states is scattered back. q, k and v take one backward
-product each way: the weight gradients are the column blocks of one
-a^T @ [dq|dk|dv] product, bitwise the three separate ones, and the input
-gradient is one [dq|dk|dv] @ W_qkv^T product. A stacked product reading a
+A step does only the work its loss reads. The trunk's position-wise work
+(layernorms, q/k/v product, output projection, MLP, final layernorm, and
+their backward) runs only on each row's composed tokens, packed as (N, D)
+rows: a pad carries no loss, no composed token attends to it under the
+causal mask, and its gradient is zero. At the benchmark's train shapes a
+quarter of a batch's positions are pads. Attention alone keeps the padded
+(B, C, ...) layout, so a step scatters q/k/v into it and gathers the
+context out, and the backward does the reverse. The trained head runs,
+forward and backward, only at the positions that carry its loss (a third to
+a half of a padded batch has none), gathered from the final hidden states,
+and the gradient of those states is scattered back. q, k and v take one
+backward product each way: the weight gradients are the column blocks of
+one a^T @ [dq|dk|dv] product, bitwise the three separate ones, and the
+input gradient is one [dq|dk|dv] @ W_qkv^T product. A stacked product reading a
 transposed operand takes the slow path (a (16, 64, 64) @ W.T took 120 us
 against 71 with W.T copied C-contiguous, bitwise the same), so a backward
 product reads a weight's transpose as a copy, made where it is read, and
@@ -226,18 +234,24 @@ class _Weights:
         logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, logits)
         return logits.reshape(y.shape[:-1] + (-1,))
 
-    def attend_mlp(self, x, w: dict, q, keys_t, values, mask, out=None):
-        """The rest of a layer once its queries, keys and values are known:
-        attention of `q` over `keys_t` (keys transposed) and `values` under
-        `mask`, then the feedforward block. Returns the layer output; it and
-        the intermediates the backward pass reads go into the arrays of the
-        step memory's layer record `out`, where given."""
-        out = out or {}
-        attn = np.matmul(q, keys_t, out.get("attn"))
+    def attend(self, q, keys_t, values, mask, attn=None, ctx=None):
+        """Attention of `q` over `keys_t` (keys transposed) and `values`
+        under `mask`. Returns the context; it and the attention weights go
+        into `ctx` and `attn` where given."""
+        attn = np.matmul(q, keys_t, attn)
         attn *= self.scale
         attn += mask
         _softmax(attn, attn)
-        x2 = np.matmul(attn, values, out.get("ctx")) @ w["attn.wo"]
+        return np.matmul(attn, values, ctx)
+
+    def mlp(self, x, w: dict, ctx, out=None):
+        """The rest of a layer once attention's context `ctx` is known: the
+        output projection and residual, then the feedforward block. Returns
+        the layer output; it and the intermediates the backward pass reads go
+        into the arrays of the step memory's layer record `out`, where
+        given."""
+        out = out or {}
+        x2 = ctx @ w["attn.wo"]
         x2 += x
         b = self.layernorm(x2, w["ln2.g"], w["ln2.b"], out.get("b"), out.get("xhat2"),
                            out.get("inv2"))
@@ -251,44 +265,63 @@ class _Weights:
 
 
 class _StepMemory:
-    """The one record of a train step on batches of `rows` padded rows. The
-    forward pass writes into its named slots, with out=, every array the
+    """The one record of a train step on batches of `rows` padded rows of C
+    positions. The trunk's position-wise work (layernorms, products, MLP)
+    runs on packed rows: `start` binds the positions a step computes, the
+    first lengths[b] of row b, in row-major order. `index` holds each one's
+    flat index into the batch's B * C positions, so len(index) is how many
+    positions the trunk ran, `pads` the other positions', and `ids` the
+    computed positions' token ids. Every packed slot is a view of the first
+    len(index) rows of an array with a row for every position. Attention
+    alone keeps the padded (B, C, ...) layout: q/k/v and the context's
+    gradient are scattered into it (`scatter`), and the context and the
+    q/k/v gradient gathered back out (`gather`).
+
+    The forward pass writes into its named slots, with out=, every array the
     backward pass reads: each layer's layernorm outputs (a, b), normalized
-    inputs (xhat1, xhat2) and inverse deviations (inv1, inv2), fused q/k/v
-    product, attention weights and context, feedforward hidden units (u)
-    and output (x); the final layernorm's; the ids and `_Weights` binding.
-    The trained head's record (`head`) has a row for every position of the
-    batch, and a step uses its first rows, one per position that carries
-    the head's loss (`trained`, views of them): the gathered final hidden
-    states, the head's u, y and logits, and the gradients at those rows.
-    The backward writes its temporaries and every gradient beside them; a
-    layer's q/k/v weight gradients are the column blocks of one (D, 3D)
-    array (`qkv_grads`), which one product fills. `swapped` holds a layer's
-    keys (forward) or values (backward) transposed, C-contiguous, for the
-    product that reads them. A run that keeps one across its steps
+    inputs (xhat1, xhat2) and inverse deviations (inv1, inv2), padded fused
+    q/k/v, attention weights (padded) and context, feedforward hidden units
+    (u) and output (x); the final layernorm's; the ids and `_Weights`
+    binding. The trained head's record (`head`) has a row for every
+    position of the batch, and a step uses its first rows, one per position
+    that carries the head's loss (`trained`, views of them): the gathered
+    final hidden states, the head's u, y and logits, and the gradients at
+    those rows. The backward writes its temporaries and every gradient
+    beside them; a layer's q/k/v weight gradients are the column blocks of
+    one (D, 3D) array (`qkv_grads`), which one product fills. `qkv_rows`
+    holds the packed q/k/v product (forward) or its gradient (backward),
+    `padded` attention's context (forward), or the context's or the
+    embeddings' gradient (backward), and `swapped` a layer's keys (forward)
+    or values (backward) transposed, C-contiguous, for the product that
+    reads them. A run that keeps one across its steps
     (`TinyBlockModel.train_run`) allocates next to nothing per step; a step
     outside a run makes its own."""
 
     def __init__(self, model: "TinyBlockModel", rows: int):
         cfg = model.config
         c, d, h, k, v = cfg.max_context, cfg.d_model, cfg.d_hidden, cfg.num_heads, cfg.vocab_size
+        self.rows = rows
 
-        def new(width, shape=(rows, c)):
+        def new(width, shape=(rows * c,)):
             return np.empty(shape + (width,), dtype=model.dtype)
 
-        self.layers = [
-            {"a": new(d), "xhat1": new(d), "inv1": new(1), "qkv": new(3 * d), "attn": new(c),
-             "ctx": new(d), "b": new(d), "xhat2": new(d), "inv2": new(1), "u": new(h), "x": new(d)}
+        # a packed slot is 2-d, a padded one 3-d; `start` takes views of the former
+        self.slots = [
+            {"a": new(d), "xhat1": new(d), "inv1": new(1), "qkv": new(3 * d, (rows, c)),
+             "attn": new(c, (rows, c)), "ctx": new(d), "b": new(d), "xhat2": new(d),
+             "inv2": new(1), "u": new(h), "x": new(d)}
             for _ in range(cfg.num_layers)
         ]
-        self.hf, self.xhatf, self.invf = new(d), new(d), new(1)
-        self.swapped = new(c, (rows, d))
+        self.final = [new(d), new(d), new(1)]  # hf, xhatf, invf
+        self.qkv_all, self.padded, self.swapped = new(3 * d), new(d, (rows, c)), new(c, (rows, d))
         widths = dict(hf=d, u=k * h, y=d, logits=v, dlogits=v, dy=d, du=k * h, dhf=d)
-        self.head = {name: new(width, (rows * c,)) for name, width in widths.items()}
-        self.ids = self.weights = self.positions = self.targets = self.trained = None
+        self.head = {name: new(width) for name, width in widths.items()}
+        self.ids = self.index = self.pads = self.weights = None
+        self.positions = self.targets = self.trained = None
         widths = dict.fromkeys(("dhf", "dx", "dxhat", "db", "dx2", "dctx", "da", "dln", "sorted"), d)
-        widths.update(dupre=h, dattn=c, dscores=c, dqkv=3 * d)
-        self.back = {name: new(width) for name, width in widths.items()}
+        self.slots_back = {name: new(width) for name, width in widths.items()}
+        self.slots_back.update(dupre=new(h), dattn=new(c, (rows, c)), dscores=new(c, (rows, c)),
+                               dqkv=new(3 * d, (rows, c)))
         # in the order the backward pass computes them, which is the order
         # the clip norm sums them in: another order changes training's bits
         order = ["proj.w", "ext.w2", "ext.b2", "ext.w1", "ext.b1", "lnf.g", "lnf.b"]
@@ -302,6 +335,38 @@ class _StepMemory:
         for layer, fused in enumerate(self.qkv_grads):
             for name, block in zip(("attn.wq", "attn.wk", "attn.wv"), np.split(fused, 3, axis=1)):
                 self.grads[f"l{layer}.{name}"] = block
+
+    def start(self, ids: np.ndarray, lengths: np.ndarray, weights: _Weights) -> None:
+        """Bind a step on the padded batch `ids` (B, C) whose row b computes
+        its first lengths[b] positions, with the weight binding `weights`."""
+        real = np.arange(ids.shape[1]) < lengths[:, None]
+        self.index, self.pads = np.flatnonzero(real), np.flatnonzero(~real)
+        self.ids, self.weights, n = ids.reshape(-1)[self.index], weights, len(self.index)
+
+        def packed(slots):
+            return {name: a[:n] if a.ndim == 2 else a for name, a in slots.items()}
+
+        self.layers, self.back = [packed(slots) for slots in self.slots], packed(self.slots_back)
+        self.hf, self.xhatf, self.invf = (a[:n] for a in self.final)
+        self.qkv_rows = self.qkv_all[:n]
+
+    def scatter(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The packed `rows` into the padded `out` (B, C, W), and zeros at
+        the pads: every step rewrites them, as attention reads pad keys and
+        values at weight zero and the backward pad queries' context gradient
+        at nonzero weights, so a stale row there (a NaN, say) reaches real
+        rows. Returns `out`."""
+        flat = out.reshape(-1, out.shape[-1])
+        flat[self.pads] = 0
+        flat[self.index] = rows
+        return out
+
+    def gather(self, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The packed rows of `padded` (B, C, W), written into `out`."""
+        # mode="clip" skips the copy through a buffer that "raise" makes;
+        # every index is in range
+        return np.take(padded.reshape(-1, padded.shape[-1]), self.index, axis=0, out=out,
+                       mode="clip")
 
 
 class _KVCache:
@@ -420,28 +485,37 @@ class TinyBlockModel(ScoringModel):
         check_token_ids(candidates, self.vocab_size, "candidates")
         return input_tokens + (self.config.sep_token,) + prefix + candidates
 
-    def trunk_forward(self, ids_batch: np.ndarray):
+    def trunk_forward(self, ids_batch: np.ndarray, lengths: Optional[np.ndarray] = None):
         """Training's transformer trunk over padded id batches of shape
         (B, max_context), attending over the keys and values of its own
-        positions. It writes the ids, its `_Weights` binding and every
-        intermediate the backward pass reads into the open train run's
-        `_StepMemory` when its batches have B rows, else into a new one.
+        positions. Row b's first lengths[b] positions are its composed
+        tokens, and every position when `lengths` is None. The position-wise
+        work runs only on those, packed, in row-major order (see
+        `_StepMemory`): no loss reads a pad, and under the causal mask no
+        position before it attends to it. It writes the ids, its `_Weights`
+        binding and every intermediate the backward pass reads into the open
+        train run's `_StepMemory` when its batches have B rows, else into a
+        new one.
 
-        Returns the final layernormed hidden states (B, C, D) and the memory.
+        Returns the final layernormed hidden states of the computed
+        positions, (N, D) for N = sum(lengths), and the memory.
         """
         w, mem = _Weights(self), self._run
-        if mem is None or len(mem.hf) != len(ids_batch):
+        if mem is None or mem.rows != len(ids_batch):
             mem = _StepMemory(self, len(ids_batch))
-        mem.ids, mem.weights, d = ids_batch, w, self.config.d_model
-        x = w.tok_emb[ids_batch]
-        x += w.pos_emb
+        c, d = self.config.max_context, self.config.d_model
+        mem.start(ids_batch, np.full(len(ids_batch), c) if lengths is None else lengths, w)
+        x = w.tok_emb[mem.ids]
+        x += w.pos_emb[mem.index % c]
         for lw, out in zip(w.layers, mem.layers):
             a = w.layernorm(x, lw["ln1.g"], lw["ln1.b"], out["a"], out["xhat1"], out["inv1"])
-            qkv = np.matmul(a, lw["qkv"], out["qkv"])
+            qkv = mem.scatter(np.matmul(a, lw["qkv"], mem.qkv_rows), out["qkv"])
             # a stacked product reading the transposed view took 115 us
             # against 84 with a C-contiguous copy, bitwise the same
             np.copyto(mem.swapped, qkv[..., d : 2 * d].swapaxes(-1, -2))
-            x = w.attend_mlp(x, lw, qkv[..., :d], mem.swapped, qkv[..., 2 * d :], w.mask, out)
+            ctx = w.attend(qkv[..., :d], mem.swapped, qkv[..., 2 * d :], w.mask, out["attn"],
+                           mem.padded)
+            x = w.mlp(x, lw, mem.gather(ctx, out["ctx"]), out)
         return w.layernorm(x, *w.lnf, mem.hf, mem.xhatf, mem.invf), mem
 
     @contextmanager
@@ -475,7 +549,7 @@ class TinyBlockModel(ScoringModel):
         for lw, (store, keys_t, values) in zip(w.layers, cache.views):
             qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"]) @ lw["qkv"]
             store[rows] = qkv[:, 0, d:]
-            x = w.attend_mlp(x, lw, qkv[..., :d], keys_t, values, mask)
+            x = w.mlp(x, lw, w.attend(qkv[..., :d], keys_t, values, mask))
         cache.ids[rows] = tokens
         cache.hidden[rows] = w.layernorm(x, *w.lnf)[:, 0]
         n = self.num_heads + 1
@@ -533,9 +607,8 @@ def _layernorm_backward(dy, g, xhat, inv, dx, dxhat, dg, db):
     gradients, into `dg` and `db`, from the normalized input `xhat` and
     inverse deviation `inv` its forward saved; `dxhat` is scratch."""
     n = xhat.shape[-1]
-    axes = tuple(range(dy.ndim - 1))
-    np.add.reduce(np.multiply(dy, xhat, dxhat), axis=axes, out=dg)
-    np.add.reduce(dy, axis=axes, out=db)
+    np.add.reduce(np.multiply(dy, xhat, dxhat), axis=0, out=dg)
+    np.add.reduce(dy, axis=0, out=db)
     dxhat = np.multiply(dy, g, dxhat)
     mean = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
     proj = np.add.reduce(np.multiply(dxhat, xhat, dx), axis=-1, keepdims=True) / n
@@ -544,14 +617,6 @@ def _layernorm_backward(dy, g, xhat, inv, dx, dxhat, dg, db):
     np.subtract(dxhat, dx, dx)
     dx *= inv
     return dx
-
-
-def _flat_grad(lhs, dy, out):
-    """Weight gradient for y = lhs @ w summed over batch and position,
-    written into `out`."""
-    l2 = lhs.reshape(-1, lhs.shape[-1])
-    d2 = dy.reshape(-1, dy.shape[-1])
-    return np.matmul(l2.T, d2, out)
 
 
 def _add_rows_by_id(ids, rows, out, scratch):
@@ -628,25 +693,26 @@ def _loss_positions(batch: TrainBatch, head: int):
 
 def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
     """The sub-loss of head `head` and the step memory its forward pass
-    wrote. The head runs only at the positions that carry its loss: the
-    memory keeps their flat indices into the batch's (B * C) positions, in
-    row-major order, their target tokens, and the step's rows of the head
-    record (`_StepMemory.trained`), where their final hidden states are
-    gathered and the head's forward writes."""
+    wrote. The trunk runs on each row's composed tokens, and the head only
+    at the positions that carry its loss: the memory keeps their indices
+    into the trunk's packed positions, their target tokens, and the step's
+    rows of the head record (`_StepMemory.trained`), where their final
+    hidden states are gathered and the head's forward writes."""
     if not 1 <= head <= model.num_heads:
         raise ConfigurationError(f"head must be in [1, {model.num_heads}]")
-    positions = np.flatnonzero(_loss_positions(batch, head))
-    if len(positions) == 0:
+    carries_loss = _loss_positions(batch, head)
+    if not carries_loss.any():
         raise ConfigurationError(
             f"no training positions for head {head}; targets are shorter than the head offset"
         )
-    hf, mem = model.trunk_forward(batch.ids)
-    # a target sits head positions on in the same row, so the flat index works
-    mem.positions, mem.targets = positions, batch.ids.reshape(-1)[positions + head]
+    hf, mem = model.trunk_forward(batch.ids, batch.input_lens + 1 + batch.target_lens)
+    positions = np.flatnonzero(carries_loss.reshape(-1)[mem.index])
+    # a target sits head positions on in the same row, so the packed index works
+    mem.positions, mem.targets = positions, mem.ids[positions + head]
     t = mem.trained = {name: rows[: len(positions)] for name, rows in mem.head.items()}
     # mode="clip" skips the copy through a buffer that "raise" makes; every
     # index is in range
-    np.take(hf.reshape(-1, hf.shape[-1]), positions, axis=0, out=t["hf"], mode="clip")
+    np.take(hf, positions, axis=0, out=t["hf"], mode="clip")
     logits = mem.weights.heads(t["hf"], head - 1, head, t["u"], t["y"], t["logits"])
     logprobs = log_softmax(logits[:, 0])
     return float(-logprobs[np.arange(len(positions)), mem.targets].mean()), mem
@@ -702,20 +768,20 @@ def _trunk_backward(mem: _StepMemory, dhf_rows) -> None:
     """The trunk's and the embeddings' gradients, from the gradient
     `dhf_rows` of the final hidden states at the trained positions, into
     the step memory; the weights are read from the step's binding."""
-    w, buf, grads, d = mem.weights, mem.back, mem.grads, dhf_rows.shape[-1]
+    w, buf, grads = mem.weights, mem.back, mem.grads
     buf["dhf"].fill(0)
-    buf["dhf"].reshape(-1, d)[mem.positions] = dhf_rows
+    buf["dhf"][mem.positions] = dhf_rows
     dx = _layernorm_backward(buf["dhf"], w.lnf[0], mem.xhatf, mem.invf, buf["dx"], buf["dxhat"],
                              grads["lnf.g"], grads["lnf.b"])
     for layer in reversed(range(len(w.layers))):
         pre, lw, lc = f"l{layer}.", w.layers[layer], mem.layers[layer]
         # feedforward: x3 = x2 + relu(ln2(x2) @ w1 + b1) @ w2 + b2
-        _flat_grad(lc["u"], dx, grads[pre + "mlp.w2"])
-        np.add.reduce(dx, axis=(0, 1), out=grads[pre + "mlp.b2"])
+        np.matmul(lc["u"].T, dx, grads[pre + "mlp.w2"])
+        np.add.reduce(dx, axis=0, out=grads[pre + "mlp.b2"])
         dupre = np.matmul(dx, lw["mlp.w2"].T.copy(), buf["dupre"])
         dupre *= lc["u"] > 0
-        _flat_grad(lc["b"], dupre, grads[pre + "mlp.w1"])
-        np.add.reduce(dupre, axis=(0, 1), out=grads[pre + "mlp.b1"])
+        np.matmul(lc["b"].T, dupre, grads[pre + "mlp.w1"])
+        np.add.reduce(dupre, axis=0, out=grads[pre + "mlp.b1"])
         db = np.matmul(dupre, lw["mlp.w1"].T.copy(), buf["db"])
         dx2 = _layernorm_backward(db, lw["ln2.g"], lc["xhat2"], lc["inv2"], buf["dx2"],
                                   buf["dxhat"], grads[pre + "ln2.g"], grads[pre + "ln2.b"])
@@ -723,8 +789,8 @@ def _trunk_backward(mem: _StepMemory, dhf_rows) -> None:
         # attention: x2 = x + softmax(q k^T scale + mask) v wo; dq|dk|dv as q|k|v
         (q, k, v), attn = np.split(lc["qkv"], 3, axis=-1), lc["attn"]
         dq, dk, dv = np.split(buf["dqkv"], 3, axis=-1)
-        _flat_grad(lc["ctx"], dx2, grads[pre + "attn.wo"])
-        dctx = np.matmul(dx2, lw["attn.wo"].T.copy(), buf["dctx"])
+        np.matmul(lc["ctx"].T, dx2, grads[pre + "attn.wo"])
+        dctx = mem.scatter(np.matmul(dx2, lw["attn.wo"].T.copy(), buf["dctx"]), mem.padded)
         np.copyto(mem.swapped, v.swapaxes(-1, -2))
         dattn = np.matmul(dctx, mem.swapped, buf["dattn"])
         np.matmul(attn.swapaxes(-1, -2), dctx, dv)
@@ -734,16 +800,17 @@ def _trunk_backward(mem: _StepMemory, dhf_rows) -> None:
         dscores *= w.scale
         np.matmul(dscores, k, dq)
         np.matmul(dscores.swapaxes(-1, -2), q, dk)
-        _flat_grad(lc["a"], buf["dqkv"], mem.qkv_grads[layer])
-        da = np.matmul(buf["dqkv"], lw["qkv"].T.copy(), buf["da"])
+        dqkv = mem.gather(buf["dqkv"], mem.qkv_rows)
+        np.matmul(lc["a"].T, dqkv, mem.qkv_grads[layer])
+        da = np.matmul(dqkv, lw["qkv"].T.copy(), buf["da"])
         dln = _layernorm_backward(da, lw["ln1.g"], lc["xhat1"], lc["inv1"], buf["dln"],
                                   buf["dxhat"], grads[pre + "ln1.g"], grads[pre + "ln1.b"])
         dx = np.add(dx2, dln, buf["dx"])
 
-    # embeddings
-    np.add.reduce(dx, axis=0, out=grads["pos_emb"])
-    _add_rows_by_id(mem.ids.reshape(-1), dx.reshape(-1, d), grads["tok_emb"],
-                    buf["sorted"].reshape(-1, d))
+    # embeddings, from the computed positions' rows only; summed over the
+    # batch in the padded layout, zeros at the pads, as a padded step sums
+    np.add.reduce(mem.scatter(dx, mem.padded), axis=0, out=grads["pos_emb"])
+    _add_rows_by_id(mem.ids, dx, grads["tok_emb"], buf["sorted"])
 
 
 def check_step_settings(learning_rate: float, max_grad_norm: Optional[float]) -> None:
@@ -777,7 +844,7 @@ def train_step(
     if not np.isfinite(loss):
         raise NumericError(f"non-finite training loss {loss!r}")
     if max_grad_norm is not None:
-        total = np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values()))
+        total = np.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
         if total > max_grad_norm:
             factor = model.dtype.type(max_grad_norm / total)
             for g in grads.values():

@@ -411,10 +411,13 @@ class TestDecodingWithNeuralModel:
         one = TrainBatch.from_pairs([(inp, tgt)], cfg)
         hf, memory = model.trunk_forward(batch.ids)
         grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
+        # hf's rows are the trunk's packed positions; batch row 0's position
+        # p has flat index p
+        at = np.searchsorted(memory.index, len(inp) + np.arange(len(grid)))
         tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
         for head in (1, 2, 3):
             logits = memory.weights.heads(hf, head - 1, head)[..., 0, :]
-            rows = log_softmax(logits[0, len(inp) : len(inp) + len(grid)])
+            rows = log_softmax(logits[at])
             np.testing.assert_allclose(rows, grid[:, head - 1], rtol=tol, atol=tol)
             picked = [grid[i, head - 1, tgt[i + head - 1]] for i in range(len(tgt) - head + 1)]
             assert sub_loss(model, one, head) == pytest.approx(-np.mean(picked), rel=tol)

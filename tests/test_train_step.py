@@ -62,8 +62,10 @@ class TestFusedQKVBackward:
             _, grads = loss_and_gradients(model, batch, 2)
             memory = model._run
         a = memory.layers[0]["a"].reshape(-1, model.config.d_model)
-        # after the step, the backward buffer holds layer 0's dq, dk and dv
-        blocks = np.split(memory.back["dqkv"].reshape(len(a), -1), 3, axis=1)
+        # after the step, the backward buffer holds layer 0's dq, dk and dv,
+        # padded; the memory's index picks the positions the trunk ran
+        dqkv = memory.back["dqkv"]
+        blocks = np.split(dqkv.reshape(-1, dqkv.shape[-1])[memory.index], 3, axis=1)
         for name, block in zip(("attn.wq", "attn.wk", "attn.wv"), blocks):
             np.testing.assert_array_equal(grads[f"l0.{name}"], a.T @ block.copy(), err_msg=name)
 
@@ -78,18 +80,25 @@ def layernorm_reference(dy, g, xhat, inv, grads, prefix):
 
 
 def all_rows_reference(model, batch, head):
-    """The step before its head ran only at target positions: the head's
-    forward and backward over every position, with the loss gradient zero
-    where no target is; q, k and v backpropagated by three products each;
-    np.add.at for the token embedding. Returns the loss and every
-    parameter's gradient."""
-    hf, memory = model.trunk_forward(batch.ids)
+    """The step before its trunk ran only on composed tokens and its head
+    only at target positions: trunk and head, forward and backward, over
+    every position, pads too, with the loss gradient zero where no target
+    is; q, k and v backpropagated by three products each; np.add.at for the
+    token embedding. Returns the loss and every parameter's gradient."""
+    hf, memory = model.trunk_forward(batch.ids)  # no lengths: every position
     w, d = memory.weights, model.config.d_model
     w1, b1, w2, b2, proj = w.head
 
     def flat(a):
         return a.reshape(-1, a.shape[-1])
 
+    def padded(rows):
+        """A packed array of the memory in the batch's (B, C, W) layout."""
+        out = np.zeros(batch.ids.shape + rows.shape[-1:], dtype=rows.dtype)
+        flat(out)[memory.index] = rows
+        return out
+
+    hf = padded(hf)
     rows, cols = np.nonzero(_loss_positions(batch, head))
     targets = batch.ids[rows, cols + head]
     logits = w.heads(hf, head - 1, head)[..., 0, :]
@@ -112,9 +121,11 @@ def all_rows_reference(model, batch, head):
     du = (dy @ w2[:, cut].T) * (u > 0)
     g["ext.w1"] = flat(hf).T @ flat(du)
     g["ext.b1"] = du.sum(axis=(0, 1))
-    dx = layernorm_reference(du @ w1.T + dy, w.lnf[0], memory.xhatf, memory.invf, g, "lnf.")
+    dx = layernorm_reference(du @ w1.T + dy, w.lnf[0], padded(memory.xhatf),
+                             padded(memory.invf), g, "lnf.")
     for layer in reversed(range(model.config.num_layers)):
-        pre, lw, lc = f"l{layer}.", w.layers[layer], memory.layers[layer]
+        pre, lw = f"l{layer}.", w.layers[layer]
+        lc = {name: padded(a) if a.ndim == 2 else a for name, a in memory.layers[layer].items()}
         g[pre + "mlp.w2"] = flat(lc["u"]).T @ flat(dx)
         g[pre + "mlp.b2"] = dx.sum(axis=(0, 1))
         dupre = (dx @ lw["mlp.w2"].T) * (lc["u"] > 0)
@@ -140,25 +151,81 @@ def all_rows_reference(model, batch, head):
     return loss, g
 
 
+SMALL = ModelConfig(vocab_size=11, d_model=8, d_hidden=8, num_heads=3, num_layers=2,
+                    max_context=12, sep_token=9, eos_token=10)
+
+# composed lengths 8, 5, 9 and 9; 12, 5 and 9 with a row that fills the
+# context; and 12 in every row, so no pad at all
+SMALL_BATCHES = {
+    "mixed": [((1, 2, 3), (4, 5, 6, 10)), ((2,), (7, 8, 10)), ((0, 4, 1, 5, 2), (3, 3, 10)),
+              ((6,), (1, 2, 3, 4, 5, 6, 10))],
+    "one-full": [((1, 2, 3, 4), (5, 6, 7, 8, 1, 2, 10)), ((2,), (7, 8, 10)),
+                 ((0, 4, 1, 5, 2), (3, 3, 10))],
+    "no-pad": [((1, 2, 3, 4), (5, 6, 7, 8, 1, 2, 10)), ((0, 1), (2, 3, 4, 5, 6, 7, 8, 1, 10)),
+               ((5, 6, 7, 8, 0), (1, 2, 3, 4, 5, 10))],
+}
+
+
+def composed_lengths(batch):
+    return batch.input_lens + 1 + batch.target_lens
+
+
 class TestTargetRowsHead:
     @pytest.mark.parametrize("freeze", [FreezeMask(), FreezeMask(base=True)],
                              ids=["unfrozen", "frozen-base"])
     def test_matches_an_all_rows_reference_in_float64(self, freeze):
         """Rows differ in input and target length, so each head's target
-        positions start and stop at other places in each row."""
-        config = ModelConfig(vocab_size=11, d_model=8, d_hidden=8, num_heads=3,
-                             num_layers=2, max_context=12, sep_token=9, eos_token=10)
-        model = TinyBlockModel(config, seed=5, dtype=np.float64)
-        batch = TrainBatch.from_pairs([((1, 2, 3), (4, 5, 6, 10)), ((2,), (7, 8, 10)),
-                                       ((0, 4, 1, 5, 2), (3, 3, 10)),
-                                       ((6,), (1, 2, 3, 4, 5, 6, 10))], config)
+        positions start and stop at other places in each row, and the trunk
+        runs on another number of positions in each; one batch has a row
+        that fills the context, and one has no pad."""
+        model = TinyBlockModel(SMALL, seed=5, dtype=np.float64)
+        lengths = {name: composed_lengths(TrainBatch.from_pairs(pairs, SMALL)).tolist()
+                   for name, pairs in SMALL_BATCHES.items()}
+        assert lengths == {"mixed": [8, 5, 9, 9], "one-full": [12, 5, 9],
+                           "no-pad": [12, 12, 12]}
+        for name, pairs in SMALL_BATCHES.items():
+            batch = TrainBatch.from_pairs(pairs, SMALL)
+            for head in (1, 2, 3):
+                expected_loss, expected = all_rows_reference(model, batch, head)
+                with model.train_run(len(batch.ids)):
+                    loss, grads = loss_and_gradients(model, batch, head, freeze)
+                    ran = len(model._run.index)
+                assert ran == sum(lengths[name])
+                assert loss == pytest.approx(expected_loss, rel=1e-10, abs=1e-10)
+                assert set(grads) == {name for name in model.params
+                                      if not freeze.frozen(partition_of(name))}
+                for param, grad in grads.items():
+                    np.testing.assert_allclose(grad, expected[param], rtol=1e-10, atol=1e-10,
+                                               err_msg=f"{name}, head {head}: {param}")
+
+
+class TestPadPositions:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pad_ids_change_no_bit(self, dtype):
+        """Other valid ids at the pads leave the loss and every gradient,
+        the embeddings' too, bitwise the same."""
+        model = TinyBlockModel(SMALL, seed=5, dtype=dtype)
+        batch = TrainBatch.from_pairs(SMALL_BATCHES["mixed"], SMALL)
+        pads = np.arange(SMALL.max_context) >= composed_lengths(batch)[:, None]
+        ids = batch.ids.copy()
+        ids[pads] = np.random.default_rng(0).integers(0, SMALL.vocab_size, size=pads.sum())
+        assert (ids[pads] != 0).any()
+        other = TrainBatch(ids=ids, input_lens=batch.input_lens, target_lens=batch.target_lens)
         for head in (1, 2, 3):
-            expected_loss, expected = all_rows_reference(model, batch, head)
-            with model.train_run(len(batch.ids)):
-                loss, grads = loss_and_gradients(model, batch, head, freeze)
-            assert loss == pytest.approx(expected_loss, rel=1e-10, abs=1e-10)
-            assert set(grads) == {name for name in model.params
-                                  if not freeze.frozen(partition_of(name))}
+            loss, grads = loss_and_gradients(model, batch, head)
+            other_loss, other_grads = loss_and_gradients(model, other, head)
+            assert other_loss == loss
             for name, grad in grads.items():
-                np.testing.assert_allclose(grad, expected[name], rtol=1e-10, atol=1e-10,
-                                           err_msg=f"head {head}: {name}")
+                np.testing.assert_array_equal(other_grads[name], grad, err_msg=name)
+
+    def test_trunk_runs_each_rows_composed_tokens_at_the_train_shapes(self):
+        """The trunk runs the batch's summed composed lengths, no pad: at
+        the benchmark's train shapes a quarter of the (16, 64) positions
+        are pads."""
+        model, batch = train_shapes(np.float32)
+        with model.train_run(len(batch.ids)):
+            loss_and_gradients(model, batch, 1)
+            memory = model._run
+        ran = composed_lengths(batch).sum()
+        assert len(memory.index) == ran and len(memory.hf) == ran
+        assert memory.layers[0]["u"].shape[0] == ran and ran < 0.9 * batch.ids.size
