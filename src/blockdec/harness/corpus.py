@@ -95,24 +95,22 @@ class Corpus:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise CorpusError(f"unknown corpus kind {self.kind!r}")
-        pairs = tuple(
-            (tuple(int(t) for t in inp), tuple(int(t) for t in tgt))
-            for inp, tgt in self.pairs
-        )
-        object.__setattr__(self, "pairs", pairs)
-        for i, (inp, tgt) in enumerate(pairs):
-            if not tgt:
-                raise CorpusError("corpus contains an empty target")
+        pairs = []
+        for i, (inp, tgt) in enumerate(self.pairs):
             try:
-                check_token_ids(inp, self.vocab.size, f"input of pair {i}")
-                check_token_ids(tgt, self.vocab.size, f"target of pair {i}")
+                inp = check_token_ids(inp, self.vocab.size, f"input of pair {i}")
+                tgt = check_token_ids(tgt, self.vocab.size, f"target of pair {i}")
             except ConfigurationError as exc:
                 raise CorpusError(str(exc)) from None
+            pairs.append((inp, tgt))
+            if not tgt:
+                raise CorpusError("corpus contains an empty target")
             if self.fixed_target_len is not None and len(tgt) != self.fixed_target_len:
                 raise CorpusError(
                     f"target of {len(tgt)} tokens in a fixed-length corpus of "
                     f"{self.fixed_target_len}"
                 )
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     def __len__(self):
         return len(self.pairs)

@@ -11,6 +11,7 @@ reuses the work of earlier calls on the same tokens.
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import Optional
 
@@ -20,13 +21,28 @@ from ..engine import BlockScores
 from ..errors import ConfigurationError
 
 
-def check_token_ids(ids, vocab_size: int, where: str) -> None:
-    """Raise ConfigurationError naming the first id outside [0, vocab_size) and `where` it is."""
+def int_ids(ids, where: str) -> tuple:
+    """`ids` as a tuple of ints. operator.index takes an int or a numpy
+    integer and refuses what int() would truncate or parse (1.7, "3"), so
+    such an id raises ConfigurationError naming it and `where` it is."""
+    ids = tuple(ids)
+    try:
+        return tuple(map(operator.index, ids))
+    except TypeError:
+        bad = next(t for t in ids if not isinstance(t, (int, np.integer)))
+        raise ConfigurationError(f"token id {bad!r} in the {where} is not an integer") from None
+
+
+def check_token_ids(ids, vocab_size: int, where: str) -> tuple:
+    """`ids` as a tuple of ints (see `int_ids`); raise ConfigurationError
+    naming the first id outside [0, vocab_size) and `where` it is."""
+    ids = int_ids(ids, where)
     if ids and (min(ids) < 0 or max(ids) >= vocab_size):
         bad = next(t for t in ids if not 0 <= t < vocab_size)
         raise ConfigurationError(
             f"token id {bad} in the {where} is outside the vocabulary [0, {vocab_size})"
         )
+    return ids
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -97,9 +113,9 @@ class TableBackedModel(ScoringModel):
 
     def score_grid(self, input_tokens, prefix, candidates, k) -> BlockScores:
         self._check_heads(k)
-        input_tokens = tuple(map(int, input_tokens))
-        context = tuple(map(int, prefix))
-        candidates = tuple(map(int, candidates))
+        input_tokens = int_ids(input_tokens, "input")
+        context = int_ids(prefix, "prefix")
+        candidates = int_ids(candidates, "candidates")
         base_len = len(context)
         rows = [self.head_logprobs(input_tokens, context)[:k]]
         for token in candidates:

@@ -35,10 +35,11 @@ cached. The decode engine relies on this to re-read grid rows across
 invocations.
 
 Training's trunk and the decode step share one `_Weights` binding, its
-layernorm, attention and MLP; they differ only in where keys come from
-(training's own q/k/v product, or the session's store once the step has
-written its new keys and values), in where intermediates go, and in
-training's layout (below).
+layernorm and MLP, and attention's arithmetic; they differ in where keys
+come from (training's own q/k/v product, or the session's store once the
+step has written its new keys and values), in where intermediates go, and
+in training's layout (below), which runs attention per run of rows of one
+length and its softmax on every run at once.
 A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
 layernorm is twelve numpy calls of under a microsecond each. So the binding
 is made once per `trunk_forward` call or per session, and holds the
@@ -69,14 +70,19 @@ and heads each return one array and write intermediates only into
 destinations a caller passes, so the decode step, which passes none, builds
 nothing that it then discards.
 
-A step does only the work its loss reads. The trunk's position-wise work
-(layernorms, q/k/v product, output projection, MLP, final layernorm, and
-their backward) runs only on each row's composed tokens, packed as (N, D)
-rows: a pad carries no loss, no composed token attends to it under the
-causal mask, and its gradient is zero. At the benchmark's train shapes a
-quarter of a batch's positions are pads. Attention alone keeps the padded
-(B, C, ...) layout, so a step scatters q/k/v into it and gathers the
-context out, and the backward does the reverse. The trained head runs,
+A step does only the work its loss reads. The trunk runs only on each
+row's composed tokens, packed as (N, D) rows: a pad carries no loss, no
+composed token attends to it under the causal mask, and its gradient is
+zero. At the benchmark's train shapes a quarter of a batch's positions are
+pads. The position-wise work (layernorms, q/k/v product, output
+projection, MLP, final layernorm, and their backward) runs on all N rows at
+once. The rows are packed in a stable order of length, so the rows of one
+length L are one run of packed positions, and attention's products run once
+per run on (rows, L, ...) views under the mask's [:L, :L] corner: a row of
+L tokens costs L^2 scores, not C^2. Its softmax, and the softmax's
+backward, run on every run's weights at once, rows of varying width in one
+flat buffer reduced with reduceat; a call per run made a step of sixteen
+lengths slower than the padded layout. The trained head runs,
 forward and backward, only at the positions that carry its loss (a third to
 a half of a padded batch has none), gathered from the final hidden states,
 and the gradient of those states is scattered back. q, k and v take one
@@ -108,6 +114,9 @@ LN_EPS = 1e-5
 MASK_VALUE = -1e9
 
 PARTITIONS = ("base", "head_extension", "vocab_projection")
+# each trunk layer's parameters, named under the prefix "l{layer}."
+LAYER_PARAMS = ("ln1.g", "ln1.b", "attn.wq", "attn.wk", "attn.wv", "attn.wo",
+                "ln2.g", "ln2.b", "mlp.w1", "mlp.b1", "mlp.w2", "mlp.b2")
 
 
 @dataclass(frozen=True)
@@ -192,8 +201,8 @@ class _Weights:
         self.scale = const(1.0 / np.sqrt(d))
         self.mask, self.tok_emb, self.pos_emb = model._mask, p["tok_emb"], p["pos_emb"]
         self.layers = []
-        for pre in (f"l{layer}." for layer in range(model.config.num_layers)):
-            w = {name[len(pre):]: arr for name, arr in p.items() if name.startswith(pre)}
+        for layer in range(model.config.num_layers):
+            w = {name: p[f"l{layer}.{name}"] for name in LAYER_PARAMS}
             w["qkv"] = np.concatenate([w["attn.wq"], w["attn.wk"], w["attn.wv"]], axis=1)
             self.layers.append(w)
         self.lnf = p["lnf.g"], p["lnf.b"]
@@ -234,15 +243,15 @@ class _Weights:
         logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, logits)
         return logits.reshape(y.shape[:-1] + (-1,))
 
-    def attend(self, q, keys_t, values, mask, attn=None, ctx=None):
-        """Attention of `q` over `keys_t` (keys transposed) and `values`
-        under `mask`. Returns the context; it and the attention weights go
-        into `ctx` and `attn` where given."""
-        attn = np.matmul(q, keys_t, attn)
+    def attend(self, q, keys_t, values, mask):
+        """The decode step's attention of `q` over `keys_t` (keys
+        transposed) and `values` under `mask`; returns the context. A train
+        step runs the same arithmetic per run of rows (`trunk_forward`)."""
+        attn = q @ keys_t
         attn *= self.scale
         attn += mask
         _softmax(attn, attn)
-        return np.matmul(attn, values, ctx)
+        return attn @ values
 
     def mlp(self, x, w: dict, ctx, out=None):
         """The rest of a layer once attention's context `ctx` is known: the
@@ -265,35 +274,42 @@ class _Weights:
 
 
 class _StepMemory:
-    """The one record of a train step on batches of `rows` padded rows of C
-    positions. The trunk's position-wise work (layernorms, products, MLP)
-    runs on packed rows: `start` binds the positions a step computes, the
-    first lengths[b] of row b, in row-major order. `index` holds each one's
-    flat index into the batch's B * C positions, so len(index) is how many
-    positions the trunk ran, `pads` the other positions', and `ids` the
-    computed positions' token ids. Every packed slot is a view of the first
-    len(index) rows of an array with a row for every position. Attention
-    alone keeps the padded (B, C, ...) layout: q/k/v and the context's
-    gradient are scattered into it (`scatter`), and the context and the
-    q/k/v gradient gathered back out (`gather`).
+    """The one record of a train step on batches of `rows` rows of C
+    positions. A step computes each row's composed tokens, its first
+    lengths[b] positions, and no pad. `start` packs them as (N, ...) rows,
+    the batch's rows in a stable order of length, so the rows of each
+    length L form one contiguous run of packed positions. The position-wise
+    work (layernorms, products, MLP) runs once on all N rows, and
+    attention's products once per run, on (rows, L, ...) views of the run's
+    q/k/v and context, under the mask's [:L, :L] corner, with weights
+    (rows, L, L) in a span of a flat buffer. `start` binds those views once
+    a step: per run, its mask corner and scratch (`runs`), each layer's q, k, v,
+    weights and context (`attention`), and the backward's dq, dk, dv, the
+    weights' and scores' gradients, and the context's and the layer
+    input's gradients (`attention_back`). The runs' weights lie side by
+    side in the flat buffers' `weighted` span, one row of `widths[i]` from
+    `starts[i]` per packed position, so the softmax and its backward reduce
+    every run's rows in one call (`row_sums`). `index` holds each
+    packed position's flat index into the batch's B * C positions, so
+    len(index) is how many positions the trunk ran, and `ids` their token
+    ids. Every packed slot is a view of the first N rows of an array with a
+    row for every position, and the flat buffers have room for B * C * C.
 
     The forward pass writes into its named slots, with out=, every array the
     backward pass reads: each layer's layernorm outputs (a, b), normalized
-    inputs (xhat1, xhat2) and inverse deviations (inv1, inv2), padded fused
-    q/k/v, attention weights (padded) and context, feedforward hidden units
-    (u) and output (x); the final layernorm's; the ids and `_Weights`
-    binding. The trained head's record (`head`) has a row for every
-    position of the batch, and a step uses its first rows, one per position
-    that carries the head's loss (`trained`, views of them): the gathered
-    final hidden states, the head's u, y and logits, and the gradients at
-    those rows. The backward writes its temporaries and every gradient
-    beside them; a layer's q/k/v weight gradients are the column blocks of
-    one (D, 3D) array (`qkv_grads`), which one product fills. `qkv_rows`
-    holds the packed q/k/v product (forward) or its gradient (backward),
-    `padded` attention's context (forward), or the context's or the
-    embeddings' gradient (backward), and `swapped` a layer's keys (forward)
-    or values (backward) transposed, C-contiguous, for the product that
-    reads them. A run that keeps one across its steps
+    inputs (xhat1, xhat2) and inverse deviations (inv1, inv2), fused q/k/v,
+    attention weights and context, feedforward hidden units (u) and output
+    (x); the final layernorm's; the ids and `_Weights` binding. The trained
+    head's record (`head`) has a row for every position of the batch, and a
+    step uses its first rows, one per position that carries the head's loss
+    (`trained`, views of them): the gathered final hidden states, the head's
+    u, y and logits, and the gradients at those rows. The backward writes
+    its temporaries and every gradient beside them; dq, dk and dv sit side
+    by side in one packed (N, 3D) array (`dqkv`), and a layer's q/k/v weight
+    gradients are the column blocks of one (D, 3D) array (`qkv_grads`),
+    which one product fills. `swapped` holds a run's keys (forward) or
+    values (backward) transposed, C-contiguous, for the product that reads
+    them. A run that keeps one across its steps
     (`TinyBlockModel.train_run`) allocates next to nothing per step; a step
     outside a run makes its own."""
 
@@ -305,23 +321,25 @@ class _StepMemory:
         def new(width, shape=(rows * c,)):
             return np.empty(shape + (width,), dtype=model.dtype)
 
-        # a packed slot is 2-d, a padded one 3-d; `start` takes views of the former
+        # a packed slot is 2-d and `start` takes views of it; a flat one is
+        # 1-d and each run takes its span
         self.slots = [
-            {"a": new(d), "xhat1": new(d), "inv1": new(1), "qkv": new(3 * d, (rows, c)),
-             "attn": new(c, (rows, c)), "ctx": new(d), "b": new(d), "xhat2": new(d),
+            {"a": new(d), "xhat1": new(d), "inv1": new(1), "qkv": new(3 * d),
+             "attn": new(rows * c * c, ()), "ctx": new(d), "b": new(d), "xhat2": new(d),
              "inv2": new(1), "u": new(h), "x": new(d)}
             for _ in range(cfg.num_layers)
         ]
         self.final = [new(d), new(d), new(1)]  # hf, xhatf, invf
-        self.qkv_all, self.padded, self.swapped = new(3 * d), new(d, (rows, c)), new(c, (rows, d))
+        self.swapped = new(rows * c * d, ())
         widths = dict(hf=d, u=k * h, y=d, logits=v, dlogits=v, dy=d, du=k * h, dhf=d)
         self.head = {name: new(width) for name, width in widths.items()}
-        self.ids = self.index = self.pads = self.weights = None
+        self.ids = self.index = self.widths = self.starts = self.weighted = self.weights = None
+        self.runs = self.attention = self.attention_back = None
         self.positions = self.targets = self.trained = None
         widths = dict.fromkeys(("dhf", "dx", "dxhat", "db", "dx2", "dctx", "da", "dln", "sorted"), d)
         self.slots_back = {name: new(width) for name, width in widths.items()}
-        self.slots_back.update(dupre=new(h), dattn=new(c, (rows, c)), dscores=new(c, (rows, c)),
-                               dqkv=new(3 * d, (rows, c)))
+        self.slots_back.update(dupre=new(h), dqkv=new(3 * d), dattn=new(rows * c * c, ()),
+                               dscores=new(rows * c * c, ()))
         # in the order the backward pass computes them, which is the order
         # the clip norm sums them in: another order changes training's bits
         order = ["proj.w", "ext.w2", "ext.b2", "ext.w1", "ext.b1", "lnf.g", "lnf.b"]
@@ -339,8 +357,10 @@ class _StepMemory:
     def start(self, ids: np.ndarray, lengths: np.ndarray, weights: _Weights) -> None:
         """Bind a step on the padded batch `ids` (B, C) whose row b computes
         its first lengths[b] positions, with the weight binding `weights`."""
-        real = np.arange(ids.shape[1]) < lengths[:, None]
-        self.index, self.pads = np.flatnonzero(real), np.flatnonzero(~real)
+        c, d = ids.shape[1], weights.tok_emb.shape[1]
+        order = np.argsort(lengths, kind="stable")
+        lengths = lengths[order]
+        self.index = (order[:, None] * c + np.arange(c))[np.arange(c) < lengths[:, None]]
         self.ids, self.weights, n = ids.reshape(-1)[self.index], weights, len(self.index)
 
         def packed(slots):
@@ -348,25 +368,41 @@ class _StepMemory:
 
         self.layers, self.back = [packed(slots) for slots in self.slots], packed(self.slots_back)
         self.hf, self.xhatf, self.invf = (a[:n] for a in self.final)
-        self.qkv_rows = self.qkv_all[:n]
+        # each packed position's row of attention weights: its length, and
+        # where it starts in the flat buffers
+        self.widths = np.repeat(lengths, lengths)
+        self.starts = np.cumsum(self.widths) - self.widths
+        # each run's views, bound once a step: a view made in the loop over
+        # runs, per layer and pass, cost a 16-run step about 0.4 ms
+        self.runs, self.attention, self.attention_back = [], [[] for _ in self.layers], []
 
-    def scatter(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The packed `rows` into the padded `out` (B, C, W), and zeros at
-        the pads: every step rewrites them, as attention reads pad keys and
-        values at weight zero and the backward pad queries' context gradient
-        at nonzero weights, so a stale row there (a NaN, say) reaches real
-        rows. Returns `out`."""
-        flat = out.reshape(-1, out.shape[-1])
-        flat[self.pads] = 0
-        flat[self.index] = rows
-        return out
+        def thirds(a):
+            return a[..., :d], a[..., d : 2 * d], a[..., 2 * d :]
 
-    def gather(self, padded: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The packed rows of `padded` (B, C, W), written into `out`."""
-        # mode="clip" skips the copy through a buffer that "raise" makes;
-        # every index is in range
-        return np.take(padded.reshape(-1, padded.shape[-1]), self.index, axis=0, out=out,
-                       mode="clip")
+        first = span = 0
+        for length, count in zip(*(a.tolist() for a in np.unique(lengths, return_counts=True))):
+            rows = slice(first, first + count * length)
+            square = slice(span, span + count * length * length)
+            first, span = rows.stop, square.stop
+
+            def run(a, where=rows):
+                return a[where].reshape(count, length, -1)
+
+            self.runs.append((weights.mask[:length, :length],
+                              self.swapped[: count * d * length].reshape(count, d, length)))
+            for layer, runs in zip(self.layers, self.attention):
+                runs.append(thirds(run(layer["qkv"])) +
+                            (run(layer["attn"], square), run(layer["ctx"])))
+            b = self.back
+            self.attention_back.append(thirds(run(b["dqkv"])) + (
+                run(b["dattn"], square), run(b["dscores"], square), run(b["dctx"]), run(b["dx"])))
+        self.weighted = slice(0, span)
+
+    def row_sums(self, a: np.ndarray, reduce=np.add) -> np.ndarray:
+        """Each row of the step's attention weights `a` (a flat buffer's
+        `weighted` span) reduced, summed or its max, and repeated across
+        the row."""
+        return np.repeat(reduce.reduceat(a, self.starts), self.widths)
 
 
 class _KVCache:
@@ -428,20 +464,10 @@ class TinyBlockModel(ScoringModel):
         cfg = self.config
         d, h, k, v, c = cfg.d_model, cfg.d_hidden, cfg.num_heads, cfg.vocab_size, cfg.max_context
         shapes = {"tok_emb": (v, d), "pos_emb": (c, d)}
+        layer_shapes = ((d,), (d,), (d, d), (d, d), (d, d), (d, d), (d,), (d,), (d, h), (h,),
+                        (h, d), (d,))
         for layer in range(cfg.num_layers):
-            p = f"l{layer}."
-            shapes[p + "ln1.g"] = (d,)
-            shapes[p + "ln1.b"] = (d,)
-            shapes[p + "attn.wq"] = (d, d)
-            shapes[p + "attn.wk"] = (d, d)
-            shapes[p + "attn.wv"] = (d, d)
-            shapes[p + "attn.wo"] = (d, d)
-            shapes[p + "ln2.g"] = (d,)
-            shapes[p + "ln2.b"] = (d,)
-            shapes[p + "mlp.w1"] = (d, h)
-            shapes[p + "mlp.b1"] = (h,)
-            shapes[p + "mlp.w2"] = (h, d)
-            shapes[p + "mlp.b2"] = (d,)
+            shapes.update((f"l{layer}.{name}", s) for name, s in zip(LAYER_PARAMS, layer_shapes))
         shapes["lnf.g"] = (d,)
         shapes["lnf.b"] = (d,)
         shapes["ext.w1"] = (d, k * h)
@@ -479,23 +505,33 @@ class TinyBlockModel(ScoringModel):
 
     # ---- forward passes ----
 
-    def _compose(self, input_tokens: tuple, prefix: tuple, candidates: tuple) -> tuple:
-        check_token_ids(input_tokens, self.vocab_size, "input")
-        check_token_ids(prefix, self.vocab_size, "prefix")
-        check_token_ids(candidates, self.vocab_size, "candidates")
-        return input_tokens + (self.config.sep_token,) + prefix + candidates
+    def _compose(self, input_tokens: tuple, prefix: tuple, candidates: tuple) -> np.ndarray:
+        """The ids of `input + SEP + prefix + candidates`, checked. A call
+        of valid ids loops over no token in Python: the array's dtype shows
+        that every id is an integer, and one min and one max that each is
+        in the vocabulary. Otherwise each part is checked (`check_token_ids`),
+        which names the bad id and its part."""
+        ids = input_tokens + (self.config.sep_token,) + prefix + candidates
+        tokens = np.array(ids)
+        if tokens.dtype.kind not in "iu" or min(ids) < 0 or max(ids) >= self.vocab_size:
+            parts = [check_token_ids(part, self.vocab_size, where) for part, where in (
+                (input_tokens, "input"), (prefix, "prefix"), (candidates, "candidates"))]
+            tokens = np.array(parts[0] + (self.config.sep_token,) + parts[1] + parts[2])
+        return tokens
 
     def trunk_forward(self, ids_batch: np.ndarray, lengths: Optional[np.ndarray] = None):
         """Training's transformer trunk over padded id batches of shape
         (B, max_context), attending over the keys and values of its own
         positions. Row b's first lengths[b] positions are its composed
-        tokens, and every position when `lengths` is None. The position-wise
-        work runs only on those, packed, in row-major order (see
-        `_StepMemory`): no loss reads a pad, and under the causal mask no
-        position before it attends to it. It writes the ids, its `_Weights`
-        binding and every intermediate the backward pass reads into the open
-        train run's `_StepMemory` when its batches have B rows, else into a
-        new one.
+        tokens, and every position when `lengths` is None, one run of C. It
+        runs only on those, as no loss reads a pad and under the causal mask
+        no position before it attends to it. They are packed with each
+        length's rows side by side (see `_StepMemory`): the position-wise
+        work runs on all of them at once, attention's products once per
+        length L on its rows' L positions, and the softmax once on every
+        run's scores. It writes the ids, its `_Weights` binding and every
+        intermediate the backward pass reads into the open train run's
+        `_StepMemory` when its batches have B rows, else into a new one.
 
         Returns the final layernormed hidden states of the computed
         positions, (N, D) for N = sum(lengths), and the memory.
@@ -503,19 +539,29 @@ class TinyBlockModel(ScoringModel):
         w, mem = _Weights(self), self._run
         if mem is None or mem.rows != len(ids_batch):
             mem = _StepMemory(self, len(ids_batch))
-        c, d = self.config.max_context, self.config.d_model
+        c = self.config.max_context
         mem.start(ids_batch, np.full(len(ids_batch), c) if lengths is None else lengths, w)
         x = w.tok_emb[mem.ids]
         x += w.pos_emb[mem.index % c]
-        for lw, out in zip(w.layers, mem.layers):
+        for lw, out, runs in zip(w.layers, mem.layers, mem.attention):
             a = w.layernorm(x, lw["ln1.g"], lw["ln1.b"], out["a"], out["xhat1"], out["inv1"])
-            qkv = mem.scatter(np.matmul(a, lw["qkv"], mem.qkv_rows), out["qkv"])
-            # a stacked product reading the transposed view took 115 us
-            # against 84 with a C-contiguous copy, bitwise the same
-            np.copyto(mem.swapped, qkv[..., d : 2 * d].swapaxes(-1, -2))
-            ctx = w.attend(qkv[..., :d], mem.swapped, qkv[..., 2 * d :], w.mask, out["attn"],
-                           mem.padded)
-            x = w.mlp(x, lw, mem.gather(ctx, out["ctx"]), out)
+            np.matmul(a, lw["qkv"], out["qkv"])
+            for (q, k, _, scores, _), (mask, keys_t) in zip(runs, mem.runs):
+                # a stacked product reading the transposed view took 115 us
+                # against 84 with a C-contiguous copy, bitwise the same
+                np.copyto(keys_t, k.swapaxes(-1, -2))
+                np.matmul(q, keys_t, scores)
+                scores += mask
+            # the softmax of every run's rows at once; scaling the masked
+            # scores too leaves them far below their row's max, so exp gives 0
+            attn = out["attn"][mem.weighted]
+            attn *= w.scale
+            attn -= mem.row_sums(attn, np.maximum)
+            np.exp(attn, attn)
+            attn /= mem.row_sums(attn)
+            for _, _, v, attn, ctx in runs:
+                np.matmul(attn, v, ctx)
+            x = w.mlp(x, lw, out["ctx"], out)
         return w.layernorm(x, *w.lnf, mem.hf, mem.xhatf, mem.invf), mem
 
     @contextmanager
@@ -585,16 +631,15 @@ class TinyBlockModel(ScoringModel):
         """
         self._check_heads(k)
         input_tokens, prefix, candidates = tuple(input_tokens), tuple(prefix), tuple(candidates)
-        ids = self._compose(input_tokens, prefix, candidates)
-        if len(ids) > self.config.max_context:
+        tokens = self._compose(input_tokens, prefix, candidates)
+        if len(tokens) > self.config.max_context:
             raise LengthError(
-                f"sequence of {len(ids)} tokens exceeds context {self.config.max_context}"
+                f"sequence of {len(tokens)} tokens exceeds context {self.config.max_context}"
             )
         cache = self._cache
         if cache is None or cache.input != input_tokens:
             cache = _KVCache(self, input_tokens)
-        tokens = np.array(ids, dtype=np.int64)
-        changed = np.flatnonzero(cache.ids[: len(ids)] != tokens)
+        changed = np.flatnonzero(cache.ids[: len(tokens)] != tokens)
         if changed.size:
             self._positions_forward(tokens[changed[0] :], int(changed[0]), cache)
         base = len(input_tokens) + len(prefix)  # position of grid row 0
@@ -662,12 +707,10 @@ class TrainBatch:
         input_lens = np.zeros(len(pairs), dtype=np.int64)
         target_lens = np.zeros(len(pairs), dtype=np.int64)
         for row, (inp, tgt) in enumerate(pairs):
-            inp = tuple(int(t) for t in inp)
-            tgt = tuple(int(t) for t in tgt)
+            inp = check_token_ids(inp, config.vocab_size, f"input of pair {row}")
+            tgt = check_token_ids(tgt, config.vocab_size, f"target of pair {row}")
             if not tgt:
                 raise ConfigurationError("every training pair needs a non-empty target")
-            check_token_ids(inp, config.vocab_size, f"input of pair {row}")
-            check_token_ids(tgt, config.vocab_size, f"target of pair {row}")
             composed = inp + (config.sep_token,) + tgt
             if len(composed) > c:
                 raise LengthError(
@@ -767,7 +810,9 @@ def loss_and_gradients(
 def _trunk_backward(mem: _StepMemory, dhf_rows) -> None:
     """The trunk's and the embeddings' gradients, from the gradient
     `dhf_rows` of the final hidden states at the trained positions, into
-    the step memory; the weights are read from the step's binding."""
+    the step memory; the weights are read from the step's binding. As in
+    the forward, attention's products run once per run of packed positions
+    and the softmax's backward on every run at once."""
     w, buf, grads = mem.weights, mem.back, mem.grads
     buf["dhf"].fill(0)
     buf["dhf"][mem.positions] = dhf_rows
@@ -787,29 +832,33 @@ def _trunk_backward(mem: _StepMemory, dhf_rows) -> None:
                                   buf["dxhat"], grads[pre + "ln2.g"], grads[pre + "ln2.b"])
         dx2 += dx
         # attention: x2 = x + softmax(q k^T scale + mask) v wo; dq|dk|dv as q|k|v
-        (q, k, v), attn = np.split(lc["qkv"], 3, axis=-1), lc["attn"]
-        dq, dk, dv = np.split(buf["dqkv"], 3, axis=-1)
         np.matmul(lc["ctx"].T, dx2, grads[pre + "attn.wo"])
-        dctx = mem.scatter(np.matmul(dx2, lw["attn.wo"].T.copy(), buf["dctx"]), mem.padded)
-        np.copyto(mem.swapped, v.swapaxes(-1, -2))
-        dattn = np.matmul(dctx, mem.swapped, buf["dattn"])
-        np.matmul(attn.swapaxes(-1, -2), dctx, dv)
-        dscores = np.multiply(dattn, attn, buf["dscores"])
-        dscores = np.subtract(dattn, np.add.reduce(dscores, axis=-1, keepdims=True), dscores)
+        np.matmul(dx2, lw["attn.wo"].T.copy(), buf["dctx"])
+        for (_, _, v, attn, _), (_, _, dv, dattn, _, dctx, _), (_, values_t) in zip(
+                mem.attention[layer], mem.attention_back, mem.runs):
+            np.copyto(values_t, v.swapaxes(-1, -2))
+            np.matmul(dctx, values_t, dattn)
+            np.matmul(attn.swapaxes(-1, -2), dctx, dv)
+        # the softmax's backward on every run's rows at once
+        attn, dattn = lc["attn"][mem.weighted], buf["dattn"][mem.weighted]
+        dscores = np.multiply(dattn, attn, buf["dscores"][mem.weighted])
+        dscores = np.subtract(dattn, mem.row_sums(dscores), dscores)
         dscores *= attn
         dscores *= w.scale
-        np.matmul(dscores, k, dq)
-        np.matmul(dscores.swapaxes(-1, -2), q, dk)
-        dqkv = mem.gather(buf["dqkv"], mem.qkv_rows)
-        np.matmul(lc["a"].T, dqkv, mem.qkv_grads[layer])
-        da = np.matmul(dqkv, lw["qkv"].T.copy(), buf["da"])
+        for (q, k, _, _, _), (dq, dk, _, _, dscores, _, _) in zip(mem.attention[layer],
+                                                                  mem.attention_back):
+            np.matmul(dscores, k, dq)
+            np.matmul(dscores.swapaxes(-1, -2), q, dk)
+        np.matmul(lc["a"].T, buf["dqkv"], mem.qkv_grads[layer])
+        da = np.matmul(buf["dqkv"], lw["qkv"].T.copy(), buf["da"])
         dln = _layernorm_backward(da, lw["ln1.g"], lc["xhat1"], lc["inv1"], buf["dln"],
                                   buf["dxhat"], grads[pre + "ln1.g"], grads[pre + "ln1.b"])
         dx = np.add(dx2, dln, buf["dx"])
 
-    # embeddings, from the computed positions' rows only; summed over the
-    # batch in the padded layout, zeros at the pads, as a padded step sums
-    np.add.reduce(mem.scatter(dx, mem.padded), axis=0, out=grads["pos_emb"])
+    # embeddings: a position's gradient sums its rows over each run
+    grads["pos_emb"].fill(0)
+    for *_, dx_run in mem.attention_back:
+        grads["pos_emb"][: dx_run.shape[1]] += np.add.reduce(dx_run, axis=0)
     _add_rows_by_id(mem.ids, dx, grads["tok_emb"], buf["sorted"])
 
 

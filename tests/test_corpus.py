@@ -320,6 +320,16 @@ class TestCorpusValidation:
                    vocab=Vocab(size=10, sep_token=8, eos_token=9),
                    pairs=(((1,), (2,)), ((3, -1), (2,))))
 
+    @pytest.mark.parametrize("pair, bad", [
+        (((1.7,), (2,)), "token id 1.7 in the input of pair 1 is not an integer"),
+        (((1,), ("2",)), "token id '2' in the target of pair 1 is not an integer"),
+    ])
+    def test_a_non_integer_token_id_is_refused(self, pair, bad):
+        with pytest.raises(CorpusError, match=bad):
+            Corpus(kind="synthetic_pattern",
+                   vocab=Vocab(size=10, sep_token=8, eos_token=9),
+                   pairs=(((1,), (2,)), pair))
+
     def test_empty_target(self):
         with pytest.raises(CorpusError, match="empty target"):
             Corpus(kind="synthetic_pattern",

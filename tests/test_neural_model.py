@@ -193,6 +193,20 @@ class TestScoreGrid:
         with pytest.raises(ConfigurationError, match="token id 12 in the target of pair 1"):
             TrainBatch.from_pairs([((1,), (2,)), ((1,), (3, 12))], model.config)
 
+    @pytest.mark.parametrize("inp, prefix, candidates, bad", [
+        ((1.7, 2), (), (), r"token id 1.7 in the input is not an integer"),
+        ((1, 2), ("3",), (), r"token id '3' in the prefix is not an integer"),
+        ((1,), (2,), (3, np.float64(4.0)), r"token id np.float64\(4.0\) in the candidates"),
+    ])
+    def test_a_non_integer_token_id_is_refused_not_truncated(self, inp, prefix, candidates, bad):
+        """int() would truncate 1.7 to 1 and parse "3"; the check names the
+        id and its part instead, and a string does not reach min()."""
+        model = TinyBlockModel(small_config(), seed=0)
+        with pytest.raises(ConfigurationError, match=bad):
+            model.score_grid(inp, prefix, candidates, 1)
+        with pytest.raises(ConfigurationError, match="token id 1.7 in the input of pair 1"):
+            TrainBatch.from_pairs([((1,), (2,)), ((1.7,), (3,))], model.config)
+
     def test_too_many_heads_rejected(self):
         model = TinyBlockModel(small_config(), seed=0)
         with pytest.raises(ConfigurationError):
@@ -411,9 +425,9 @@ class TestDecodingWithNeuralModel:
         one = TrainBatch.from_pairs([(inp, tgt)], cfg)
         hf, memory = model.trunk_forward(batch.ids)
         grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
-        # hf's rows are the trunk's packed positions; batch row 0's position
-        # p has flat index p
-        at = np.searchsorted(memory.index, len(inp) + np.arange(len(grid)))
+        # hf's rows are the trunk's packed positions, a row's in order;
+        # batch row 0's position p has flat index p
+        at = np.flatnonzero(np.isin(memory.index, len(inp) + np.arange(len(grid))))
         tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
         for head in (1, 2, 3):
             logits = memory.weights.heads(hf, head - 1, head)[..., 0, :]

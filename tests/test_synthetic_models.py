@@ -127,6 +127,17 @@ class TestBadIds:
             model.score_grid((1,), (0,), (3, 8), 4)
         assert draws == []
 
+    @pytest.mark.parametrize("inp, prefix, candidates, bad", [
+        ((1.7, 2), (), (), "token id 1.7 in the input is not an integer"),
+        ((1,), ("3",), (), "token id '3' in the prefix is not an integer"),
+        ((1,), (0,), (3, 2.0), "token id 2.0 in the candidates is not an integer"),
+    ])
+    def test_score_grid_refuses_a_non_integer_id(self, inp, prefix, candidates, bad):
+        """int() would truncate 1.7 to 1, parse "3" and read 2.0 as 2."""
+        model = make_synthetic_model("random_table", seed=3, vocab_size=8, num_heads=2)
+        with pytest.raises(ConfigurationError, match=bad):
+            model.score_grid(inp, prefix, candidates, 2)
+
     def test_score_grid_rejects_a_negative_candidate(self):
         model = make_synthetic_model("random_table", seed=3, vocab_size=8, num_heads=2)
         with pytest.raises(ConfigurationError, match="token id -2"):

@@ -62,10 +62,9 @@ class TestFusedQKVBackward:
             _, grads = loss_and_gradients(model, batch, 2)
             memory = model._run
         a = memory.layers[0]["a"].reshape(-1, model.config.d_model)
-        # after the step, the backward buffer holds layer 0's dq, dk and dv,
-        # padded; the memory's index picks the positions the trunk ran
-        dqkv = memory.back["dqkv"]
-        blocks = np.split(dqkv.reshape(-1, dqkv.shape[-1])[memory.index], 3, axis=1)
+        # after the step, the backward buffer holds layer 0's dq, dk and dv
+        # at the positions the trunk ran, packed
+        blocks = np.split(memory.back["dqkv"], 3, axis=1)
         for name, block in zip(("attn.wq", "attn.wk", "attn.wv"), blocks):
             np.testing.assert_array_equal(grads[f"l0.{name}"], a.T @ block.copy(), err_msg=name)
 
@@ -86,7 +85,7 @@ def all_rows_reference(model, batch, head):
     is; q, k and v backpropagated by three products each; np.add.at for the
     token embedding. Returns the loss and every parameter's gradient."""
     hf, memory = model.trunk_forward(batch.ids)  # no lengths: every position
-    w, d = memory.weights, model.config.d_model
+    w, d, c = memory.weights, model.config.d_model, model.config.max_context
     w1, b1, w2, b2, proj = w.head
 
     def flat(a):
@@ -125,7 +124,9 @@ def all_rows_reference(model, batch, head):
                              padded(memory.invf), g, "lnf.")
     for layer in reversed(range(model.config.num_layers)):
         pre, lw = f"l{layer}.", w.layers[layer]
-        lc = {name: padded(a) if a.ndim == 2 else a for name, a in memory.layers[layer].items()}
+        lc = {name: padded(a) for name, a in memory.layers[layer].items() if a.ndim == 2}
+        # without lengths every row is one run of C, its weights (B, C, C)
+        lc["attn"] = memory.layers[layer]["attn"][: batch.ids.size * c].reshape(-1, c, c)
         g[pre + "mlp.w2"] = flat(lc["u"]).T @ flat(dx)
         g[pre + "mlp.b2"] = dx.sum(axis=(0, 1))
         dupre = (dx @ lw["mlp.w2"].T) * (lc["u"] > 0)
@@ -155,7 +156,8 @@ SMALL = ModelConfig(vocab_size=11, d_model=8, d_hidden=8, num_heads=3, num_layer
                     max_context=12, sep_token=9, eos_token=10)
 
 # composed lengths 8, 5, 9 and 9; 12, 5 and 9 with a row that fills the
-# context; and 12 in every row, so no pad at all
+# context; 12 in every row, so no pad at all; three lengths, several rows
+# each, in no order; a length of its own for every row; and 8 in every row
 SMALL_BATCHES = {
     "mixed": [((1, 2, 3), (4, 5, 6, 10)), ((2,), (7, 8, 10)), ((0, 4, 1, 5, 2), (3, 3, 10)),
               ((6,), (1, 2, 3, 4, 5, 6, 10))],
@@ -163,6 +165,16 @@ SMALL_BATCHES = {
                  ((0, 4, 1, 5, 2), (3, 3, 10))],
     "no-pad": [((1, 2, 3, 4), (5, 6, 7, 8, 1, 2, 10)), ((0, 1), (2, 3, 4, 5, 6, 7, 8, 1, 10)),
                ((5, 6, 7, 8, 0), (1, 2, 3, 4, 5, 10))],
+    "unsorted": [((1, 2, 3), (4, 5, 6, 7, 10)), ((2,), (7, 8, 10)),
+                 ((0, 4, 1, 5), (3, 3, 2, 1, 6, 10)), ((3, 4), (1, 10)),
+                 ((5,), (1, 2, 3, 4, 5, 6, 10)), ((8,), (7, 6, 5, 4, 3, 2, 1, 0, 10)),
+                 ((0, 0), (8, 10))],
+    "distinct": [((1, 2, 3, 4), (5, 6, 7, 8, 1, 2, 10)), ((2,), (7, 10)),
+                 ((0, 4, 1, 5, 2), (3, 3, 10)), ((6,), (1, 2, 3, 10)),
+                 ((3,), (4, 5, 6, 7, 8, 0, 1, 2, 10)), ((8,), (10,)), ((1, 1), (2, 2, 3, 3, 10)),
+                 ((7, 6, 5), (4, 3, 2, 1, 0, 10)), ((4, 4), (5, 10)), ((0,), (8, 7, 6, 5, 10))],
+    "same": [((1, 2, 3), (4, 5, 6, 10)), ((2,), (7, 8, 1, 2, 3, 10)), ((0, 4, 1, 5, 2), (3, 10)),
+             ((6, 7), (1, 2, 3, 4, 10))],
 }
 
 
@@ -177,26 +189,51 @@ class TestTargetRowsHead:
         """Rows differ in input and target length, so each head's target
         positions start and stop at other places in each row, and the trunk
         runs on another number of positions in each; one batch has a row
-        that fills the context, and one has no pad."""
+        that fills the context, and one has no pad. Attention runs once per
+        composed length, so the batches give one run (no-pad, same), a run
+        per row (distinct) and runs of several rows met out of order
+        (unsorted)."""
         model = TinyBlockModel(SMALL, seed=5, dtype=np.float64)
         lengths = {name: composed_lengths(TrainBatch.from_pairs(pairs, SMALL)).tolist()
                    for name, pairs in SMALL_BATCHES.items()}
         assert lengths == {"mixed": [8, 5, 9, 9], "one-full": [12, 5, 9],
-                           "no-pad": [12, 12, 12]}
+                           "no-pad": [12, 12, 12], "unsorted": [9, 5, 11, 5, 9, 11, 5],
+                           "distinct": [12, 4, 9, 6, 11, 3, 8, 10, 5, 7], "same": [8, 8, 8, 8]}
         for name, pairs in SMALL_BATCHES.items():
             batch = TrainBatch.from_pairs(pairs, SMALL)
             for head in (1, 2, 3):
                 expected_loss, expected = all_rows_reference(model, batch, head)
                 with model.train_run(len(batch.ids)):
                     loss, grads = loss_and_gradients(model, batch, head, freeze)
-                    ran = len(model._run.index)
-                assert ran == sum(lengths[name])
+                    ran, runs = len(model._run.index), len(model._run.runs)
+                assert ran == sum(lengths[name]) and runs == len(set(lengths[name]))
                 assert loss == pytest.approx(expected_loss, rel=1e-10, abs=1e-10)
                 assert set(grads) == {name for name in model.params
                                       if not freeze.frozen(partition_of(name))}
                 for param, grad in grads.items():
                     np.testing.assert_allclose(grad, expected[param], rtol=1e-10, atol=1e-10,
                                                err_msg=f"{name}, head {head}: {param}")
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("name", SMALL_BATCHES)
+    def test_a_row_permuted_batch_gives_the_same_loss_and_gradients(self, name):
+        """A step packs rows by composed length, so the rows of one length
+        meet in the batch's order: permuting them moves only the order of
+        sums, within 1e-12 in float64."""
+        model = TinyBlockModel(SMALL, seed=5, dtype=np.float64)
+        pairs = SMALL_BATCHES[name]
+        batch = TrainBatch.from_pairs(pairs, SMALL)
+        # reversed, so the rows of every length meet in the other order
+        permuted = TrainBatch.from_pairs(pairs[::-1], SMALL)
+        for head in (1, 2, 3):
+            loss, grads = loss_and_gradients(model, batch, head)
+            grads = {param: grad.copy() for param, grad in grads.items()}
+            other_loss, other_grads = loss_and_gradients(model, permuted, head)
+            assert other_loss == pytest.approx(loss, rel=1e-12, abs=1e-12)
+            for param, grad in grads.items():
+                np.testing.assert_allclose(other_grads[param], grad, rtol=1e-12, atol=1e-12,
+                                           err_msg=f"{name}, head {head}: {param}")
 
 
 class TestPadPositions:
