@@ -554,11 +554,11 @@ class TinyBlockModel(ScoringModel):
                 scores += mask
             # the softmax of every run's rows at once; scaling the masked
             # scores too leaves them far below their row's max, so exp gives 0
-            attn = out["attn"][mem.weighted]
-            attn *= w.scale
-            attn -= mem.row_sums(attn, np.maximum)
-            np.exp(attn, attn)
-            attn /= mem.row_sums(attn)
+            attn_all = out["attn"][mem.weighted]
+            attn_all *= w.scale
+            attn_all -= mem.row_sums(attn_all, np.maximum)
+            np.exp(attn_all, attn_all)
+            attn_all /= mem.row_sums(attn_all)
             for _, _, v, attn, ctx in runs:
                 np.matmul(attn, v, ctx)
             x = w.mlp(x, lw, out["ctx"], out)
@@ -840,11 +840,11 @@ def _trunk_backward(mem: _StepMemory, dhf_rows) -> None:
             np.matmul(dctx, values_t, dattn)
             np.matmul(attn.swapaxes(-1, -2), dctx, dv)
         # the softmax's backward on every run's rows at once
-        attn, dattn = lc["attn"][mem.weighted], buf["dattn"][mem.weighted]
-        dscores = np.multiply(dattn, attn, buf["dscores"][mem.weighted])
-        dscores = np.subtract(dattn, mem.row_sums(dscores), dscores)
-        dscores *= attn
-        dscores *= w.scale
+        attn_all, dattn_all = lc["attn"][mem.weighted], buf["dattn"][mem.weighted]
+        dscores_all = np.multiply(dattn_all, attn_all, buf["dscores"][mem.weighted])
+        np.subtract(dattn_all, mem.row_sums(dscores_all), dscores_all)
+        dscores_all *= attn_all
+        dscores_all *= w.scale
         for (q, k, _, _, _), (dq, dk, _, _, dscores, _, _) in zip(mem.attention[layer],
                                                                   mem.attention_back):
             np.matmul(dscores, k, dq)
