@@ -128,8 +128,8 @@ class ModelConfig:
     d_hidden:        feedforward hidden width per head
     num_heads:       proposal heads k (head 1 is the base model)
     num_layers:      transformer layers in the trunk
-    max_context:     longest composed sequence (input, SEP, output); training
-                     pads every row to it, and attention spans it
+    max_context:     longest composed sequence (input, SEP, output); a training
+                     batch pads its rows to it, and decode attention spans it
     sep_token:       id inserted between input and output
     eos_token:       id that ends an output, or None for fixed-length tasks
     intensity_vocab: token ids are integer intensities (enables the
