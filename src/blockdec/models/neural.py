@@ -35,11 +35,12 @@ cached. The decode engine relies on this to re-read grid rows across
 invocations.
 
 Training's trunk and the decode step share one `_Weights` binding, its
-layernorm and MLP, and attention's arithmetic; they differ in where keys
-come from (training's own q/k/v product, or the session's store once the
-step has written its new keys and values), in where intermediates go, and
-in training's layout (below), which runs attention per run of rows of one
-length and its softmax on every run at once.
+layernorm and MLP; they differ in where keys come from (training's own
+q/k/v product, or the session's store once the step has written its new
+keys and values), in where intermediates go, and in training's layout
+(below). Attention is the same arithmetic written twice: `_Weights.attend`
+on the decode step's slabs, and in `trunk_forward` per run of rows of one
+length, with one softmax over every run's scores.
 A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
 layernorm is twelve numpy calls of under a microsecond each. So the binding
 is made once per `trunk_forward` call or per session, and holds the
