@@ -1,10 +1,11 @@
 """The train step does only the work its loss reads.
 
-Its head runs only at the positions that carry the loss, q, k and v take
-one backward product each way, and the token-embedding gradient is summed
-by id without np.add.at. Each test holds one of those cuts to what it
-replaced: bitwise where the arithmetic is the same, to 1e-10 in float64
-where it sums in another order.
+Its trunk runs only on each row's composed tokens, with attention once per
+composed length; its head runs only at the positions that carry the loss,
+q, k and v take one backward product each way, and the token-embedding
+gradient is summed by id without np.add.at. Each test holds one of those
+cuts to what it replaced: bitwise where the arithmetic is the same, to
+1e-10 in float64 where it sums in another order.
 """
 
 import numpy as np
