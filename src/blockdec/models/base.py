@@ -45,13 +45,15 @@ def check_token_ids(ids, vocab_size: int, where: str) -> tuple:
     return ids
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities over the last axis, computed in float64."""
+def log_softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Log-probabilities over the last axis, computed in float64, into the
+    float64 array `out` where given."""
     x = np.asarray(logits, dtype=np.float64)
     # the ufunc reductions are what ndarray.max and .sum call, minus their
     # Python wrappers
-    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 class ScoringModel:

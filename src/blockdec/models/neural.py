@@ -11,12 +11,11 @@ next-token distribution (head 1) is routed through the same extension layer.
 
 Scoring runs the trunk only on the positions a call needs: from the first
 position whose token differs from what was cached to the end of the
-context, each position as row 0 of its own (1, D) slab, the slabs batched
-as (n, 1, D). When no position is new the trunk does not run at all. The
-same step scores the heads of every position it computes from the
-separator on: the head extension and vocabulary projection run on
-consecutive windows of num_heads + 1 rows from the first such position,
-over a buffer of final hidden states that extends num_heads rows past the
+context. When no position is new the trunk does not run at all. The same
+step scores the heads of every position it computes from the separator on:
+the head extension and vocabulary projection run on consecutive windows of
+num_heads + 1 rows from the first such position, over a buffer of
+normalized final hidden states that extends num_heads rows past the
 context, so the last window never runs short. They compute every head
 whatever k is (in float64 projecting fewer heads changes head 1's bits,
 which greedy equivalence compares across k), and log-softmax normalizes the
@@ -34,23 +33,60 @@ conditioning context reproduces bit-identical distributions whatever was
 cached. The decode engine relies on this to re-read grid rows across
 invocations.
 
-Training's trunk and the decode step share one `_Weights` binding, its
-layernorm and MLP; they differ in where keys come from (training's own
-q/k/v product, or the session's store once the step has written its new
-keys and values), in where intermediates go, and in training's layout
-(below). Attention is the same arithmetic written twice: `_Weights.attend`
-on the decode step's slabs, and in `trunk_forward` per run of rows of one
-length, with one softmax over every run's scores.
-A call's cost is numpy dispatch, not arithmetic: a (1, 64) slab's
-layernorm is twelve numpy calls of under a microsecond each. So the binding
-is made once per `trunk_forward` call or per session, and holds the
-weights, the fused q/k/v weights and the dtype's constants (d, 1/sqrt(d),
-LN_EPS, 1 and 0) as 0-d arrays: numpy converts a Python scalar on every
-call, and on numpy 2.4.6 `s + 1e-5` on a (1, 1, 64) float32 slab took
-0.67 us, against 0.36 us with a 0-d float32 array. Binding per session
-rather than per model means a train step between two decodes is always
-seen. `_Weights.heads` is the one head extension and vocabulary projection:
-scoring asks it for every head, training for the one head a step trains.
+A call's cost is numpy dispatch, not arithmetic: a one-position call on
+the benchmark checkpoint makes about 90 numpy calls of about a microsecond
+each, where the same step through training's unfolded layers would make
+about 130. So the decode step reads its own binding of the weights,
+`_Folded`, which folds away every numpy call it can:
+- each layernorm's gain and bias, and sqrt(D), are folded into the product
+  the layernorm feeds (the fused q/k/v weights, the MLP's first weights,
+  the head window's first product), and attention's 1/sqrt(D) into the
+  query weights;
+- the weights that write the residual stream (the embeddings, the values,
+  the MLP's second weights and bias) are centered, so the stream's rows
+  have mean zero and each layernorm is an RMS scale of five numpy calls,
+  not twelve;
+- the values a session stores are the layer's values through its output
+  projection, from Wv @ Wo: attention's weights sum to 1, so their product
+  with the stored values is the attention block's output, with no output
+  projection. The store stays (max_context, 2D) per layer;
+- the final layernorm, the head extension's first layer and the vocabulary
+  projection of the head's residual are one product, [ext.w1 | proj.w],
+  and ext.w2 @ proj.w, per head, is the other: a window takes two
+  products, the larger (k * d_hidden, k * V) where it was
+  (k * d_hidden, k * D).
+The folds are exact in real arithmetic, not bit for bit: a grid differs
+from training's unfolded forward by rounding, within 1e-5 relative on the
+checkpoint in float32. Folding takes about 0.8 ms on the checkpoint, more
+than a short decode saves, so it happens once per version of the
+parameters, not per session. The parameters are views of one flat buffer
+(`TinyBlockModel._pack`); a session open and a stateless call compare it
+with the binding's snapshot, about 20 us, and fold again on any difference,
+or when an entry of `params` has been replaced. A train step or a write in
+place is seen from the next session or stateless call; an open session
+keeps the binding it opened with. The binding holds its constants (D *
+LN_EPS, 0) as 0-d arrays: numpy converts a Python scalar on every call, and
+on numpy 2.4.6 `s + 1e-5` on a (1, 1, 64) float32 slab took 0.67 us,
+against 0.36 us with a 0-d float32 array.
+
+The step's position-wise work (embedding, RMS scales, biases, residual
+adds) runs on 2-D (n, D) rows in buffers the session allocates once, and
+every product on their (n, 1, W) slab views, each position as row 0 of its
+own one-row product. A row of an (n, D) product can take other bits at
+another n or row index; a stacked product of one-row slabs gives it the
+same bits whatever n is. The head window's two products have a fixed
+num_heads + 1 rows, and OpenBLAS gives a row of such a product the same
+bits at every row index only at some widths: in float64 only at multiples
+of 8 of those tried (1-559 columns, 2-13 rows, OpenBLAS 0.3.31 on x86-64).
+So both are padded with zero columns to a multiple of 16, and
+`tests/test_scoring_contract.py` checks a row at every index in both
+dtypes.
+
+Training reads the parameters as they are, through its `_Weights` binding,
+made once per `trunk_forward` call: the layernorm, MLP and heads that
+training's forward and backward pass share, the fused q/k/v weights and
+the dtype's constants. `_Weights.heads` is training's head extension and
+vocabulary projection, for the one head a step trains.
 
 Training optimizes the cross-entropy of one head per step. Sampling that
 head uniformly at random makes the per-step loss an unbiased estimator of
@@ -66,10 +102,9 @@ and the backward reads them there and writes its temporaries and the
 gradients beside them. A `train_model` run binds one memory for all its
 steps (`TinyBlockModel.train_run`), as a session binds its `_KVCache`: a step
 that allocates its own arrays gives them back to the OS when it returns, and
-the next step faults them in again. The shared layernorm, attention, MLP
-and heads each return one array and write intermediates only into
-destinations a caller passes, so the decode step, which passes none, builds
-nothing that it then discards.
+the next step faults them in again. The layernorm, MLP and heads each
+return one array and write intermediates only into destinations a caller
+passes.
 
 A step does only the work its loss reads. The trunk runs only on each
 row's composed tokens, packed as (N, D) rows: a pad carries no loss, no
@@ -96,11 +131,12 @@ product reads a weight's transpose as a copy, made where it is read, and
 the keys or values a stacked product reads transposed are copied first.
 The token-embedding gradient sums each id's rows in order after a stable
 sort by id, bitwise np.add.at, at a fifth of its cost. None of this runs in
-a decode: the session's `_Weights` binding holds no transpose.
+a decode.
 """
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -187,10 +223,11 @@ def _softmax(x: np.ndarray, out=None) -> np.ndarray:
 
 
 class _Weights:
-    """What a forward pass reads, bound once (see the module docstring).
-    Each layer's weights are a dict under their parameter names less the
-    layer prefix, plus "qkv": the query, key and value weights side by side,
-    (D, 3D). That is a copy, so a binding holds only until a train step."""
+    """What a train step's forward and backward pass read, bound once per
+    `trunk_forward` call (see the module docstring). Each layer's weights
+    are a dict under their parameter names less the layer prefix, plus
+    "qkv": the query, key and value weights side by side, (D, 3D). That is a
+    copy, so a binding holds only until a train step."""
 
     def __init__(self, model: "TinyBlockModel"):
         p, d = model.params, model.config.d_model
@@ -243,16 +280,6 @@ class _Weights:
         y += hf[..., None, :]
         logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, logits)
         return logits.reshape(y.shape[:-1] + (-1,))
-
-    def attend(self, q, keys_t, values, mask):
-        """The decode step's attention of `q` over `keys_t` (keys
-        transposed) and `values` under `mask`; returns the context. A train
-        step runs the same arithmetic per run of rows (`trunk_forward`)."""
-        attn = q @ keys_t
-        attn *= self.scale
-        attn += mask
-        _softmax(attn, attn)
-        return attn @ values
 
     def mlp(self, x, w: dict, ctx, out=None):
         """The rest of a layer once attention's context `ctx` is known: the
@@ -406,26 +433,142 @@ class _StepMemory:
         return np.repeat(reduce.reduceat(a, self.starts), self.widths)
 
 
+def _padded(width: int) -> int:
+    """`width` rounded up to a multiple of 16 columns: a head window's
+    product of num_heads + 1 rows gives each row the same bits at any row
+    index only at such widths (see the module docstring)."""
+    return -(-width // 16) * 16
+
+
+class _Folded:
+    """The decode step's weights, folded from one version of the
+    parameters (the module docstring says what is folded and why) and shared
+    by every session until a parameter changes (`TinyBlockModel._decoding`).
+    `layers` holds each layer's fused q/k/v weights and bias, the MLP's
+    first weights and bias, and its centered second weights and bias;
+    `head` and `ext` hold the head window's two products, weights and bias,
+    each padded with zero columns to a multiple of 16. The folds are
+    computed in float64 and rounded once. `bits` is a snapshot of the
+    model's parameter buffer and `sources` its parameter arrays, as they
+    were when folded."""
+
+    def __init__(self, model: "TinyBlockModel"):
+        cfg = model.config
+        d, h, k, v = cfg.d_model, cfg.d_hidden, cfg.num_heads, cfg.vocab_size
+        self.bits = model._flat.view(f"u{model.dtype.itemsize}").copy()
+        self.sources = tuple(model.params.values())
+        root = np.sqrt(d)
+
+        def p(name):
+            return model.params[name].astype(np.float64)
+
+        def cast(a):
+            return np.ascontiguousarray(a, dtype=model.dtype)
+
+        def centered(a):
+            # what a weight writes into the residual stream, less its mean
+            return a - a.mean(axis=-1, keepdims=True)
+
+        def normed(g, b, w, bias=0.0):
+            # layernorm(x; g, b) @ w + bias as rms(x) @ weight + its bias
+            return cast(root * g[:, None] * w), cast(b @ w + bias)
+
+        self.eps, self.zero = np.array(d * LN_EPS, model.dtype), np.array(0.0, model.dtype)
+        self.tok_emb, self.pos_emb = cast(centered(p("tok_emb"))), cast(centered(p("pos_emb")))
+        self.layers = []
+        for layer in range(cfg.num_layers):
+            w = {name: p(f"l{layer}.{name}") for name in LAYER_PARAMS}
+            qkv = np.concatenate(
+                [w["attn.wq"] / root, w["attn.wk"], w["attn.wv"] @ centered(w["attn.wo"])], axis=1)
+            self.layers.append(normed(w["ln1.g"], w["ln1.b"], qkv)
+                               + normed(w["ln2.g"], w["ln2.b"], w["mlp.w1"], w["mlp.b1"])
+                               + (cast(centered(w["mlp.w2"])), cast(centered(w["mlp.b2"]))))
+        head = np.zeros((d, _padded(k * h + v)))
+        proj = p("proj.w")
+        head[:, : k * h], head[:, k * h : k * h + v] = p("ext.w1"), proj
+        bias = np.zeros(head.shape[1])
+        bias[: k * h] = p("ext.b1")
+        self.head = normed(p("lnf.g"), p("lnf.b"), head, bias)
+        ext = np.zeros((k * h, _padded(k * v)))
+        # column block j of ext.w2 is head j's; through proj.w it is (kh, V)
+        ext[:, : k * v] = (p("ext.w2").reshape(k * h, k, d) @ proj).reshape(k * h, -1)
+        self.ext = cast(ext), cast(p("ext.b2").reshape(k, d) @ proj)
+
+    def reads(self, model: "TinyBlockModel") -> bool:
+        """Whether the model's parameters are, bit for bit and array for
+        array, the ones this binding was folded from."""
+        return (len(model.params) == len(self.sources)
+                and all(map(operator.is_, model.params.values(), self.sources))
+                and np.array_equal(model._flat.view(self.bits.dtype), self.bits))
+
+    def rms(self, x, squares, norms, out):
+        """Each row of the centered rows `x` over the square root of its sum
+        of squares plus D * LN_EPS, into `out`; sqrt(D) times this is the
+        row's layernorm before its gain and bias. `squares` and `norms` are
+        working buffers."""
+        np.multiply(x, x, squares)
+        np.add.reduce(squares, axis=-1, keepdims=True, out=norms)
+        norms += self.eps
+        np.sqrt(norms, norms)
+        return np.divide(x, norms, out)
+
+    def heads(self, rows, cache: "_KVCache"):
+        """Logits of every head at each of the num_heads + 1 `rows` of
+        normalized final hidden states, (num_heads + 1, num_heads, V), in the
+        session's window buffers. A row's logits are its head units'
+        product with `ext`, each head's bias, and the row's own product with
+        proj.w, which the first product computed beside the units."""
+        fused, units, logits = cache.window
+        np.matmul(rows, self.head[0], fused)
+        fused += self.head[1]
+        np.maximum(cache.window_units, self.zero, out=units)
+        np.matmul(units, self.ext[0], logits)
+        heads = cache.window_logits
+        heads += self.ext[1]
+        heads += cache.window_direct
+        return heads
+
+
 class _KVCache:
     """A decode session's state, bound to the input it decodes: each
     layer's keys and values side by side, (max_context, 2D), and the views
-    of them the decode step attends over; the final hidden state of every
-    position, num_heads rows longer so the last head window fits; the
-    float64 log-probs of every head at every position from the separator
-    `sep` on; the token each position was computed from (-1: not cached),
-    and the session's `_Weights`. Cached positions always form a prefix of
-    the context, and every one from `sep` on has its log-probs."""
+    of them the decode step attends over; the normalized final hidden state
+    of every position, num_heads rows longer so the last head window fits;
+    the float64 log-probs of every head at every position from the
+    separator `sep` on; the token each position was computed from (-1: not
+    cached), and the model's `_Folded` binding as the session opened.
+    Cached positions always form a prefix of the context, and every one from
+    `sep` on has its log-probs. The stored values are the layer's values
+    through its output projection (see `_Folded`).
+
+    It also holds the step's working buffers: 2-D rows of every position's
+    width-D residual stream, squares, normalized rows and attention
+    context, and of its norms, fused q/k/v and MLP units; the attention
+    weights as (max_context, 1, max_context) slabs; and the head window's
+    buffers (`window`), with the views `_Folded.heads` reads of them."""
 
     def __init__(self, model: "TinyBlockModel", input_tokens: tuple):
         cfg = model.config
-        c, d = cfg.max_context, cfg.d_model
+        c, d, h, k, v = cfg.max_context, cfg.d_model, cfg.d_hidden, cfg.num_heads, cfg.vocab_size
         self.input, self.sep = input_tokens, len(input_tokens)
+        self.weights = model._decoding()
         self.ids = np.full(c, -1, dtype=np.int64)
         self.kv = np.zeros((cfg.num_layers, c, 2 * d), dtype=model.dtype)
         self.views = [(store, store[:, :d].T, store[:, d:]) for store in self.kv]
-        self.hidden = np.zeros((c + cfg.num_heads, d), dtype=model.dtype)
-        self.logprobs = np.zeros((c, cfg.num_heads, cfg.vocab_size))
-        self.weights = _Weights(model)
+        self.hidden = np.zeros((c + k, d), dtype=model.dtype)
+        self.logprobs = np.zeros((c, k, v))
+
+        def new(*shape):
+            return np.empty(shape, dtype=model.dtype)
+
+        self.rows = [new(c, d), new(c, d), new(c, 1), new(c, d), new(c, d), new(c, 3 * d),
+                     new(c, h)]  # x, squares, norms, normed, ctx, qkv, units
+        self.attn = new(c, 1, c)
+        head, ext = self.weights.head[0], self.weights.ext[0]
+        self.window = new(k + 1, head.shape[1]), new(k + 1, k * h), new(k + 1, ext.shape[1])
+        self.window_units = self.window[0][:, : k * h]
+        self.window_direct = self.window[0][:, None, k * h : k * h + v]
+        self.window_logits = self.window[2][:, : k * v].reshape(k + 1, k, v)
 
 
 class TinyBlockModel(ScoringModel):
@@ -445,21 +588,50 @@ class TinyBlockModel(ScoringModel):
             if set(params) != set(shapes):
                 missing = set(shapes).symmetric_difference(params)
                 raise ConfigurationError(f"parameter names do not match: {sorted(missing)}")
-            self.params = {}
+            arrays = {}
             for name, val in params.items():
-                arr = np.array(val, dtype=self.dtype)
+                arr = np.asarray(val, dtype=self.dtype)
                 if arr.shape != shapes[name]:
                     raise ConfigurationError(
                         f"parameter {name} has shape {arr.shape}, expected {shapes[name]}"
                     )
-                self.params[name] = arr
+                arrays[name] = arr
         else:
-            self.params = self._init_params(seed)
+            arrays = self._init_params(seed)
+        self.params = {}
+        self._pack(arrays)
         # causal mask: position p may attend to positions <= p only
         c = config.max_context
         self._mask = np.triu(np.full((c, c), MASK_VALUE, dtype=self.dtype), k=1)
+        self._folded = None  # the decode binding of the parameters last read
         self._cache = None  # the open session's _KVCache
         self._run = None  # the open train run's _StepMemory
+
+    def _pack(self, arrays: dict) -> None:
+        """Copy `arrays` into one new flat buffer, `_flat`, and make each
+        entry of `params` the view of it that holds its parameter, so that
+        one comparison with a snapshot shows whether any parameter has
+        changed (`_decoding`)."""
+        flat = np.empty(sum(np.size(a) for a in arrays.values()), dtype=self.dtype)
+        start = 0
+        for name, arr in list(arrays.items()):
+            view = flat[start : start + np.size(arr)].reshape(np.shape(arr))
+            view[...] = arr
+            self.params[name] = view
+            start += view.size
+        self._flat = flat
+
+    def _decoding(self) -> _Folded:
+        """The decode binding of the parameters as they are now: the one
+        folded last, unless a parameter has been written since or an entry
+        of `params` replaced, in which case the parameters are folded again
+        (after a replaced entry, from a new buffer they are copied into)."""
+        folded = self._folded
+        if folded is None or not folded.reads(self):
+            if folded is not None and not all(a.base is self._flat for a in self.params.values()):
+                self._pack(self.params)
+            folded = self._folded = _Folded(self)
+        return folded
 
     def _param_shapes(self) -> dict:
         cfg = self.config
@@ -580,32 +752,53 @@ class TinyBlockModel(ScoringModel):
 
     def _positions_forward(self, tokens: np.ndarray, first: int, cache: _KVCache):
         """The decode step over the positions from `first` on, whose tokens
-        are `tokens`, each as row 0 of its own (1, D) slab, batched as
-        (n, 1, D); positions before `first` must hold valid keys and values
-        in `cache`. Writes this call's keys and values into `cache`, attends
-        over its stores, writes the final hidden states, and marks every
-        later position uncached, as it saw the old tokens. Then scores the
-        heads of the positions it computed from the separator on, one
+        are `tokens`, on the session's folded weights; positions before
+        `first` must hold valid keys and values in `cache`. The position-wise
+        work runs on n rows of the session's 2-D buffers, and every product
+        on their (n, 1, W) slab views, each position as row 0 of its own
+        slab. Writes this call's keys and values into `cache`, attends over
+        its stores, writes the normalized final hidden states, and marks
+        every later position uncached, as it saw the old tokens. Then scores
+        the heads of the positions it computed from the separator on, one
         num_heads + 1-row window at a time, into `cache.logprobs`.
         """
-        w, d = cache.weights, self.config.d_model
-        rows = slice(first, first + len(tokens))
-        x = (w.tok_emb[tokens] + w.pos_emb[rows])[:, None, :]
-        mask = w.mask[rows, None, :]
+        f, d, n = cache.weights, self.config.d_model, len(tokens)
+        rows = slice(first, first + n)
+        x, squares, norms, normed, ctx, qkv, units = (a[:n] for a in cache.rows)
+        normed_slabs, ctx_slabs, qkv_slabs, unit_slabs = (
+            a[:, None] for a in (normed, ctx, qkv, units))
+        attn, q = cache.attn[:n], qkv_slabs[..., :d]
+        # every id was checked, and mode="clip" skips the copy "raise" makes
+        f.tok_emb.take(tokens, axis=0, out=x, mode="clip")
+        x += f.pos_emb[rows]
+        mask = self._mask[rows, None, :]
         cache.ids[first:] = -1  # this call's rows until every layer is written
-        for lw, (store, keys_t, values) in zip(w.layers, cache.views):
-            qkv = w.layernorm(x, lw["ln1.g"], lw["ln1.b"]) @ lw["qkv"]
-            store[rows] = qkv[:, 0, d:]
-            x = w.mlp(x, lw, w.attend(qkv[..., :d], keys_t, values, mask))
+        for (wqkv, bqkv, w1, b1, w2, b2), (store, keys_t, values) in zip(f.layers, cache.views):
+            f.rms(x, squares, norms, normed)
+            np.matmul(normed_slabs, wqkv, qkv_slabs)
+            qkv += bqkv
+            store[rows] = qkv[:, d:]
+            np.matmul(q, keys_t, attn)
+            attn += mask
+            _softmax(attn, attn)
+            np.matmul(attn, values, ctx_slabs)
+            x += ctx
+            f.rms(x, squares, norms, normed)
+            np.matmul(normed_slabs, w1, unit_slabs)
+            units += b1
+            np.maximum(units, f.zero, out=units)
+            np.matmul(unit_slabs, w2, ctx_slabs)
+            x += ctx
+            x += b2
         cache.ids[rows] = tokens
-        cache.hidden[rows] = w.layernorm(x, *w.lnf)[:, 0]
-        n = self.num_heads + 1
-        for s in range(max(first, cache.sep), rows.stop, n):
+        f.rms(x, squares, norms, cache.hidden[rows])
+        window = self.num_heads + 1
+        for s in range(max(first, cache.sep), rows.stop, window):
             # every head, whatever k is: head 1's bits must not depend on k
-            logits = w.heads(cache.hidden[s : s + n], 0, self.num_heads)[: rows.stop - s]
+            logits = f.heads(cache.hidden[s : s + window], cache)[: rows.stop - s]
             # log_softmax is row-wise, so normalizing only the computed
             # positions gives them bitwise as the whole window would
-            cache.logprobs[s : s + len(logits)] = log_softmax(logits)
+            log_softmax(logits, cache.logprobs[s : s + len(logits)])
 
     @contextmanager
     def session(self, input_tokens):

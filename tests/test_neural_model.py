@@ -1,5 +1,7 @@
 """Structural guarantees of the numpy k-head model."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from blockdec.engine import (
 )
 from blockdec.errors import ConfigurationError, LengthError
 from blockdec.models.base import log_softmax
+from blockdec.models.checkpoint import load_checkpoint
 from blockdec.models.neural import (
     LN_EPS,
     MASK_VALUE,
@@ -19,6 +22,7 @@ from blockdec.models.neural import (
     ModelConfig,
     TinyBlockModel,
     TrainBatch,
+    _Folded,
     _Weights,
     _softmax,
     partition_of,
@@ -26,6 +30,8 @@ from blockdec.models.neural import (
     train_step,
 )
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
+
+CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
 
 
 def small_config(**overrides):
@@ -75,7 +81,7 @@ class TestKernels:
         b = rng.normal(0.0, 0.1, size=64).astype(dtype)
         slabs = rng.normal(0.5, 2.0, size=(5, 1, 64)).astype(dtype)
         layernorm = _Weights(TinyBlockModel(small_config(d_model=64), dtype=dtype)).layernorm
-        # a training batch, and the decode step's (n, 1, D) slabs
+        # a training batch, and (n, 1, D) slabs
         for x in (batch, slabs):
             xhat, inv = np.empty_like(x), np.empty(x.shape[:-1] + (1,), dtype=dtype)
             y = layernorm(x, g, b, xhat=xhat, inv=inv)
@@ -289,7 +295,7 @@ class TestHeadWork:
         log = {"calls": [], "outside": 0}
         running = []  # the trunk run in progress, if any
         forward, heads, score_grid = (
-            TinyBlockModel._positions_forward, _Weights.heads, TinyBlockModel.score_grid)
+            TinyBlockModel._positions_forward, _Folded.heads, TinyBlockModel.score_grid)
 
         def spy_score_grid(model, input_tokens, prefix, candidates, k):
             log["calls"].append((tuple(candidates), []))
@@ -304,7 +310,7 @@ class TestHeadWork:
             finally:
                 running.pop()
 
-        def spy_heads(weights, hf, first, last):
+        def spy_heads(weights, hf, cache):
             if running:
                 (run, hidden), = running
                 # the window's first row, from its offset into the buffer
@@ -312,11 +318,11 @@ class TestHeadWork:
                 run[3].append(offset // hidden.strides[0])
             else:
                 log["outside"] += 1
-            return heads(weights, hf, first, last)
+            return heads(weights, hf, cache)
 
         monkeypatch.setattr(TinyBlockModel, "score_grid", spy_score_grid)
         monkeypatch.setattr(TinyBlockModel, "_positions_forward", spy_forward)
-        monkeypatch.setattr(_Weights, "heads", spy_heads)
+        monkeypatch.setattr(_Folded, "heads", spy_heads)
         return log
 
     def test_repeated_and_predict_calls_compute_no_window(self, work):
@@ -390,6 +396,80 @@ def decode_grids(model, inp, config):
     return grids
 
 
+class TestDecodeBinding:
+    """The decode step's folded weights are folded once per version of the
+    parameters and shared by every session and stateless call, and a
+    session or stateless call after any parameter write folds them again."""
+
+    @pytest.fixture
+    def folds(self, monkeypatch):
+        """The model of every fold, in order."""
+        models, fold = [], _Folded.__init__
+
+        def spy(folded, model):
+            models.append(model)
+            fold(folded, model)
+
+        monkeypatch.setattr(_Folded, "__init__", spy)
+        return models
+
+    def test_sessions_with_no_write_between_fold_once(self, folds):
+        model = TinyBlockModel(small_config(), seed=1)
+        inp = (1, 2)
+        for _ in range(4):
+            with model.session(inp):
+                model.score_grid(inp, (3,), (4, 5), 3)
+                model.score_grid(inp, (3, 4), (6,), 3)
+            model.score_grid(inp, (3,), (4,), 2)  # stateless
+        assert folds == [model]
+        model.params["l1.mlp.b1"][0] += 0.25
+        for _ in range(2):
+            with model.session(inp):
+                model.score_grid(inp, (3,), (4, 5), 3)
+        assert folds == [model, model]
+
+    @pytest.mark.parametrize("name", ["tok_emb", "pos_emb", "l0.ln1.g", "l0.attn.wq", "l0.attn.wk",
+                                      "l0.attn.wv", "l1.attn.wo", "l1.ln2.b", "l1.mlp.w2",
+                                      "l1.mlp.b2", "lnf.g", "ext.w1", "ext.w2", "ext.b2",
+                                      "proj.w"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_write_between_two_sessions_is_seen(self, dtype, name):
+        """A parameter written in place between two sessions: the second
+        session scores as a copy of the written model does."""
+        model = TinyBlockModel(small_config(), seed=5, dtype=dtype)
+        inp = (1, 2)
+        with model.session(inp):
+            before = model.score_grid(inp, (3,), (4, 5), 3).grid
+        model.params[name][..., 1] += 0.5
+        with model.session(inp):
+            after = model.score_grid(inp, (3,), (4, 5), 3).grid
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, model.copy().score_grid(inp, (3,), (4, 5), 3).grid)
+
+    def test_a_replaced_parameter_is_seen(self):
+        model = TinyBlockModel(small_config(), seed=5)
+        before = model.score_grid((1, 2), (3,), (4,), 3).grid
+        model.params["proj.w"] = model.params["proj.w"] * 2
+        after = model.score_grid((1, 2), (3,), (4,), 3).grid
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, model.copy().score_grid((1, 2), (3,), (4,), 3).grid)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_a_train_step_in_a_train_run_is_seen_by_the_next_decode(self, dtype):
+        model = TinyBlockModel(small_config(), seed=8, dtype=dtype)
+        inp, config = (1, 2), DecodeConfig(block_size=3, max_len=8, eos_token=11)
+        before = decode_grids(model, inp, config)
+        batch = TrainBatch.from_pairs([(inp, (3, 4, 5, 11)), ((6,), (7, 8, 11))], model.config)
+        with model.train_run(2):
+            train_step(model, batch, head=2, learning_rate=0.5)
+            after = decode_grids(model, inp, config)
+        fresh = decode_grids(model.copy(), inp, config)
+        assert not np.array_equal(before[0], after[0])
+        assert len(after) == len(fresh)
+        for got, want in zip(after, fresh):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestDecodingWithNeuralModel:
     def test_a_train_step_between_decodes_is_seen(self):
         """A session binds the weights it reads when it opens, so the decode
@@ -417,24 +497,35 @@ class TestDecodingWithNeuralModel:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_training_head_matches_score_grid_head(self, dtype):
         """Training's one-head logits and loss read the head that decoding
-        reads at the same position."""
-        cfg = small_config()
-        model = TinyBlockModel(cfg, seed=7, dtype=dtype)
-        inp, tgt = (1, 2), (3, 4, 5, 11)
-        batch = TrainBatch.from_pairs([(inp, tgt), ((6,), (7, 8))], cfg)
-        one = TrainBatch.from_pairs([(inp, tgt)], cfg)
-        hf, memory = model.trunk_forward(batch.ids)
-        grid = model.score_grid(inp, (), tgt, 3).grid  # row i sits at position len(inp) + i
-        # hf's rows are the trunk's packed positions, a row's in order;
-        # batch row 0's position p has flat index p
-        at = np.flatnonzero(np.isin(memory.index, len(inp) + np.arange(len(grid))))
-        tol = {"float32": 1e-4, "float64": 1e-10}[dtype]
-        for head in (1, 2, 3):
-            logits = memory.weights.heads(hf, head - 1, head)[..., 0, :]
-            rows = log_softmax(logits[at])
-            np.testing.assert_allclose(rows, grid[:, head - 1], rtol=tol, atol=tol)
-            picked = [grid[i, head - 1, tgt[i + head - 1]] for i in range(len(tgt) - head + 1)]
-            assert sub_loss(model, one, head) == pytest.approx(-np.mean(picked), rel=tol)
+        reads at the same position: the decode step's folded weights give
+        the unfolded forward's log-probs for every head at every row, on a
+        small model and, within KERNEL_TOL, on the trained checkpoint."""
+        small = small_config()
+        trained = load_checkpoint(CHECKPOINT)
+        eos = trained.config.eos_token
+        cases = [
+            (TinyBlockModel(small, seed=7, dtype=dtype), (1, 2), (3, 4, 5, 11), ((6,), (7, 8)),
+             dict.fromkeys(("rtol", "atol"), {"float32": 1e-4, "float64": 1e-10}[dtype])),
+            (TinyBlockModel(trained.config, dtype=dtype, params=trained.params), (1, 2, 3),
+             (1, 2, 3) * 14 + (eos,), ((4, 5), (4, 5) * 14), KERNEL_TOL[dtype]),
+        ]
+        for model, inp, tgt, other, tol in cases:
+            batch = TrainBatch.from_pairs([(inp, tgt), other], model.config)
+            one = TrainBatch.from_pairs([(inp, tgt)], model.config)
+            hf, memory = model.trunk_forward(batch.ids)
+            k = model.num_heads
+            grid = model.score_grid(inp, (), tgt, k).grid  # row i sits at position len(inp) + i
+            # hf's rows are the trunk's packed positions, a row's in order;
+            # batch row 0's position p has flat index p
+            at = np.flatnonzero(np.isin(memory.index, len(inp) + np.arange(len(grid))))
+            for head in range(1, k + 1):
+                logits = memory.weights.heads(hf, head - 1, head)[..., 0, :]
+                rows = log_softmax(logits[at])
+                np.testing.assert_allclose(rows, grid[:, head - 1], **tol)
+                picked = [grid[i, head - 1, tgt[i + head - 1]]
+                          for i in range(len(tgt) - head + 1)]
+                assert sub_loss(model, one, head) == pytest.approx(-np.mean(picked),
+                                                                   rel=tol["rtol"])
 
     def test_head_offsets_differ(self):
         """Heads must predict different offsets, not copies of head 1."""

@@ -25,7 +25,7 @@ from blockdec.engine import (
     greedy_decode,
 )
 from blockdec.models.checkpoint import load_checkpoint
-from blockdec.models.neural import ModelConfig, TinyBlockModel, _Weights
+from blockdec.models.neural import ModelConfig, TinyBlockModel, _KVCache
 from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
@@ -34,11 +34,13 @@ CHECKPOINT_RECORD = CHECKPOINT.with_suffix(".json")
 # the tiny models differ in dtype and context length; at every length a grid
 # row near the end of the context reads a head window that runs past the last
 # position, into the spare rows of the model's buffer of hidden states. At the
-# checkpoint's width, in float64, projecting fewer heads changes head 1's bits
+# checkpoint's width, in float64, projecting fewer heads changes head 1's bits.
+# The text models have a text_char corpus's shape (258 ids, the default
+# widths), where the head window's fused product is 514 columns before padding
 CONTRACT_MODELS = (
     "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30",
     "tiny-float32-12", "tiny-float64-12", "tiny-float32-24", "tiny-float64-24",
-    "checkpoint", "checkpoint-float64",
+    "checkpoint", "checkpoint-float64", "text-float32", "text-float64",
 ) + SYNTHETIC_KINDS
 
 
@@ -54,6 +56,10 @@ def contract_model(name):
         config = ModelConfig(vocab_size=12, d_model=8, d_hidden=8, num_heads=3, num_layers=2,
                              max_context=int(context), sep_token=10, eos_token=11)
         return TinyBlockModel(config, seed=3, dtype=dtype), config.max_context
+    if name.startswith("text-"):
+        config = ModelConfig(vocab_size=258, d_model=64, d_hidden=64, num_heads=4, num_layers=2,
+                             max_context=24, sep_token=256, eos_token=257)
+        return TinyBlockModel(config, seed=3, dtype=name[len("text-"):]), config.max_context
     return make_synthetic_model(name, seed=3, vocab_size=12, num_heads=3), 30
 
 
@@ -160,11 +166,12 @@ def test_rows_reread_before_and_after_the_trunk_reruns(name, seed):
 
 @pytest.mark.parametrize("name", [n for n in CONTRACT_MODELS if n not in SYNTHETIC_KINDS])
 def test_a_head_window_row_depends_only_on_its_hidden_state(name):
-    """The property a re-read grid row rests on: a row of `_Weights.heads`
-    on a window of num_heads + 1 rows is bitwise the same at every row
-    index, whatever the other rows hold."""
+    """The property a re-read grid row rests on: a row of the decode
+    binding's `_Folded.heads` on a window of num_heads + 1 rows is bitwise
+    the same at every row index, whatever the other rows hold."""
     model, _ = contract_model(name)
-    weights = _Weights(model)
+    cache = _KVCache(model, (0,))
+    weights = cache.weights
     n, d = model.num_heads + 1, model.config.d_model
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -173,7 +180,8 @@ def test_a_head_window_row_depends_only_on_its_hidden_state(name):
         for index in range(n):
             window = rng.normal(size=(n, d)).astype(model.dtype)
             window[index] = row
-            got.append(weights.heads(window, 0, model.num_heads)[index])
+            # the logits are the session's buffer, which the next window overwrites
+            got.append(weights.heads(window, cache)[index].copy())
         for other in got[1:]:
             np.testing.assert_array_equal(other, got[0])
 
