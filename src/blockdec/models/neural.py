@@ -53,8 +53,8 @@ about 130. So the decode step reads its own binding of the weights,
 - the final layernorm, the head extension's first layer and the vocabulary
   projection of the head's residual are one product, [ext.w1 | proj.w],
   and ext.w2 @ proj.w, per head, is the other: a window takes two
-  products, the larger (k * d_hidden, k * V) where it was
-  (k * d_hidden, k * D).
+  products, the larger (k * d_hidden, k * V), against (k * d_hidden,
+  k * D) for ext.w2 alone.
 The folds are exact in real arithmetic, not bit for bit: a grid differs
 from training's unfolded forward by rounding, within 1e-5 relative on the
 checkpoint in float32. Folding takes about 0.8 ms on the checkpoint, more
