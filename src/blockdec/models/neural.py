@@ -59,15 +59,16 @@ The folds are exact in real arithmetic, not bit for bit: a grid differs
 from training's unfolded forward by rounding, within 1e-5 relative on the
 checkpoint in float32. Folding takes about 0.8 ms on the checkpoint, more
 than a short decode saves, so it happens once per version of the
-parameters, not per session. The parameters are views of one flat buffer
-(`TinyBlockModel._pack`); a session open and a stateless call compare it
-with the binding's snapshot, about 20 us, and fold again on any difference,
-or when an entry of `params` has been replaced. A train step or a write in
-place is seen from the next session or stateless call; an open session
-keeps the binding it opened with. The binding holds its constants (D *
-LN_EPS, 0) as 0-d arrays: numpy converts a Python scalar on every call, and
-on numpy 2.4.6 `s + 1e-5` on a (1, 1, 64) float32 slab took 0.67 us,
-against 0.36 us with a 0-d float32 array.
+parameters, not per session. No binding can go stale: `params` is a
+read-only mapping of read-only arrays (a write in place raises ValueError,
+replacing an entry TypeError), and `train_step`, the one writer, updates
+the model's private arrays and drops the binding, so the next session or
+stateless call folds again. An open session keeps the binding it opened
+with. Other weights come from building a model,
+`TinyBlockModel(config, params=...)`, which copies them. The binding holds
+its constants (D * LN_EPS, 0) as 0-d arrays: numpy converts a Python
+scalar on every call, and on numpy 2.4.6 `s + 1e-5` on a (1, 1, 64)
+float32 slab took 0.67 us, against 0.36 us with a 0-d float32 array.
 
 The step's position-wise work (embedding, RMS scales, biases, residual
 adds) runs on 2-D (n, D) rows in buffers the session allocates once, and
@@ -136,9 +137,9 @@ a decode.
 
 from __future__ import annotations
 
-import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -262,40 +263,34 @@ class _Weights:
         y += b
         return y
 
-    def heads(self, hf, first: int, last: int, u=None, y=None, logits=None):
-        """Logits of heads first+1..last at every row of hf (..., T, D), as
-        (..., T, last - first, V). The logits, and the u and y the backward
-        pass reads, go into `logits`, `u` and `y` where given. The
-        projection is one (T * (last - first), D) @ (D, V) product per
-        leading index of hf; that fixed shape keeps the bits reproducible."""
+    def heads(self, hf, head: int, u=None, y=None, logits=None):
+        """Logits of head `head` at every row of hf (..., T, D), as
+        (..., T, V). The logits, and the u and y the backward pass reads, go
+        into `logits`, `u` and `y` where given. The projection is one
+        (T, D) @ (D, V) product per leading index of hf; that fixed shape
+        keeps the bits reproducible."""
         w1, b1, w2, b2, proj = self.head
-        rows, d = hf.shape[:-1], hf.shape[-1]
-        cols = slice(first * d, last * d)
+        cols = slice((head - 1) * hf.shape[-1], head * hf.shape[-1])
         u = np.matmul(hf, w1, u)
         u += b1
         np.maximum(u, self.zero, out=u)
         y = np.matmul(u, w2[:, cols], y)
         y += b2[cols]
-        y = y.reshape(rows + (last - first, d))
-        y += hf[..., None, :]
-        logits = np.matmul(y.reshape(rows[:-1] + (-1, d)), proj, logits)
-        return logits.reshape(y.shape[:-1] + (-1,))
+        y += hf
+        return np.matmul(y, proj, logits)
 
-    def mlp(self, x, w: dict, ctx, out=None):
+    def mlp(self, x, w: dict, ctx, out: dict):
         """The rest of a layer once attention's context `ctx` is known: the
         output projection and residual, then the feedforward block. Returns
         the layer output; it and the intermediates the backward pass reads go
-        into the arrays of the step memory's layer record `out`, where
-        given."""
-        out = out or {}
+        into the arrays of the step memory's layer record `out`."""
         x2 = ctx @ w["attn.wo"]
         x2 += x
-        b = self.layernorm(x2, w["ln2.g"], w["ln2.b"], out.get("b"), out.get("xhat2"),
-                           out.get("inv2"))
-        u = np.matmul(b, w["mlp.w1"], out.get("u"))
+        b = self.layernorm(x2, w["ln2.g"], w["ln2.b"], out["b"], out["xhat2"], out["inv2"])
+        u = np.matmul(b, w["mlp.w1"], out["u"])
         u += w["mlp.b1"]
         np.maximum(u, self.zero, out=u)
-        x3 = np.matmul(u, w["mlp.w2"], out.get("x"))
+        x3 = np.matmul(u, w["mlp.w2"], out["x"])
         x3 += x2
         x3 += w["mlp.b2"]
         return x3
@@ -443,20 +438,18 @@ def _padded(width: int) -> int:
 class _Folded:
     """The decode step's weights, folded from one version of the
     parameters (the module docstring says what is folded and why) and shared
-    by every session until a parameter changes (`TinyBlockModel._decoding`).
+    by every session until a train step (`TinyBlockModel._decoding`).
     `layers` holds each layer's fused q/k/v weights and bias, the MLP's
     first weights and bias, and its centered second weights and bias;
     `head` and `ext` hold the head window's two products, weights and bias,
     each padded with zero columns to a multiple of 16. The folds are
-    computed in float64 and rounded once. `bits` is a snapshot of the
-    model's parameter buffer and `sources` its parameter arrays, as they
-    were when folded."""
+    computed in float64 and rounded once, into arrays of the binding's own:
+    a train step, the one writer of the parameters, leaves an open
+    session's binding as it was."""
 
     def __init__(self, model: "TinyBlockModel"):
         cfg = model.config
         d, h, k, v = cfg.d_model, cfg.d_hidden, cfg.num_heads, cfg.vocab_size
-        self.bits = model._flat.view(f"u{model.dtype.itemsize}").copy()
-        self.sources = tuple(model.params.values())
         root = np.sqrt(d)
 
         def p(name):
@@ -494,13 +487,6 @@ class _Folded:
         ext[:, : k * v] = (p("ext.w2").reshape(k * h, k, d) @ proj).reshape(k * h, -1)
         self.ext = cast(ext), cast(p("ext.b2").reshape(k, d) @ proj)
 
-    def reads(self, model: "TinyBlockModel") -> bool:
-        """Whether the model's parameters are, bit for bit and array for
-        array, the ones this binding was folded from."""
-        return (len(model.params) == len(self.sources)
-                and all(map(operator.is_, model.params.values(), self.sources))
-                and np.array_equal(model._flat.view(self.bits.dtype), self.bits))
-
     def rms(self, x, squares, norms, out):
         """Each row of the centered rows `x` over the square root of its sum
         of squares plus D * LN_EPS, into `out`; sqrt(D) times this is the
@@ -536,10 +522,12 @@ class _KVCache:
     of every position, num_heads rows longer so the last head window fits;
     the float64 log-probs of every head at every position from the
     separator `sep` on; the token each position was computed from (-1: not
-    cached), and the model's `_Folded` binding as the session opened.
-    Cached positions always form a prefix of the context, and every one from
-    `sep` on has its log-probs. The stored values are the layer's values
-    through its output projection (see `_Folded`).
+    cached), and the model's `_Folded` binding as the session opened, which
+    it keeps through a train step, so every position it caches was computed
+    from one version of the parameters. Cached positions always form a
+    prefix of the context, and every one from `sep` on has its log-probs.
+    The stored values are the layer's values through its output projection
+    (see `_Folded`).
 
     It also holds the step's working buffers: 2-D rows of every position's
     width-D residual stream, squares, normalized rows and attention
@@ -590,7 +578,8 @@ class TinyBlockModel(ScoringModel):
                 raise ConfigurationError(f"parameter names do not match: {sorted(missing)}")
             arrays = {}
             for name, val in params.items():
-                arr = np.asarray(val, dtype=self.dtype)
+                # a copy: an alias of the caller's array could change behind the model
+                arr = np.array(val, dtype=self.dtype)
                 if arr.shape != shapes[name]:
                     raise ConfigurationError(
                         f"parameter {name} has shape {arr.shape}, expected {shapes[name]}"
@@ -598,40 +587,26 @@ class TinyBlockModel(ScoringModel):
                 arrays[name] = arr
         else:
             arrays = self._init_params(seed)
-        self.params = {}
-        self._pack(arrays)
+        # `params` shows read-only views of the arrays; `train_step` is their
+        # one writer, through `_writable`
+        self._writable = arrays
+        views = {name: arr.view() for name, arr in arrays.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        self.params = MappingProxyType(views)
         # causal mask: position p may attend to positions <= p only
         c = config.max_context
         self._mask = np.triu(np.full((c, c), MASK_VALUE, dtype=self.dtype), k=1)
-        self._folded = None  # the decode binding of the parameters last read
+        self._folded = None  # the decode binding, until a train step writes the parameters
         self._cache = None  # the open session's _KVCache
         self._run = None  # the open train run's _StepMemory
 
-    def _pack(self, arrays: dict) -> None:
-        """Copy `arrays` into one new flat buffer, `_flat`, and make each
-        entry of `params` the view of it that holds its parameter, so that
-        one comparison with a snapshot shows whether any parameter has
-        changed (`_decoding`)."""
-        flat = np.empty(sum(np.size(a) for a in arrays.values()), dtype=self.dtype)
-        start = 0
-        for name, arr in list(arrays.items()):
-            view = flat[start : start + np.size(arr)].reshape(np.shape(arr))
-            view[...] = arr
-            self.params[name] = view
-            start += view.size
-        self._flat = flat
-
     def _decoding(self) -> _Folded:
-        """The decode binding of the parameters as they are now: the one
-        folded last, unless a parameter has been written since or an entry
-        of `params` replaced, in which case the parameters are folded again
-        (after a replaced entry, from a new buffer they are copied into)."""
-        folded = self._folded
-        if folded is None or not folded.reads(self):
-            if folded is not None and not all(a.base is self._flat for a in self.params.values()):
-                self._pack(self.params)
-            folded = self._folded = _Folded(self)
-        return folded
+        """The decode binding of the parameters, folded on first use after
+        construction or a train step."""
+        if self._folded is None:
+            self._folded = _Folded(self)
+        return self._folded
 
     def _param_shapes(self) -> dict:
         cfg = self.config
@@ -670,11 +645,7 @@ class TinyBlockModel(ScoringModel):
         return sum(p.size for p in self.params.values())
 
     def copy(self) -> "TinyBlockModel":
-        return TinyBlockModel(
-            self.config,
-            dtype=self.dtype,
-            params={k: v.copy() for k, v in self.params.items()},
-        )
+        return TinyBlockModel(self.config, dtype=self.dtype, params=self.params)
 
     # ---- forward passes ----
 
@@ -950,8 +921,8 @@ def _head_loss(model: TinyBlockModel, batch: TrainBatch, head: int):
     # mode="clip" skips the copy through a buffer that "raise" makes; every
     # index is in range
     np.take(hf, positions, axis=0, out=t["hf"], mode="clip")
-    logits = mem.weights.heads(t["hf"], head - 1, head, t["u"], t["y"], t["logits"])
-    logprobs = log_softmax(logits[:, 0])
+    logits = mem.weights.heads(t["hf"], head, t["u"], t["y"], t["logits"])
+    logprobs = log_softmax(logits)
     return float(-logprobs[np.arange(len(positions)), mem.targets].mean()), mem
 
 
@@ -1095,5 +1066,6 @@ def train_step(
     lr = model.dtype.type(learning_rate)
     for name, grad in grads.items():
         grad *= lr
-        model.params[name] -= grad
+        model._writable[name] -= grad
+    model._folded = None  # the next session or stateless call folds the new weights
     return loss

@@ -150,22 +150,17 @@ def micro_setup():
     return model, TrainBatch.from_pairs(pairs, config)
 
 
-def test_criterion_5_gradient_check(capsys):
+def test_criterion_5_gradient_check(capsys, moved):
     model, batch = micro_setup()
     n_params = model.param_count()
     step, head = 1e-5, 2
     _, grads = loss_and_gradients(model, batch, head)
     worst = {}
     for name in sorted(model.params):
-        flat = model.params[name].reshape(-1)
         part = partition_of(name)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = sub_loss(model, batch, head)
-            flat[i] = orig - step
-            down = sub_loss(model, batch, head)
-            flat[i] = orig
+        for i in range(model.params[name].size):
+            up = sub_loss(moved(model, name, i, step), batch, head)
+            down = sub_loss(moved(model, name, i, -step), batch, head)
             fd = (up - down) / (2 * step)
             analytic = grads[name].reshape(-1)[i]
             err = abs(analytic - fd) / max(abs(analytic) + abs(fd), 1e-8)

@@ -146,10 +146,29 @@ class TestConfigAndParams:
             TinyBlockModel(small_config(), params=bad)
 
     def test_copy_is_independent(self):
+        """A copy, or a model built from another's params=, holds arrays of
+        its own: training it leaves the source as it was."""
         model = TinyBlockModel(small_config(), seed=0)
-        clone = model.copy()
-        clone.params["proj.w"][0, 0] += 1.0
-        assert model.params["proj.w"][0, 0] != clone.params["proj.w"][0, 0]
+        before = {name: a.copy() for name, a in model.params.items()}
+        batch = TrainBatch.from_pairs([((1, 2), (3, 4, 11))], model.config)
+        for clone in (model.copy(), TinyBlockModel(model.config, params=model.params)):
+            train_step(clone, batch, head=1, learning_rate=0.5)
+            assert not np.array_equal(clone.params["proj.w"], before["proj.w"])
+            for name, value in model.params.items():
+                np.testing.assert_array_equal(value, before[name])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_the_constructor_copies(self, dtype):
+        """A write to the arrays a model was built from, before its first
+        call, does not reach it: np.asarray would have aliased an array of
+        the model's dtype."""
+        source = TinyBlockModel(small_config(), seed=2, dtype=dtype)
+        arrays = {name: a.copy() for name, a in source.params.items()}
+        model = TinyBlockModel(source.config, dtype=dtype, params=arrays)
+        for a in arrays.values():
+            a += 0.5
+        want = source.score_grid((1, 2), (3,), (4, 5), 3).grid
+        np.testing.assert_array_equal(model.score_grid((1, 2), (3,), (4, 5), 3).grid, want)
 
 
 class TestScoreGrid:
@@ -218,7 +237,7 @@ class TestScoreGrid:
         with pytest.raises(ConfigurationError):
             model.score_grid((1,), (), (), 4)
 
-    def test_vocab_projection_is_shared_across_heads(self):
+    def test_vocab_projection_is_shared_across_heads(self, moved):
         # projection size is independent of head count, and nudging it
         # moves every head's scores
         for heads in (2, 3):
@@ -226,8 +245,7 @@ class TestScoreGrid:
             assert model.params["proj.w"].shape == (8, 12)
         model = TinyBlockModel(small_config(), seed=5)
         before = model.score_grid((1, 2), (3,), (4,), 3).grid
-        model.params["proj.w"][0, 0] += 0.5
-        after = model.score_grid((1, 2), (3,), (4,), 3).grid
+        after = moved(model, "proj.w", 0, 0.5).score_grid((1, 2), (3,), (4,), 3).grid
         for head in range(3):
             assert not np.array_equal(before[:, head], after[:, head])
 
@@ -398,8 +416,10 @@ def decode_grids(model, inp, config):
 
 class TestDecodeBinding:
     """The decode step's folded weights are folded once per version of the
-    parameters and shared by every session and stateless call, and a
-    session or stateless call after any parameter write folds them again."""
+    parameters and shared by every session and stateless call. Only a train
+    step writes the parameters; the session or stateless call after it
+    folds them again, and an open session keeps the binding it opened
+    with."""
 
     @pytest.fixture
     def folds(self, monkeypatch):
@@ -413,7 +433,7 @@ class TestDecodeBinding:
         monkeypatch.setattr(_Folded, "__init__", spy)
         return models
 
-    def test_sessions_with_no_write_between_fold_once(self, folds):
+    def test_sessions_with_no_train_step_between_fold_once(self, folds):
         model = TinyBlockModel(small_config(), seed=1)
         inp = (1, 2)
         for _ in range(4):
@@ -422,7 +442,8 @@ class TestDecodeBinding:
                 model.score_grid(inp, (3, 4), (6,), 3)
             model.score_grid(inp, (3,), (4,), 2)  # stateless
         assert folds == [model]
-        model.params["l1.mlp.b1"][0] += 0.25
+        batch = TrainBatch.from_pairs([(inp, (3, 4, 5, 11))], model.config)
+        train_step(model, batch, head=1, learning_rate=0.5)
         for _ in range(2):
             with model.session(inp):
                 model.score_grid(inp, (3,), (4, 5), 3)
@@ -433,26 +454,26 @@ class TestDecodeBinding:
                                       "l1.mlp.b2", "lnf.g", "ext.w1", "ext.w2", "ext.b2",
                                       "proj.w"])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_a_write_between_two_sessions_is_seen(self, dtype, name):
-        """A parameter written in place between two sessions: the second
-        session scores as a copy of the written model does."""
+    def test_a_write_in_place_is_refused(self, dtype, name):
+        """A parameter written in place between two sessions: the write
+        raises, and the second session scores as the first did."""
         model = TinyBlockModel(small_config(), seed=5, dtype=dtype)
         inp = (1, 2)
         with model.session(inp):
             before = model.score_grid(inp, (3,), (4, 5), 3).grid
-        model.params[name][..., 1] += 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            model.params[name][..., 1] += 0.5
         with model.session(inp):
             after = model.score_grid(inp, (3,), (4, 5), 3).grid
-        assert not np.array_equal(before, after)
-        np.testing.assert_array_equal(after, model.copy().score_grid(inp, (3,), (4, 5), 3).grid)
+        np.testing.assert_array_equal(after, before)
 
-    def test_a_replaced_parameter_is_seen(self):
+    def test_a_replaced_parameter_is_refused(self):
         model = TinyBlockModel(small_config(), seed=5)
         before = model.score_grid((1, 2), (3,), (4,), 3).grid
-        model.params["proj.w"] = model.params["proj.w"] * 2
+        with pytest.raises(TypeError):
+            model.params["proj.w"] = model.params["proj.w"] * 2
         after = model.score_grid((1, 2), (3,), (4,), 3).grid
-        assert not np.array_equal(before, after)
-        np.testing.assert_array_equal(after, model.copy().score_grid((1, 2), (3,), (4,), 3).grid)
+        np.testing.assert_array_equal(after, before)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_a_train_step_in_a_train_run_is_seen_by_the_next_decode(self, dtype):
@@ -468,6 +489,33 @@ class TestDecodeBinding:
         assert len(after) == len(fresh)
         for got, want in zip(after, fresh):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_an_open_session_keeps_its_binding_through_a_train_step(self, dtype):
+        """The calls of a session open across a train step score as a copy
+        of the model before the step; the next session as a copy after."""
+        model = TinyBlockModel(small_config(), seed=8, dtype=dtype)
+        inp = (1, 2)
+        calls = [((3,), (4, 5)), ((3, 4), (6, 7)), ((3, 4, 6), ())]
+        batch = TrainBatch.from_pairs([(inp, (3, 4, 5, 11)), ((6,), (7, 8, 11))], model.config)
+
+        def grids(scorer):
+            return [scorer.score_grid(inp, prefix, candidates, 3).grid
+                    for prefix, candidates in calls]
+
+        pre = model.copy()
+        with model.session(inp):
+            model.score_grid(inp, (), (3,), 3)
+            train_step(model, batch, head=1, learning_rate=0.5)
+            during = grids(model)
+        post = model.copy()
+        with model.session(inp):
+            after = grids(model)
+        for got, want in zip(during, grids(pre)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(after, grids(post)):
+            np.testing.assert_array_equal(got, want)
+        assert not np.array_equal(during[0], after[0])
 
 
 class TestDecodingWithNeuralModel:
@@ -519,7 +567,7 @@ class TestDecodingWithNeuralModel:
             # batch row 0's position p has flat index p
             at = np.flatnonzero(np.isin(memory.index, len(inp) + np.arange(len(grid))))
             for head in range(1, k + 1):
-                logits = memory.weights.heads(hf, head - 1, head)[..., 0, :]
+                logits = memory.weights.heads(hf, head)
                 rows = log_softmax(logits[at])
                 np.testing.assert_allclose(rows, grid[:, head - 1], **tol)
                 picked = [grid[i, head - 1, tgt[i + head - 1]]

@@ -101,7 +101,7 @@ def all_rows_reference(model, batch, head):
     hf = padded(hf)
     rows, cols = np.nonzero(_loss_positions(batch, head))
     targets = batch.ids[rows, cols + head]
-    logits = w.heads(hf, head - 1, head)[..., 0, :]
+    logits = w.heads(hf, head)
     logprobs = log_softmax(logits[rows, cols])
     loss = -logprobs[np.arange(len(rows)), targets].mean()
     probs = np.exp(logprobs)
