@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, ParseError, check_integers
 
 # each kind's textual keys and the fields they set; min_block belongs to every kind
 PARAMS = {"exact": {}, "top_k": {"k": "top_k_k"}, "distance": {"eps": "epsilon"}}
@@ -38,9 +38,10 @@ class AcceptanceCriterion:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown criterion kind {self.kind!r}")
+        check_integers(self, "top_k_k", "epsilon", "min_block")
         if self.top_k_k < 1:
             raise ConfigurationError("top_k_k must be >= 1")
-        if self.epsilon < 0 or int(self.epsilon) != self.epsilon:
+        if self.epsilon < 0:
             raise ConfigurationError("epsilon must be a non-negative integer")
         if self.min_block < 1:
             raise ConfigurationError("min_block must be >= 1")

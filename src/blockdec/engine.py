@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .criteria import AcceptanceCriterion, EXACT, accepted, apply_min_block
-from .errors import ConfigurationError, LengthError, ModelContractError
+from .errors import ConfigurationError, LengthError, ModelContractError, check_integers
 
 NORMALIZATION_TOL = 1e-5
 SCHEMES = ("greedy", "standard", "combined")
@@ -63,6 +63,7 @@ class DecodeConfig:
     eos_token: Optional[int] = None
 
     def __post_init__(self):
+        check_integers(self, "block_size", "max_len", "eos_token")
         if self.block_size < 1:
             raise ConfigurationError("block_size must be >= 1")
         if self.max_len < 1:

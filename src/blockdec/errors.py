@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check every
+settings object makes."""
+
+import operator
 
 
 class BlockdecError(Exception):
@@ -13,6 +16,22 @@ class ModelContractError(BlockdecError):
 class ConfigurationError(BlockdecError):
     """Incompatible configuration: block size exceeds model heads, distance
     criterion on a non-intensity vocabulary, invalid criterion parameters."""
+
+
+def check_integers(settings, *names: str) -> None:
+    """Raise ConfigurationError naming the first of the fields `names` of
+    `settings` that is not None, an integer or a tuple of integers.
+    operator.index decides, as for token ids: it refuses what int() would
+    truncate or parse (2.5, 2.0, "3"), which a model call would otherwise
+    round or fail on."""
+    for name in names:
+        value = getattr(settings, name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if item is not None:
+                try:
+                    operator.index(item)
+                except TypeError:
+                    raise ConfigurationError(f"{name} must be an integer, not {item!r}") from None
 
 
 class LengthError(BlockdecError):

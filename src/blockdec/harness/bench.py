@@ -27,7 +27,7 @@ import numpy as np
 
 from ..criteria import EXACT
 from ..engine import SCHEMES, DecodeConfig, check_model, decode
-from ..errors import BlockdecError, ConfigurationError, CorpusError
+from ..errors import BlockdecError, ConfigurationError, CorpusError, check_integers
 from .corpus import Corpus, exact_match, is_text, mean_absolute_error, strip_eos, token_accuracy
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -49,8 +49,9 @@ class BenchConfig:
     scheme: str = "combined"
 
     def __post_init__(self):
-        object.__setattr__(self, "block_sizes", tuple(int(k) for k in self.block_sizes))
+        object.__setattr__(self, "block_sizes", tuple(self.block_sizes))
         object.__setattr__(self, "criteria", tuple(self.criteria))
+        check_integers(self, "block_sizes", "repeats", "max_pairs", "max_len")
         if not self.block_sizes or any(k < 1 for k in self.block_sizes):
             raise ConfigurationError("block_sizes must be positive")
         if not self.criteria:

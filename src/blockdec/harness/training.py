@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, check_integers
 from ..models.neural import (
     PARTITIONS,
     FreezeMask,
@@ -50,6 +50,7 @@ class TrainingConfig:
     log_every: int = 0
 
     def __post_init__(self):
+        check_integers(self, "steps", "batch_size", "seed", "log_every")
         if self.steps < 1:
             raise ConfigurationError("steps must be >= 1")
         if self.batch_size < 1:

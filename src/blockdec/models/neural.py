@@ -13,25 +13,22 @@ Scoring runs the trunk only on the positions a call needs: from the first
 position whose token differs from what was cached to the end of the
 context. When no position is new the trunk does not run at all. The same
 step scores the heads of every position it computes from the separator on:
-the head extension and vocabulary projection run on consecutive windows of
-num_heads + 1 rows from the first such position, over a buffer of
-normalized final hidden states that extends num_heads rows past the
-context, so the last window never runs short. They compute every head
-whatever k is (in float64 projecting fewer heads changes head 1's bits,
-which greedy equivalence compares across k), and log-softmax normalizes the
-computed positions' rows into a float64 buffer of every position's
-log-probs. A call's grid is a copy of its rows of that buffer. A decode
-session (`TinyBlockModel.session`) is bound to the input it decodes and
-keeps each layer's keys and values, hidden states and log-probs for
-positions whose tokens have not changed since the previous call; a call
-with another input, or outside a session, starts from an empty cache. Every
-position is always computed at the same index of arrays of the same shape,
-attention always spans the whole context under the causal mask training
-uses, and the window's shape is fixed by the config, so the rows at
-position p depend only on the tokens at positions <= p and the same
-conditioning context reproduces bit-identical distributions whatever was
-cached. The decode engine relies on this to re-read grid rows across
-invocations.
+the head extension and vocabulary projection run on those positions'
+normalized final hidden states. They compute every head whatever k is (in
+float64 projecting fewer heads changes head 1's bits, which greedy
+equivalence compares across k), and log-softmax normalizes the computed
+positions' rows into a float64 buffer of every position's log-probs. A
+call's grid is a copy of its rows of that buffer. A decode session
+(`TinyBlockModel.session`) is bound to the input it decodes and keeps each
+layer's keys and values and the log-probs for positions whose tokens have
+not changed since the previous call; a call with another input, or outside
+a session, starts from an empty cache. Every position is always computed at
+the same index of arrays of the same shape, attention always spans the
+whole context under the causal mask training uses, and every product runs
+on one-row slabs (below), so the rows at position p depend only on the
+tokens at positions <= p and the same conditioning context reproduces
+bit-identical distributions whatever was cached. The decode engine relies
+on this to re-read grid rows across invocations.
 
 A call's cost is numpy dispatch, not arithmetic: a one-position call on
 the benchmark checkpoint makes about 90 numpy calls of about a microsecond
@@ -40,7 +37,7 @@ about 130. So the decode step reads its own binding of the weights,
 `_Folded`, which folds away every numpy call it can:
 - each layernorm's gain and bias, and sqrt(D), are folded into the product
   the layernorm feeds (the fused q/k/v weights, the MLP's first weights,
-  the head window's first product), and attention's 1/sqrt(D) into the
+  the heads' first product), and attention's 1/sqrt(D) into the
   query weights;
 - the weights that write the residual stream (the embeddings, the values,
   the MLP's second weights and bias) are centered, so the stream's rows
@@ -52,7 +49,7 @@ about 130. So the decode step reads its own binding of the weights,
   projection. The store stays (max_context, 2D) per layer;
 - the final layernorm, the head extension's first layer and the vocabulary
   projection of the head's residual are one product, [ext.w1 | proj.w],
-  and ext.w2 @ proj.w, per head, is the other: a window takes two
+  and ext.w2 @ proj.w, per head, is the other: a position's heads take two
   products, the larger (k * d_hidden, k * V), against (k * d_hidden,
   k * D) for ext.w2 alone.
 The folds are exact in real arithmetic, not bit for bit: a grid differs
@@ -72,16 +69,14 @@ float32 slab took 0.67 us, against 0.36 us with a 0-d float32 array.
 
 The step's position-wise work (embedding, RMS scales, biases, residual
 adds) runs on 2-D (n, D) rows in buffers the session allocates once, and
-every product on their (n, 1, W) slab views, each position as row 0 of its
-own one-row product. A row of an (n, D) product can take other bits at
-another n or row index; a stacked product of one-row slabs gives it the
-same bits whatever n is. The head window's two products have a fixed
-num_heads + 1 rows, and OpenBLAS gives a row of such a product the same
-bits at every row index only at some widths: in float64 only at multiples
-of 8 of those tried (1-559 columns, 2-13 rows, OpenBLAS 0.3.31 on x86-64).
-So both are padded with zero columns to a multiple of 16, and
-`tests/test_scoring_contract.py` checks a row at every index in both
-dtypes.
+every product, the heads' two included, on their (n, 1, W) slab views, each
+position as row 0 of its own one-row product. A row of an (n, D) product
+can take other bits at another n or row index: OpenBLAS 0.3.31 on x86-64
+gives a float64 row of a product of several rows the same bits at every row
+index only at some widths. A stacked product of one-row slabs gives a row
+the same bits whatever n is, at any width, and
+`tests/test_scoring_contract.py` checks a head row at every n and index in
+both dtypes.
 
 Training reads the parameters as they are, through its `_Weights` binding,
 made once per `trunk_forward` call: the layernorm, MLP and heads that
@@ -428,24 +423,16 @@ class _StepMemory:
         return np.repeat(reduce.reduceat(a, self.starts), self.widths)
 
 
-def _padded(width: int) -> int:
-    """`width` rounded up to a multiple of 16 columns: a head window's
-    product of num_heads + 1 rows gives each row the same bits at any row
-    index only at such widths (see the module docstring)."""
-    return -(-width // 16) * 16
-
-
 class _Folded:
     """The decode step's weights, folded from one version of the
     parameters (the module docstring says what is folded and why) and shared
     by every session until a train step (`TinyBlockModel._decoding`).
     `layers` holds each layer's fused q/k/v weights and bias, the MLP's
     first weights and bias, and its centered second weights and bias;
-    `head` and `ext` hold the head window's two products, weights and bias,
-    each padded with zero columns to a multiple of 16. The folds are
-    computed in float64 and rounded once, into arrays of the binding's own:
-    a train step, the one writer of the parameters, leaves an open
-    session's binding as it was."""
+    `head` and `ext` hold the heads' two products, weights and bias. The
+    folds are computed in float64 and rounded once, into arrays of the
+    binding's own: a train step, the one writer of the parameters, leaves an
+    open session's binding as it was."""
 
     def __init__(self, model: "TinyBlockModel"):
         cfg = model.config
@@ -476,16 +463,12 @@ class _Folded:
             self.layers.append(normed(w["ln1.g"], w["ln1.b"], qkv)
                                + normed(w["ln2.g"], w["ln2.b"], w["mlp.w1"], w["mlp.b1"])
                                + (cast(centered(w["mlp.w2"])), cast(centered(w["mlp.b2"]))))
-        head = np.zeros((d, _padded(k * h + v)))
         proj = p("proj.w")
-        head[:, : k * h], head[:, k * h : k * h + v] = p("ext.w1"), proj
-        bias = np.zeros(head.shape[1])
-        bias[: k * h] = p("ext.b1")
-        self.head = normed(p("lnf.g"), p("lnf.b"), head, bias)
-        ext = np.zeros((k * h, _padded(k * v)))
+        self.head = normed(p("lnf.g"), p("lnf.b"), np.concatenate([p("ext.w1"), proj], axis=1),
+                           np.concatenate([p("ext.b1"), np.zeros(v)]))
         # column block j of ext.w2 is head j's; through proj.w it is (kh, V)
-        ext[:, : k * v] = (p("ext.w2").reshape(k * h, k, d) @ proj).reshape(k * h, -1)
-        self.ext = cast(ext), cast(p("ext.b2").reshape(k, d) @ proj)
+        self.ext = (cast((p("ext.w2").reshape(k * h, k, d) @ proj).reshape(k * h, -1)),
+                    cast(p("ext.b2").reshape(k, d) @ proj))
 
     def rms(self, x, squares, norms, out):
         """Each row of the centered rows `x` over the square root of its sum
@@ -498,42 +481,40 @@ class _Folded:
         np.sqrt(norms, norms)
         return np.divide(x, norms, out)
 
-    def heads(self, rows, cache: "_KVCache"):
-        """Logits of every head at each of the num_heads + 1 `rows` of
-        normalized final hidden states, (num_heads + 1, num_heads, V), in the
-        session's window buffers. A row's logits are its head units'
-        product with `ext`, each head's bias, and the row's own product with
-        proj.w, which the first product computed beside the units."""
-        fused, units, logits = cache.window
+    def heads(self, rows, fused, units, logits):
+        """Logits of every head at each of the n (1, D) slabs `rows` of
+        normalized final hidden states, (n, num_heads, V), in `logits`. A
+        row's logits are its head units' product with `ext`, each head's
+        bias, and the row's own product with proj.w, which the first product
+        computed beside the units. `fused`, `units` and `logits` are the
+        products' (n, 1, W) slabs."""
         np.matmul(rows, self.head[0], fused)
         fused += self.head[1]
-        np.maximum(cache.window_units, self.zero, out=units)
+        np.maximum(fused[..., : units.shape[-1]], self.zero, out=units)
         np.matmul(units, self.ext[0], logits)
-        heads = cache.window_logits
+        heads = logits.reshape(len(logits), *self.ext[1].shape)
         heads += self.ext[1]
-        heads += cache.window_direct
+        heads += fused[..., units.shape[-1] :]
         return heads
 
 
 class _KVCache:
     """A decode session's state, bound to the input it decodes: each
     layer's keys and values side by side, (max_context, 2D), and the views
-    of them the decode step attends over; the normalized final hidden state
-    of every position, num_heads rows longer so the last head window fits;
-    the float64 log-probs of every head at every position from the
-    separator `sep` on; the token each position was computed from (-1: not
-    cached), and the model's `_Folded` binding as the session opened, which
-    it keeps through a train step, so every position it caches was computed
-    from one version of the parameters. Cached positions always form a
-    prefix of the context, and every one from `sep` on has its log-probs.
-    The stored values are the layer's values through its output projection
-    (see `_Folded`).
+    of them the decode step attends over; the float64 log-probs of every
+    head at every position from the separator `sep` on; the token each
+    position was computed from (-1: not cached), and the model's `_Folded`
+    binding as the session opened, which it keeps through a train step, so
+    every position it caches was computed from one version of the
+    parameters. Cached positions always form a prefix of the context, and
+    every one from `sep` on has its log-probs. The stored values are the
+    layer's values through its output projection (see `_Folded`).
 
     It also holds the step's working buffers: 2-D rows of every position's
     width-D residual stream, squares, normalized rows and attention
     context, and of its norms, fused q/k/v and MLP units; the attention
-    weights as (max_context, 1, max_context) slabs; and the head window's
-    buffers (`window`), with the views `_Folded.heads` reads of them."""
+    weights as (max_context, 1, max_context) slabs; and rows of the heads'
+    first product, head units and logits (`head`)."""
 
     def __init__(self, model: "TinyBlockModel", input_tokens: tuple):
         cfg = model.config
@@ -543,7 +524,6 @@ class _KVCache:
         self.ids = np.full(c, -1, dtype=np.int64)
         self.kv = np.zeros((cfg.num_layers, c, 2 * d), dtype=model.dtype)
         self.views = [(store, store[:, :d].T, store[:, d:]) for store in self.kv]
-        self.hidden = np.zeros((c + k, d), dtype=model.dtype)
         self.logprobs = np.zeros((c, k, v))
 
         def new(*shape):
@@ -552,11 +532,7 @@ class _KVCache:
         self.rows = [new(c, d), new(c, d), new(c, 1), new(c, d), new(c, d), new(c, 3 * d),
                      new(c, h)]  # x, squares, norms, normed, ctx, qkv, units
         self.attn = new(c, 1, c)
-        head, ext = self.weights.head[0], self.weights.ext[0]
-        self.window = new(k + 1, head.shape[1]), new(k + 1, k * h), new(k + 1, ext.shape[1])
-        self.window_units = self.window[0][:, : k * h]
-        self.window_direct = self.window[0][:, None, k * h : k * h + v]
-        self.window_logits = self.window[2][:, : k * v].reshape(k + 1, k, v)
+        self.head = new(c, k * h + v), new(c, k * h), new(c, k * v)  # fused, units, logits
 
 
 class TinyBlockModel(ScoringModel):
@@ -728,10 +704,10 @@ class TinyBlockModel(ScoringModel):
         work runs on n rows of the session's 2-D buffers, and every product
         on their (n, 1, W) slab views, each position as row 0 of its own
         slab. Writes this call's keys and values into `cache`, attends over
-        its stores, writes the normalized final hidden states, and marks
-        every later position uncached, as it saw the old tokens. Then scores
-        the heads of the positions it computed from the separator on, one
-        num_heads + 1-row window at a time, into `cache.logprobs`.
+        its stores, and marks every later position uncached, as it saw the
+        old tokens. Then scores the heads of the positions it computed from
+        the separator on, on the same slabs of their normalized final hidden
+        states, into `cache.logprobs`.
         """
         f, d, n = cache.weights, self.config.d_model, len(tokens)
         rows = slice(first, first + n)
@@ -762,14 +738,13 @@ class TinyBlockModel(ScoringModel):
             x += ctx
             x += b2
         cache.ids[rows] = tokens
-        f.rms(x, squares, norms, cache.hidden[rows])
-        window = self.num_heads + 1
-        for s in range(max(first, cache.sep), rows.stop, window):
-            # every head, whatever k is: head 1's bits must not depend on k
-            logits = f.heads(cache.hidden[s : s + window], cache)[: rows.stop - s]
-            # log_softmax is row-wise, so normalizing only the computed
-            # positions gives them bitwise as the whole window would
-            log_softmax(logits, cache.logprobs[s : s + len(logits)])
+        f.rms(x, squares, norms, normed)
+        # a call's tokens run to the end of its context, past the separator
+        start = max(first, cache.sep)
+        slabs = (a[: rows.stop - start, None] for a in cache.head)
+        # every head, whatever k is: head 1's bits must not depend on k
+        logits = f.heads(normed_slabs[start - first :], *slabs)
+        log_softmax(logits, cache.logprobs[start : rows.stop])
 
     @contextmanager
     def session(self, input_tokens):

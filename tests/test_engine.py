@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from blockdec.criteria import EXACT, accepts, distance, exact, top_k
+from blockdec.criteria import EXACT, AcceptanceCriterion, accepts, distance, exact, top_k
 from blockdec.engine import (
     SCHEMES,
     BlockScores,
@@ -17,6 +17,8 @@ from blockdec.engine import (
     verify_block,
 )
 from blockdec.errors import ConfigurationError, ModelContractError
+from blockdec.harness.bench import BenchConfig
+from blockdec.harness.training import TrainingConfig
 from blockdec.models.base import ScoringModel, TableBackedModel
 from blockdec.models.synthetic import make_synthetic_model
 
@@ -72,6 +74,38 @@ def naive_k_hat(grid, proposals, criterion):
         if all(accepts(criterion, proposals[i], grid.grid[i, 0]) for i in range(j)):
             best = j
     return best
+
+
+# each integer setting, and how to build its settings object around a value
+INTEGER_SETTINGS = {
+    "DecodeConfig.block_size": lambda v: DecodeConfig(block_size=v, max_len=8),
+    "DecodeConfig.max_len": lambda v: DecodeConfig(block_size=2, max_len=v),
+    "DecodeConfig.eos_token": lambda v: DecodeConfig(block_size=2, max_len=8, eos_token=v),
+    "AcceptanceCriterion.top_k_k": lambda v: AcceptanceCriterion("top_k", top_k_k=v),
+    "AcceptanceCriterion.min_block": lambda v: AcceptanceCriterion(min_block=v),
+    "AcceptanceCriterion.epsilon": lambda v: AcceptanceCriterion("distance", epsilon=v),
+    "BenchConfig.block_sizes": lambda v: BenchConfig(block_sizes=(1, v)),
+    "BenchConfig.repeats": lambda v: BenchConfig(repeats=v),
+    "BenchConfig.max_pairs": lambda v: BenchConfig(max_pairs=v),
+    "BenchConfig.max_len": lambda v: BenchConfig(max_len=v),
+    "TrainingConfig.steps": lambda v: TrainingConfig(steps=v),
+    "TrainingConfig.batch_size": lambda v: TrainingConfig(batch_size=v),
+    "TrainingConfig.seed": lambda v: TrainingConfig(seed=v),
+    "TrainingConfig.log_every": lambda v: TrainingConfig(log_every=v),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, 2.5, "3"])
+@pytest.mark.parametrize("setting", sorted(INTEGER_SETTINGS))
+def test_a_non_integer_setting_is_refused_when_built(setting, value):
+    """A setting that is not an integer is refused by name when its object
+    is built, before any model call: a float was rounded (top_k_k=2.5 acted
+    as top-3) or failed inside the first scoring call, and a string was
+    parsed. A numpy integer is an integer."""
+    make = INTEGER_SETTINGS[setting]
+    with pytest.raises(ConfigurationError, match=f"{setting.split('.')[1]} must be an integer"):
+        make(value)
+    make(np.int64(3))
 
 
 class TestTypes:

@@ -302,14 +302,14 @@ class TestTrunkWork:
 
 
 class TestHeadWork:
-    """Where score_grid computes head windows: only in the trunk step, one
-    window per num_heads + 1 positions it computes from the separator on."""
+    """Where score_grid runs the heads: only in the trunk step, once per
+    trunk run, on the positions it computed from the separator on."""
 
     @pytest.fixture
     def work(self, monkeypatch):
         """Per score_grid call, its candidates and its trunk runs as (first
-        position, end, separator, first row of each head window the run
-        computed); windows computed outside a trunk run go to "outside"."""
+        position, end, separator, (first, end) of each heads call the run
+        made); heads calls outside a trunk run go to "outside"."""
         log = {"calls": [], "outside": 0}
         running = []  # the trunk run in progress, if any
         forward, heads, score_grid = (
@@ -322,60 +322,61 @@ class TestHeadWork:
         def spy_forward(model, tokens, first, cache):
             run = (first, first + len(tokens), cache.sep, [])
             log["calls"][-1][1].append(run)
-            running.append((run, cache.hidden))
+            running.append((run, cache.rows[3]))  # the step's normalized rows
             try:
                 return forward(model, tokens, first, cache)
             finally:
                 running.pop()
 
-        def spy_heads(weights, hf, cache):
+        def spy_heads(weights, rows, *slabs):
             if running:
-                (run, hidden), = running
-                # the window's first row, from its offset into the buffer
-                offset = hf.__array_interface__["data"][0] - hidden.__array_interface__["data"][0]
-                run[3].append(offset // hidden.strides[0])
+                (run, normed), = running
+                # the first row's position, from its offset into the buffer
+                offset = rows.__array_interface__["data"][0] - normed.__array_interface__["data"][0]
+                start = run[0] + offset // normed.strides[0]
+                run[3].append((start, start + len(rows)))
             else:
                 log["outside"] += 1
-            return heads(weights, hf, cache)
+            return heads(weights, rows, *slabs)
 
         monkeypatch.setattr(TinyBlockModel, "score_grid", spy_score_grid)
         monkeypatch.setattr(TinyBlockModel, "_positions_forward", spy_forward)
         monkeypatch.setattr(_Folded, "heads", spy_heads)
         return log
 
-    def test_repeated_and_predict_calls_compute_no_window(self, work):
+    def test_repeated_and_predict_calls_run_no_heads(self, work):
         model = TinyBlockModel(small_config(), seed=1)
         inp = (1, 2)
 
-        def windows():
-            return sum(len(run[3]) for _, runs in work["calls"] for run in runs)
+        def heads():
+            return [span for _, runs in work["calls"] for run in runs for span in run[3]]
 
         with model.session(inp):
-            # 1 2 SEP 3 4 5 6: positions 2-6 from the separator, two windows
+            # 1 2 SEP 3 4 5 6: positions 2-6 from the separator
             model.score_grid(inp, (3,), (4, 5, 6), 3)
-            assert windows() == 2
+            assert heads() == [(2, 7)]
             model.score_grid(inp, (3,), (4, 5, 6), 2)
             model.score_grid(inp, (3, 4, 5), (), 3)  # the next predict call of a standard decode
             model.score_grid(inp, (3, 4), (5,), 1)
-            assert windows() == 2
+            assert heads() == [(2, 7)]
             model.score_grid(inp, (3, 4, 5, 7), (), 3)  # a new token: the trunk runs
-            assert windows() == 3
+            assert heads() == [(2, 7), (6, 7)]
+        assert work["outside"] == 0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_each_computed_position_passes_through_the_heads_once(self, work, scheme):
-        """Only a call whose trunk ran computes a head window, and each run
-        scores every position it computes from the separator on in one of
-        consecutive windows from the first of them."""
+    def test_each_trunk_run_runs_the_heads_once_from_the_separator(self, work, scheme):
+        """Only a call whose trunk ran runs the heads, and each run runs
+        them once, on exactly the positions it computed from the separator
+        on."""
         model = TinyBlockModel(small_config(eos_token=None), seed=5)
         result = decode(model, (1, 2, 3), DecodeConfig(block_size=3, max_len=10), scheme)
         assert len(result.output) == 10
         assert len(work["calls"]) == result.model_invocations
         assert work["outside"] == 0
-        n = model.num_heads + 1
         for _, runs in work["calls"]:
-            for first, end, sep, windows in runs:
+            for first, end, sep, heads in runs:
                 assert sep == 3
-                assert windows == list(range(max(first, sep), end, n))
+                assert heads == [(max(first, sep), end)]
 
     def test_a_standard_predict_call_after_its_verify_call_computes_none(self, work):
         model = TinyBlockModel(small_config(eos_token=None), seed=5)

@@ -31,12 +31,13 @@ from blockdec.models.synthetic import SYNTHETIC_KINDS, make_synthetic_model
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neural_decode.ckpt"
 CHECKPOINT_RECORD = CHECKPOINT.with_suffix(".json")
 
-# the tiny models differ in dtype and context length; at every length a grid
-# row near the end of the context reads a head window that runs past the last
-# position, into the spare rows of the model's buffer of hidden states. At the
+# the tiny models differ in dtype and context length, so calls run the trunk
+# and heads on slabs up to the end of contexts of several lengths. At the
 # checkpoint's width, in float64, projecting fewer heads changes head 1's bits.
 # The text models have a text_char corpus's shape (258 ids, the default
-# widths), where the head window's fused product is 514 columns before padding
+# widths). There the heads' first product is 514 columns wide, a width at
+# which OpenBLAS gives a float64 row of a product of several rows other bits
+# at other row indices; one-row slabs must not
 CONTRACT_MODELS = (
     "tiny-float32-17", "tiny-float64-17", "tiny-float32-30", "tiny-float64-30",
     "tiny-float32-12", "tiny-float64-12", "tiny-float32-24", "tiny-float64-24",
@@ -123,8 +124,8 @@ def test_rows_in_a_session_are_stateless_row_zero(name, seed):
 @pytest.mark.parametrize("count", [5, 7, 10])
 def test_more_candidates_than_heads_score_every_row(name, count):
     """A grid has a row for every candidate and one more, however many
-    candidates there are; the neural model covers them with consecutive
-    head windows."""
+    candidates there are; the neural model scores every position its trunk
+    step computes."""
     model, context = contract_model(name)
     rng = np.random.default_rng(count)
     inp = tokens(rng, model, 1)
@@ -165,25 +166,28 @@ def test_rows_reread_before_and_after_the_trunk_reruns(name, seed):
 
 
 @pytest.mark.parametrize("name", [n for n in CONTRACT_MODELS if n not in SYNTHETIC_KINDS])
-def test_a_head_window_row_depends_only_on_its_hidden_state(name):
+def test_a_head_row_is_the_same_at_every_row_count_and_index(name):
     """The property a re-read grid row rests on: a row of the decode
-    binding's `_Folded.heads` on a window of num_heads + 1 rows is bitwise
-    the same at every row index, whatever the other rows hold."""
-    model, _ = contract_model(name)
+    binding's `_Folded.heads` on n one-row slabs of normalized hidden states
+    is bitwise the same at every n from 1 to max_context and at every row
+    index, whatever the other rows hold."""
+    model, context = contract_model(name)
     cache = _KVCache(model, (0,))
-    weights = cache.weights
-    n, d = model.num_heads + 1, model.config.d_model
+
+    def heads(rows):
+        # the logits are the session's buffer, which the next call overwrites
+        return cache.weights.heads(rows, *(a[: len(rows), None] for a in cache.head)).copy()
+
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        row = rng.normal(size=d).astype(model.dtype)
-        got = []
-        for index in range(n):
-            window = rng.normal(size=(n, d)).astype(model.dtype)
-            window[index] = row
-            # the logits are the session's buffer, which the next window overwrites
-            got.append(weights.heads(window, cache)[index].copy())
-        for other in got[1:]:
-            np.testing.assert_array_equal(other, got[0])
+    for _ in range(3):
+        row = rng.normal(size=(1, 1, model.config.d_model)).astype(model.dtype)
+        want = heads(row)[0]
+        for n in range(1, context + 1):
+            for parity in (0, 1):
+                rows = rng.normal(size=(n, 1, model.config.d_model)).astype(model.dtype)
+                rows[parity::2] = row
+                for logits in heads(rows)[parity::2]:
+                    np.testing.assert_array_equal(logits, want)
 
 
 @pytest.mark.parametrize("name", CONTRACT_MODELS)
